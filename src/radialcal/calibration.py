@@ -36,6 +36,7 @@ from .errors import (
     NonPositiveDepth,
     RadialCalError,
     SingularConfiguration,
+    SingularProfile,
 )
 
 # Relative singular-value floor below which the conic constraint system is
@@ -205,12 +206,14 @@ def estimate_homography(model_points: Mat, image_points: Mat) -> Homography:
     Ti = _isotropic_normalization(ip)
     mh = np.column_stack([mp, np.ones(len(mp))]) @ Tm.T
     ih = np.column_stack([ip, np.ones(len(ip))]) @ Ti.T
-    rows = []
-    for (X, Y, W), (u, v, _) in zip(mh, ih):
-        rows.append([0.0, 0.0, 0.0, -X, -Y, -W, v * X, v * Y, v * W])
-        rows.append([X, Y, W, 0.0, 0.0, 0.0, -u * X, -u * Y, -u * W])
-    L = np.asarray(rows)
-    _, s, Vt = np.linalg.svd(L)
+    # Two DLT rows per correspondence: [0, -m, v m] and [m, 0, -u m].
+    L = np.zeros((2 * len(mp), 9))
+    L[0::2, 3:6] = -mh
+    L[0::2, 6:9] = ih[:, 1:2] * mh
+    L[1::2, 0:3] = mh
+    L[1::2, 6:9] = -ih[:, 0:1] * mh
+    # The thin SVD: the 2n x 2n left factor is never used.
+    _, s, Vt = np.linalg.svd(L, full_matrices=False)
     # A unique solution needs rank 8: one vanishing direction, not two.
     if s[7] < 1e-10 * s[0]:
         raise DegenerateConfiguration(
@@ -305,83 +308,8 @@ def estimate_extrinsics(A: IntrinsicParams, H: Homography) -> Extrinsics:
     return Extrinsics(rotation=rotation_from_matrix(R), translation=t)
 
 
-def _objective_terms(
-    intr: tuple[float, float, float, float, float],
-    model_id: int,
-    k: tuple[float, ...],
-    rotations,
-    translations,
-    pts3: Mat,
-    observations,
-) -> float:
-    """Shared objective kernel. Raises NonPositiveDepth/SingularProfile."""
-    alpha, gamma, u0, beta, v0 = intr
-    J = 0.0
-    for i, (w, t, obs) in enumerate(zip(rotations, translations, observations)):
-        R = rotation_to_matrix(w)
-        Pc = pts3 @ R.T + t
-        z = Pc[:, 2]
-        bad = z < DEPTH_EPS
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise NonPositiveDepth(f"view {i}, point {j}: Z^c = {z[j]!r}")
-        x = Pc[:, 0] / z
-        y = Pc[:, 1] / z
-        f = _profile_array(model_id, k, np.hypot(x, y))
-        xd = x * f
-        yd = y * f
-        du = alpha * xd + gamma * yd + u0 - obs[:, 0]
-        dv = beta * yd + v0 - obs[:, 1]
-        J += float(np.sum(du * du + dv * dv))
-    return J
-
-
-def project_distorted(
-    A: IntrinsicParams, ext: Extrinsics, model: DistortionModel, world_points: Mat
-) -> Mat:
-    """Distorted forward projection of (n, 3) world points, in pixels."""
-    pts = np.asarray(world_points, dtype=float)
-    Pc = pts @ ext.matrix.T + ext.translation
-    z = Pc[:, 2]
-    bad = z < DEPTH_EPS
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise NonPositiveDepth(f"point {j}: Z^c = {z[j]!r}")
-    x = Pc[:, 0] / z
-    y = Pc[:, 1] / z
-    f = _profile_array(model.model_id, model.coefficients, np.hypot(x, y))
-    xd = x * f
-    yd = y * f
-    u = A.alpha * xd + A.gamma * yd + A.u0
-    v = A.beta * yd + A.v0
-    return np.column_stack([u, v])
-
-
-def compute_objective(
-    A: IntrinsicParams,
-    extrinsics,
-    model: DistortionModel,
-    data: CalibrationDataset,
-) -> float:
-    """Sum of squared pixel distances between observations and predictions."""
-    extrinsics = tuple(extrinsics)
-    if len(extrinsics) != data.n_views:
-        raise ValueError(
-            f"got {len(extrinsics)} extrinsics for {data.n_views} views"
-        )
-    return _objective_terms(
-        (A.alpha, A.gamma, A.u0, A.beta, A.v0),
-        model.model_id,
-        model.coefficients,
-        [e.rotation for e in extrinsics],
-        [e.translation for e in extrinsics],
-        data.world_points,
-        data.observations,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Parameter packing for refinement.
+# Parameter packing and the projection kernel.
 #
 # theta = [alpha, gamma, u0, beta, v0,
 #          k_1 .. k_arity,
@@ -389,14 +317,11 @@ def compute_objective(
 # ---------------------------------------------------------------------------
 
 
-def _pack(result: CalibrationResult) -> np.ndarray:
-    A = result.intrinsics
-    parts = [A.alpha, A.gamma, A.u0, A.beta, A.v0]
-    parts.extend(result.model.coefficients)
-    for e in result.extrinsics:
-        parts.extend(e.rotation)
-        parts.extend(e.translation)
-    return np.array(parts, dtype=float)
+def _pack(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
+    parts = [*A.as_tuple(), *model.coefficients]
+    for e in extrinsics:
+        parts += e.rotation.tolist() + e.translation.tolist()
+    return np.array(parts)
 
 
 def _unpack(theta: np.ndarray, model_id: int, n_views: int):
@@ -412,6 +337,191 @@ def _unpack(theta: np.ndarray, model_id: int, n_views: int):
     return intr, k, rotations, translations
 
 
+def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False):
+    """Distorted pixels of pts3 under a batch of packed parameter rows.
+
+    params is (B, 5 + arity + 6V), each row laid out as theta above, and
+    pts3 is (P, 3). Every step is elementwise numpy over (B, V, P) arrays, so
+    a row's values never depend on the rows beside it. Returns u and v, each
+    (B, V, P). A (row, view) cell with a point below DEPTH_EPS or a profile
+    denominator below DENOM_EPS is invalid and its u and v are inf. With
+    strict=True, for one row and one view, such a cell raises
+    NonPositiveDepth (naming the first point) or SingularProfile instead.
+    """
+    arity = coefficient_arity(model_id)
+    head = params[:, : 5 + arity]
+    pose = params[:, 5 + arity :].reshape(len(params), -1, 6)
+    # Intrinsics and coefficients broadcast over (B, V, P) as (B, 1, 1) columns.
+    alpha, gamma, u0, beta, v0, *k = head.T[:, :, None, None]
+    R = rotation_to_matrix(pose[..., :3])
+    # Camera frame, shape (B, V, 3, P): column j of R times coordinate j. A
+    # planar target (Z = 0) skips the third column.
+    Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[..., 3:, None]
+    if pts3[:, 2].any():
+        Pc += R[..., 2, None] * pts3[:, 2]
+    z = Pc[..., 2, :]
+    low = z < DEPTH_EPS
+    bad = None
+    if low.any():
+        if strict:
+            _, _, j = np.argwhere(low)[0]
+            raise NonPositiveDepth(f"point {j}: Z^c = {z[0, 0, j]!r}")
+        bad = low.any(axis=-1)
+        z = np.where(low, 1.0, z)
+    x = Pc[..., 0, :] / z
+    y = Pc[..., 1, :] / z
+    r = np.hypot(x, y)
+    try:
+        f = _profile_array(model_id, k, r)
+    except SingularProfile:
+        if strict:
+            raise
+        # Retry cell by cell so only the offending (row, view) goes invalid.
+        f = np.zeros_like(r)
+        if bad is None:
+            bad = np.zeros(r.shape[:2], dtype=bool)
+        for row, view in np.ndindex(*bad.shape):
+            try:
+                f[row, view] = _profile_array(model_id, head[row, 5:], r[row, view])
+            except SingularProfile:
+                bad[row, view] = True
+    xd = x * f
+    yd = y * f
+    u = alpha * xd + gamma * yd + u0
+    v = beta * yd + v0
+    if bad is not None:
+        u[bad] = np.inf
+        v[bad] = np.inf
+    return u, v
+
+
+def _view_terms(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
+    """The objective kernel: per-view squared pixel error sums, shape (B, V).
+
+    observations is the (V, P, 2) stack of pixel observations. A cell that
+    _project marks invalid, and every cell of a row whose focal scale alpha
+    or beta is <= 0, reads inf.
+    """
+    u, v = _project(model_id, params, pts3)
+    du = u - observations[..., 0]
+    dv = v - observations[..., 1]
+    terms = np.sum(du * du + dv * dv, axis=-1)
+    terms[(params[:, 0] <= 0.0) | (params[:, 3] <= 0.0)] = np.inf
+    return terms
+
+
+def _total(terms: np.ndarray):
+    """J from per-view terms, summed view by view in order along the last axis.
+
+    A fixed order makes J a function of the per-view terms alone, so a J
+    assembled from terms evaluated in different batches equals a full
+    recompute bit for bit.
+    """
+    J = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        J = J + terms[..., i]
+    return J
+
+
+def project_distorted(
+    A: IntrinsicParams, ext: Extrinsics, model: DistortionModel, world_points: Mat
+) -> Mat:
+    """Distorted forward projection of (n, 3) world points, in pixels.
+
+    Raises NonPositiveDepth naming the first point below DEPTH_EPS and
+    SingularProfile when a profile denominator vanishes.
+    """
+    pts = np.asarray(world_points, dtype=float)
+    u, v = _project(model.model_id, _pack(A, model, (ext,))[None], pts, strict=True)
+    return np.column_stack([u[0, 0], v[0, 0]])
+
+
+def compute_objective(
+    A: IntrinsicParams,
+    extrinsics,
+    model: DistortionModel,
+    data: CalibrationDataset,
+) -> float:
+    """Sum of squared pixel distances between observations and predictions.
+
+    One call of the objective kernel that refine uses, with the per-view
+    sums added in view order, so J of a refined result recomputes to its
+    objective bit for bit. A view with a point below DEPTH_EPS or a
+    vanishing profile denominator raises NonPositiveDepth or SingularProfile
+    naming the first such view.
+    """
+    extrinsics = tuple(extrinsics)
+    if len(extrinsics) != data.n_views:
+        raise ValueError(
+            f"got {len(extrinsics)} extrinsics for {data.n_views} views"
+        )
+    pts3 = data.world_points
+    terms = _view_terms(
+        model.model_id,
+        _pack(A, model, extrinsics)[None],
+        pts3,
+        np.stack(data.observations),
+    )[0]
+    if not np.isfinite(terms).all():
+        for i, ext in enumerate(extrinsics):
+            try:
+                project_distorted(A, ext, model, pts3)
+            except RadialCalError as exc:
+                raise type(exc)(f"view {i}, {exc}") from None
+    return float(_total(terms))
+
+
+def _terms_function(model_id: int, data: CalibrationDataset, frozen: np.ndarray):
+    """Per-view terms, shape (B, V), of (B, n) rows of refine's free parameters.
+
+    frozen holds the leading packed entries refine keeps fixed (the five
+    intrinsics under freeze_intrinsics, else nothing).
+    """
+    pts3 = data.world_points
+    observations = np.stack(data.observations)
+
+    def terms(rows: np.ndarray) -> np.ndarray:
+        if len(frozen):
+            rows = np.concatenate(
+                [np.broadcast_to(frozen, (len(rows), len(frozen))), rows], axis=1
+            )
+        return _view_terms(model_id, rows, pts3, observations)
+
+    return terms
+
+
+def _probe(terms, theta: np.ndarray, base: np.ndarray):
+    """Central-difference probes of J around theta from one kernel call.
+
+    Returns h, fp and fm with fp[i] = J(theta + h_i e_i) and
+    fm[i] = J(theta - h_i e_i), h_i = 1e-6 max(1, |theta_i|). base holds the
+    per-view terms at theta. Each of the m global entries (free intrinsics
+    and coefficients) gets a row per sign. A pose entry changes only its own
+    view's term, so row (q, sign) moves pose coordinate q of every view at
+    once, and J(theta + h e_{v,q}) is the in-order sum of base with term v
+    taken from that row: exactly what evaluating the perturbed vector gives.
+    The kernel call has 2m + 12 rows.
+    """
+    n_views = len(base)
+    m = len(theta) - 6 * n_views
+    h = 1e-6 * np.maximum(1.0, np.abs(theta))
+    glob = np.arange(m)
+    q = np.arange(6)
+    pose = m + 6 * np.arange(n_views)[:, None] + q
+    rows = np.repeat(theta[None], 2 * m + 12, axis=0)
+    rows[glob, glob] += h[glob]
+    rows[m + glob, glob] -= h[glob]
+    rows[2 * m + q, pose] += h[pose]
+    rows[2 * m + 6 + q, pose] -= h[pose]
+    T = terms(rows)
+    moved = T[2 * m :].reshape(2, 6, n_views).transpose(0, 2, 1)
+    swapped = np.where(np.eye(n_views, dtype=bool)[:, None, :], moved[..., None], base)
+    J_pose = _total(swapped).reshape(2, -1)
+    fp = np.concatenate([_total(T[:m]), J_pose[0]])
+    fm = np.concatenate([_total(T[m : 2 * m]), J_pose[1]])
+    return h, fp, fm
+
+
 def refine(
     initial: CalibrationResult,
     data: CalibrationDataset,
@@ -425,6 +535,15 @@ def refine(
     are the 5 intrinsics, the model's coefficients and all 6N pose entries;
     freeze_intrinsics pins the first five.
 
+    Every objective value comes from one kernel that returns per-view terms
+    for a batch of parameter rows. A gradient is one batch of 2m + 12 rows
+    (m free intrinsics and coefficients): the global entries are perturbed
+    one per row, and pose coordinate q is perturbed in every view at once,
+    since a view's pose moves only that view's term. Each J(theta +- h e_i)
+    is then assembled from the per-view terms with the views summed in
+    order, which equals a full recompute bit for bit, and counts as one
+    function evaluation.
+
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
     numerically zero gradient, or the iteration/evaluation caps. The caps
@@ -437,60 +556,29 @@ def refine(
     n_views = data.n_views
     if len(initial.extrinsics) != n_views:
         raise ValueError("initial extrinsics count does not match the dataset")
-    pts3 = data.world_points
-    observations = data.observations
 
-    def objective_full(theta: np.ndarray) -> float:
-        intr, k, rotations, translations = _unpack(theta, model_id, n_views)
-        if intr[0] <= 0 or intr[3] <= 0:
-            return math.inf
-        try:
-            return _objective_terms(
-                intr, model_id, k, rotations, translations, pts3, observations
-            )
-        except RadialCalError:
-            return math.inf
-
-    theta_full = _pack(initial)
-    if freeze_intrinsics:
-        free = np.arange(5, len(theta_full))
-    else:
-        free = np.arange(len(theta_full))
-
-    def embed(tred: np.ndarray) -> np.ndarray:
-        th = theta_full.copy()
-        th[free] = tred
-        return th
-
-    fun = lambda tr: objective_full(embed(tr))
-    theta = theta_full[free].copy()
+    theta_full = _pack(initial.intrinsics, initial.model, initial.extrinsics)
+    frozen = theta_full[:5] if freeze_intrinsics else theta_full[:0]
+    terms = _terms_function(model_id, data, frozen)
+    theta = theta_full[len(frozen) :].copy()
     n = len(theta)
 
     evals = 0
 
-    def gradient(tr: np.ndarray, f0: float) -> np.ndarray:
+    def gradient(tr: np.ndarray, f0: float, base: np.ndarray) -> np.ndarray:
         nonlocal evals
-        g = np.empty(n)
-        for i in range(n):
-            h = 1e-6 * max(1.0, abs(tr[i]))
-            tp = tr.copy()
-            tp[i] += h
-            tm = tr.copy()
-            tm[i] -= h
-            fp = fun(tp)
-            fm = fun(tm)
-            evals += 2
-            if math.isfinite(fp) and math.isfinite(fm):
-                g[i] = (fp - fm) / (2.0 * h)
-            elif math.isfinite(fp):
-                g[i] = (fp - f0) / h
-            elif math.isfinite(fm):
-                g[i] = (f0 - fm) / h
-            else:
-                g[i] = 0.0
-        return g
+        h, fp, fm = _probe(terms, tr, base)
+        evals += 2 * n
+        okp, okm = np.isfinite(fp), np.isfinite(fm)
+        with np.errstate(invalid="ignore"):
+            return np.select(
+                [okp & okm, okp, okm],
+                [(fp - fm) / (2.0 * h), (fp - f0) / h, (f0 - fm) / h],
+                0.0,
+            )
 
-    J = fun(theta)
+    base = terms(theta[None])[0]
+    J = float(_total(base))
     evals += 1
     if not math.isfinite(J):
         raise ValueError("initial parameters do not give a finite objective")
@@ -500,7 +588,7 @@ def refine(
     status = "max_iterations"
     converged = False
 
-    g = gradient(theta, J)
+    g = gradient(theta, J, base)
     if float(np.max(np.abs(g))) <= 1e-9 * max(1.0, abs(J)):
         status, converged = "stationary", True
     else:
@@ -520,7 +608,8 @@ def refine(
                 if evals >= opts.max_function_evaluations:
                     break
                 trial = theta + alpha * d
-                J_try = fun(trial)
+                trial_terms = terms(trial[None])[0]
+                J_try = float(_total(trial_terms))
                 evals += 1
                 if J_try <= J + 1e-4 * alpha * gd:
                     J_new, accepted = J_try, True
@@ -549,7 +638,7 @@ def refine(
                 theta, J = theta_new, J_new
                 status = "max_function_evaluations"
                 break
-            g_new = gradient(theta_new, J_new)
+            g_new = gradient(theta_new, J_new, trial_terms)
             yk = g_new - g
             sy = float(step @ yk)
             if sy > 1e-12 * float(np.linalg.norm(step)) * float(np.linalg.norm(yk)):
@@ -568,7 +657,7 @@ def refine(
                 status, converged = "stationary", True
                 break
 
-    final_full = embed(best_theta)
+    final_full = np.concatenate([frozen, best_theta])
     intr, k, rotations, translations = _unpack(final_full, model_id, n_views)
     return CalibrationResult(
         intrinsics=IntrinsicParams(

@@ -325,9 +325,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_coeffs(argv: list[str]) -> list[str]:
+    """Rewrite "--coeffs -0.1,-0.2" as "--coeffs=-0.1,-0.2".
+
+    argparse takes a separate value starting with '-' for an option unless
+    it reads as one negative number, which a comma-separated list does not.
+    Abbreviations of --coeffs ("--coef") are rewritten the same way and left
+    to argparse to resolve.
+    """
+    out: list[str] = []
+    for tok in argv:
+        negative = len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789."
+        prev = out[-1] if out else ""
+        if negative and len(prev) > 2 and "--coeffs".startswith(prev):
+            out[-1] = f"--coeffs={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_coeffs(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -92,25 +92,32 @@ class Extrinsics:
         return rotation_to_matrix(self.rotation)
 
 
-def rotation_to_matrix(rotation: Vec) -> Mat:
-    """Expand an axis-angle 3-vector into an orthonormal rotation matrix.
+# [w]x as w[_SKEW_INDEX] * _SKEW_SIGN, entry by entry.
+_SKEW_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_IDENTITY = np.eye(3)
 
-    The zero vector maps to the identity.
+
+def rotation_to_matrix(rotation: Vec) -> Mat:
+    """Expand axis-angle vectors into orthonormal rotation matrices.
+
+    Accepts a 3-vector or a (..., 3) stack and returns (3, 3) or (..., 3, 3).
+    Rodrigues' formula R = cos(t) I + sin(t)/t [w]x + (1 - cos(t))/t^2 w w^T
+    is evaluated elementwise, with no matrix product, so a vector's matrix
+    never depends on the stack it sits in. The zero vector maps to the
+    identity; below about 1e-8 rad the formula is exactly the first-order
+    expansion I + [w]x.
     """
     w = np.asarray(rotation, dtype=float)
-    theta = float(np.linalg.norm(w))
-    K = np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-    if theta < 1e-12:
-        # First-order expansion; deviation from orthonormality is O(theta^2).
-        return np.eye(3) + K
-    K /= theta
-    return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
+    theta = np.hypot(np.hypot(w[..., 0], w[..., 1]), w[..., 2])
+    safe = theta + (theta == 0.0)
+    c = np.cos(theta)
+    s = np.sin(theta) / safe
+    b = (1.0 - c) / safe / safe
+    R = (b[..., None] * w)[..., :, None] * w[..., None, :]
+    R += s[..., None, None] * (w[..., _SKEW_INDEX] * _SKEW_SIGN)
+    R += c[..., None, None] * _IDENTITY
+    return R
 
 
 def rotation_from_matrix(R: Mat) -> Vec:

@@ -143,7 +143,7 @@ def _profile_array(model_id: int, k: tuple[float, ...], r: np.ndarray) -> np.nda
         raise UnknownModel(f"no distortion model with id {model_id!r}")
     small = np.abs(den) < DENOM_EPS
     if np.any(small):
-        where = float(np.atleast_1d(r)[np.argwhere(np.atleast_1d(small))[0][0]])
+        where = float(np.broadcast_to(r, small.shape)[small][0])
         raise SingularProfile(f"model {model_id} denominator vanished at r={where!r}")
     return num / den
 

@@ -223,6 +223,18 @@ class TestObjective:
         with pytest.raises(rc.NonPositiveDepth, match=r"view 1, point 0"):
             rc.compute_objective(spec.intrinsics, tuple(broken), spec.model, data)
 
+    def test_singular_profile_names_view(self, exact3):
+        # View 1 sees point 0 at x = 0.5, y = 0 on the unit plane, where
+        # model 4 with k = -2 has den = 1 - 2 r = 0; view 0 stays regular.
+        data, spec = exact3
+        X0, Y0, _ = data.world_points[0]
+        broken = list(spec.extrinsics)
+        broken[1] = rc.Extrinsics(rotation=np.zeros(3), translation=(0.5 - X0, -Y0, 1.0))
+        model = rc.DistortionModel(model_id=4, coefficients=(-2.0,))
+        rc.project_distorted(spec.intrinsics, broken[0], model, data.world_points)
+        with pytest.raises(rc.SingularProfile, match=r"view 1, model 4 denominator"):
+            rc.compute_objective(spec.intrinsics, tuple(broken), model, data)
+
     def test_repeatable_bits(self, noisy3):
         data, spec = noisy3
         a = rc.compute_objective(spec.intrinsics, spec.extrinsics, spec.model, data)
@@ -360,13 +372,16 @@ class TestRefine:
         data, spec = exact3
         J0 = 7.0
 
-        def ramp(intr, model_id, k, rotations, translations, pts3, observations):
+        def ramp(model_id, params, pts3, observations):
             # Jump on one side: the finite-difference gradient sees a steep
-            # descent direction that no actual trial point can realize.
-            s = intr[0] - 830.0
-            return J0 + (1.0 + s if s > 0.0 else -s)
+            # descent direction that no actual trial point can realize. The
+            # ramp sits in view 0's term; the other views contribute zero.
+            s = params[:, 0] - 830.0
+            terms = np.zeros((len(params), len(observations)))
+            terms[:, 0] = J0 + np.where(s > 0.0, 1.0 + s, -s)
+            return terms
 
-        monkeypatch.setattr(calib_mod, "_objective_terms", ramp)
+        monkeypatch.setattr(calib_mod, "_view_terms", ramp)
         initial = rc.CalibrationResult(
             intrinsics=spec.intrinsics,
             extrinsics=spec.extrinsics,
@@ -434,6 +449,104 @@ class TestRefine:
         assert again == res.objective
 
 
+def objective_at(theta_full, model_id, data):
+    """compute_objective at a packed parameter vector."""
+    intr, k, rotations, translations = calib_mod._unpack(theta_full, model_id, data.n_views)
+    A = rc.IntrinsicParams(alpha=intr[0], gamma=intr[1], u0=intr[2], beta=intr[3], v0=intr[4])
+    extrinsics = tuple(
+        rc.Extrinsics(rotation=w, translation=t) for w, t in zip(rotations, translations)
+    )
+    model = rc.DistortionModel(model_id=model_id, coefficients=k)
+    return rc.compute_objective(A, extrinsics, model, data)
+
+
+@pytest.fixture(scope="module")
+def trend():
+    return trend_dataset()
+
+
+class TestObjectiveKernel:
+    def assert_probes_exact(self, data, start, freeze_intrinsics=False):
+        # Every J(theta +- h e_i) the gradient assembles from per-view terms
+        # must be the value a full recompute at the perturbed vector gives.
+        model_id = start.model.model_id
+        theta_full = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        frozen = theta_full[:5] if freeze_intrinsics else theta_full[:0]
+        theta = theta_full[len(frozen) :]
+        terms = calib_mod._terms_function(model_id, data, frozen)
+        base = terms(theta[None])[0]
+        h, fp, fm = calib_mod._probe(terms, theta, base)
+        assert len(h) == len(fp) == len(fm) == len(theta)
+        for i in range(len(theta)):
+            plus, minus = theta.copy(), theta.copy()
+            plus[i] += h[i]
+            minus[i] -= h[i]
+            assert fp[i] == objective_at(np.concatenate([frozen, plus]), model_id, data)
+            assert fm[i] == objective_at(np.concatenate([frozen, minus]), model_id, data)
+
+    def test_probes_match_full_recompute(self, trend):
+        data, _ = trend
+        base = rc.linear_initialize(data, 0)
+        few = rc.OptimizerOptions(max_iterations=3)
+        for mid in range(10):
+            start = replace(
+                base,
+                model=rc.DistortionModel(
+                    model_id=mid, coefficients=(0.0,) * rc.coefficient_arity(mid)
+                ),
+            )
+            self.assert_probes_exact(data, start)
+            # A few iterations in, the coefficients are no longer zero.
+            self.assert_probes_exact(data, rc.refine(start, data, few))
+
+    def test_probes_match_with_frozen_intrinsics(self, trend):
+        data, spec = trend
+        start = rc.fit_distortion(data, spec.intrinsics, 9, rc.OptimizerOptions(max_iterations=3))
+        self.assert_probes_exact(data, start, freeze_intrinsics=True)
+
+    def test_rows_do_not_depend_on_their_batch(self, trend):
+        data, spec = trend
+        pts3 = data.world_points
+        obs = np.stack(data.observations)
+        model = rc.DistortionModel(model_id=4, coefficients=(0.05,))
+        valid = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        behind = valid.copy()
+        behind[6 + 5 :: 6] = -5.0  # every view's translation z
+        # Model 4 is 1 / (1 + k r): k = -1/r at view 0's first point makes
+        # the denominator vanish there.
+        pc = rc.world_to_camera(spec.extrinsics[0], pts3[0])
+        singular = valid.copy()
+        singular[5] = -1.0 / math.hypot(pc[0] / pc[2], pc[1] / pc[2])
+        kernel = lambda rows: calib_mod._view_terms(4, np.array(rows), pts3, obs)
+
+        alone = kernel([valid])
+        assert np.isfinite(alone).all()
+        for rows, at in [
+            ([valid, behind], 0),
+            ([behind, valid], 1),
+            ([singular, valid, behind], 1),
+            ([singular, behind, valid, valid], 2),
+        ]:
+            got = kernel(rows)
+            assert np.array_equal(got[at], alone[0])
+        for bad in (behind, singular):
+            terms = kernel([bad])[0]
+            assert np.isinf(terms[0])
+            assert calib_mod._total(terms) == math.inf
+        assert np.isinf(kernel([behind])).all()
+
+    def test_nonpositive_focal_row_reads_inf(self, trend):
+        data, spec = trend
+        valid = calib_mod._pack(spec.intrinsics, spec.model, spec.extrinsics)
+        flat = valid.copy()
+        flat[3] = 0.0  # beta
+        terms = calib_mod._view_terms(
+            0, np.array([flat, valid]), data.world_points, np.stack(data.observations)
+        )
+        assert np.isinf(terms[0]).all()
+        assert np.isfinite(terms[1]).all()
+
+
 class TestCompareModels:
     CHEAP = rc.OptimizerOptions(
         step_tolerance=1.0,
@@ -456,6 +569,14 @@ class TestCompareModels:
         assert row.model_id == 0 and row.rank == 0
         assert row.converged
         assert row.objective < 1e-6
+
+    def test_trend_rows_are_finite(self, trend):
+        data, _ = trend
+        report = rc.compare_models(data, range(10))
+        for row in report.rows:
+            assert math.isfinite(row.objective)
+            assert np.all(np.isfinite(row.coefficients))
+            assert np.all(np.isfinite(row.intrinsics.as_tuple()))
 
     def test_ranks_follow_objective(self, noisy3):
         data, _ = noisy3

@@ -146,6 +146,24 @@ class TestUndistortPoints:
         assert got.shape == ideal.shape
         assert np.max(np.abs(got - ideal)) < 1e-6
 
+    def test_negative_coefficient_list_as_separate_value(self, tmp_path):
+        # The form shown in the help text: a list whose first entry is
+        # negative, passed as its own argument.
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        model = rc.DistortionModel(model_id=3, coefficients=(-0.0215, -0.1566))
+        ideal = np.array([[400.0, 300.0], [200.0, 150.0], [320.0, 240.0]])
+        distorted = np.array([rc.distort_pixel(DEFAULT_CAMERA, model, p) for p in ideal])
+        for flag in ("--coeffs", "--coef"):
+            res = run_cli(
+                "undistort-points", "--model", "3", flag, "-0.0215,-0.1566",
+                "--intrinsics", str(cam),
+                stdin="".join(f"{u:.17g} {v:.17g}\n" for u, v in distorted),
+            )
+            assert res.returncode == 0, res.stderr
+            got = np.array([[float(t) for t in line.split()] for line in res.stdout.splitlines()])
+            assert np.max(np.abs(got - ideal)) < 1e-6
+
     def test_bad_input_line_fails_with_empty_stdout(self, tmp_path):
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)

@@ -90,6 +90,22 @@ class TestRotation:
             R2 = rc.rotation_to_matrix(rc.rotation_from_matrix(R))
             assert np.max(np.abs(R2 - R)) < 1e-9
 
+    def test_stack_matches_single_vectors_exactly(self):
+        rng = np.random.default_rng(23)
+        W = rng.normal(size=(4, 5, 3))
+        W[0, 0] = 0.0
+        W[1, 2] = [1e-13, -2e-13, 0.0]
+        stack = rc.rotation_to_matrix(W)
+        assert stack.shape == (4, 5, 3, 3)
+        for i, j in np.ndindex(4, 5):
+            assert np.array_equal(stack[i, j], rc.rotation_to_matrix(W[i, j]))
+        assert np.array_equal(stack[0, 0], np.eye(3))
+
+    def test_tiny_angle_is_first_order_expansion(self):
+        for w in ([1e-13, -2e-13, 5e-14], [1e-200, 0.0, -3e-200]):
+            K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+            assert np.array_equal(rc.rotation_to_matrix(np.array(w)), np.eye(3) + K)
+
     def test_extrinsics_matrix_property(self):
         w = np.array([0.3, -0.2, 0.1])
         ext = rc.Extrinsics(rotation=w, translation=np.array([1.0, 2.0, 3.0]))
