@@ -29,7 +29,7 @@ from .core import (
     rotation_from_matrix,
     rotation_to_matrix,
 )
-from .distortion import DistortionModel, _profile_array, coefficient_arity
+from .distortion import DistortionModel, _profile, coefficient_arity
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -372,7 +372,7 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     y = Pc[..., 1, :] / z
     r = np.hypot(x, y)
     try:
-        f = _profile_array(model_id, k, r)
+        f = _profile(model_id, k, r)
     except SingularProfile:
         if strict:
             raise
@@ -382,7 +382,7 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
             bad = np.zeros(r.shape[:2], dtype=bool)
         for row, view in np.ndindex(*bad.shape):
             try:
-                f[row, view] = _profile_array(model_id, head[row, 5:], r[row, view])
+                f[row, view] = _profile(model_id, head[row, 5:], r[row, view])
             except SingularProfile:
                 bad[row, view] = True
     xd = x * f
@@ -677,13 +677,24 @@ def refine(
     )
 
 
-def linear_initialize(data: CalibrationDataset, model_id: int) -> CalibrationResult:
-    """Linear estimation stage: homographies, intrinsics, extrinsics, k = 0."""
-    homographies = [
-        estimate_homography(data.model_points, obs) for obs in data.observations
-    ]
-    A = estimate_intrinsics_linear(homographies)
-    extrinsics = tuple(estimate_extrinsics(A, H) for H in homographies)
+def _start(
+    data: CalibrationDataset,
+    model_id: int,
+    A: IntrinsicParams | None = None,
+    extrinsics=None,
+) -> CalibrationResult:
+    """A refinement start for model_id with k = 0 and its objective J0.
+
+    Without extrinsics, one homography per view gives the poses under A, and
+    without A, the intrinsics come from the homographies first.
+    """
+    if extrinsics is None:
+        homographies = [
+            estimate_homography(data.model_points, obs) for obs in data.observations
+        ]
+        if A is None:
+            A = estimate_intrinsics_linear(homographies)
+        extrinsics = tuple(estimate_extrinsics(A, H) for H in homographies)
     model = DistortionModel(
         model_id=model_id, coefficients=(0.0,) * coefficient_arity(model_id)
     )
@@ -698,6 +709,11 @@ def linear_initialize(data: CalibrationDataset, model_id: int) -> CalibrationRes
         status="linear",
         objective_trace=(J0,),
     )
+
+
+def linear_initialize(data: CalibrationDataset, model_id: int) -> CalibrationResult:
+    """Linear estimation stage: homographies, intrinsics, extrinsics, k = 0."""
+    return _start(data, model_id)
 
 
 def calibrate(
@@ -719,25 +735,7 @@ def fit_distortion(
     using the supplied intrinsics; refinement then optimizes coefficients
     and poses only.
     """
-    homographies = [
-        estimate_homography(data.model_points, obs) for obs in data.observations
-    ]
-    extrinsics = tuple(estimate_extrinsics(A, H) for H in homographies)
-    model = DistortionModel(
-        model_id=model_id, coefficients=(0.0,) * coefficient_arity(model_id)
-    )
-    J0 = compute_objective(A, extrinsics, model, data)
-    initial = CalibrationResult(
-        intrinsics=A,
-        extrinsics=extrinsics,
-        model=model,
-        objective=J0,
-        iterations=0,
-        converged=False,
-        status="linear",
-        objective_trace=(J0,),
-    )
-    return refine(initial, data, opts, freeze_intrinsics=True)
+    return refine(_start(data, model_id, A), data, opts, freeze_intrinsics=True)
 
 
 def compare_models(
@@ -754,12 +752,7 @@ def compare_models(
     base = linear_initialize(data, model_ids[0])
     results: dict[int, CalibrationResult] = {}
     for mid in model_ids:
-        start = replace(
-            base,
-            model=DistortionModel(
-                model_id=mid, coefficients=(0.0,) * coefficient_arity(mid)
-            ),
-        )
+        start = _start(data, mid, base.intrinsics, base.extrinsics)
         try:
             results[mid] = refine(start, data, opts)
         except RadialCalError:

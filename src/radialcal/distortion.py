@@ -71,8 +71,8 @@ class RadialAuxiliaries:
 
     Along the ray y = c x the radius factors as r = s |x| with s = sqrt(1+c^2),
     and the squared factor t = 1 + c^2 = s^2 multiplies even powers. sigma
-    carries the sign of the undistorted coordinate x: during inversion it is
-    the branch assumption being tested.
+    carries the sign of the undistorted coordinate x. Inversion sets it to
+    sign(x_d), the principal branch on which f(r) > 0.
     """
 
     c: float
@@ -86,9 +86,12 @@ class RadialAuxiliaries:
         return cls(c=c, s=math.sqrt(t), t=t, sigma=sigma)
 
 
-def _profile_scalar(model_id: int, k: tuple[float, ...], r: float) -> float:
-    # Expression shapes mirror _profile_array exactly so the two paths agree
-    # to the last bit.
+def _profile(model_id: int, k: tuple[float, ...], r):
+    """f(r) for a float or an ndarray of radii; the result has r's type.
+
+    Polynomial models return before any denominator check, so model 0's float
+    evaluation (the inner loop of numeric inversion) stays plain arithmetic.
+    """
     r2 = r * r
     if model_id == 0:
         return 1.0 + k[0] * r2 + k[1] * r2 * r2
@@ -112,38 +115,9 @@ def _profile_scalar(model_id: int, k: tuple[float, ...], r: float) -> float:
         num, den = 1.0 + k[0] * r2, 1.0 + k[1] * r + k[2] * r2
     else:
         raise UnknownModel(f"no distortion model with id {model_id!r}")
-    if abs(den) < DENOM_EPS:
-        raise SingularProfile(f"model {model_id} denominator vanished at r={r!r}")
-    return num / den
-
-
-def _profile_array(model_id: int, k: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    r2 = r * r
-    if model_id == 0:
-        return 1.0 + k[0] * r2 + k[1] * r2 * r2
-    if model_id == 1:
-        return 1.0 + k[0] * r
-    if model_id == 2:
-        return 1.0 + k[0] * r2
-    if model_id == 3:
-        return 1.0 + k[0] * r + k[1] * r2
-    if model_id == 4:
-        num, den = 1.0, 1.0 + k[0] * r
-    elif model_id == 5:
-        num, den = 1.0, 1.0 + k[0] * r2
-    elif model_id == 6:
-        num, den = 1.0 + k[0] * r, 1.0 + k[1] * r2
-    elif model_id == 7:
-        num, den = 1.0, 1.0 + k[0] * r + k[1] * r2
-    elif model_id == 8:
-        num, den = 1.0 + k[0] * r, 1.0 + k[1] * r + k[2] * r2
-    elif model_id == 9:
-        num, den = 1.0 + k[0] * r2, 1.0 + k[1] * r + k[2] * r2
-    else:
-        raise UnknownModel(f"no distortion model with id {model_id!r}")
-    small = np.abs(den) < DENOM_EPS
-    if np.any(small):
-        where = float(np.broadcast_to(r, small.shape)[small][0])
+    small = abs(den) < DENOM_EPS
+    if small.any() if isinstance(small, np.ndarray) else small:
+        where = float(np.broadcast_to(r, np.shape(small))[small][0])
         raise SingularProfile(f"model {model_id} denominator vanished at r={where!r}")
     return num / den
 
@@ -155,9 +129,9 @@ def eval_profile(model: DistortionModel, r):
     matches. Raises SingularProfile if any rational denominator falls below
     DENOM_EPS in magnitude.
     """
-    if isinstance(r, np.ndarray):
-        return _profile_array(model.model_id, model.coefficients, r)
-    return _profile_scalar(model.model_id, model.coefficients, float(r))
+    if not isinstance(r, np.ndarray):
+        r = float(r)
+    return _profile(model.model_id, model.coefficients, r)
 
 
 def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
@@ -168,10 +142,10 @@ def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     p = np.asarray(p, dtype=float)
     if p.shape == (2,):
         x, y = float(p[0]), float(p[1])
-        f = _profile_scalar(model.model_id, model.coefficients, math.hypot(x, y))
+        f = _profile(model.model_id, model.coefficients, math.hypot(x, y))
         return np.array([x * f, y * f])
     r = np.hypot(p[..., 0], p[..., 1])
-    f = _profile_array(model.model_id, model.coefficients, r)
+    f = _profile(model.model_id, model.coefficients, r)
     return p * f[..., None]
 
 

@@ -5,11 +5,13 @@ and assuming a sign sigma for the unknown x turns x_d = x f(r) into a
 polynomial in x of degree at most three (see branch_reduce). The algorithm:
 
 1. the origin maps to the origin;
-2. solve the sigma=+1 reduction, discard complex roots and roots with the
-   wrong sign, keep the survivor closest to x_d;
-3. repeat with sigma=-1;
-4. of the (up to) two branch candidates, return the one closest to x_d,
-   preferring the candidate matching the sign of x_d on a tie.
+2. take sigma = sign(x_d): the principal branch has f(r) > 0, so x and x_d
+   share a sign (the opposite branch only holds preimages with f(r) < 0);
+3. solve that one reduction, discard complex roots and roots with the wrong
+   sign, and return the smallest |x|. It is the first crossing of
+   F(r) = r f(r) with the distorted radius, moving out from the origin, the
+   same preimage undistort_numeric brackets;
+4. with no admissible root, raise NoRealCandidate.
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntrinsicParams, Vec, denormalize, normalize
-from .distortion import DistortionModel, RadialAuxiliaries, _profile_scalar
+from .distortion import DistortionModel, RadialAuxiliaries, _profile
 from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
@@ -175,7 +177,7 @@ def branch_reduce(
 def _branch_candidate(
     model: DistortionModel, x_d: float, aux: RadialAuxiliaries
 ) -> float | None:
-    """Best admissible real root for one sign branch, or None."""
+    """Admissible real root of one sign branch nearest the origin, or None."""
     coeffs = branch_reduce(model, x_d, aux)
     roots: list[float] = []
     if len(coeffs) == 4 and abs(coeffs[3]) >= COEFF_EPS and abs(coeffs[1]) >= COEFF_EPS:
@@ -190,21 +192,15 @@ def _branch_candidate(
             roots = solve_poly_real(coeffs)
     else:
         roots = solve_poly_real(coeffs)
-    best = None
-    sg = aux.sigma
-    for x in roots:
-        if x * sg <= 0.0:
-            continue
-        if best is None or abs(x - x_d) < abs(best - x_d):
-            best = x
-    return best
+    return min((x for x in roots if x * aux.sigma > 0.0), key=abs, default=None)
 
 
 def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     """Invert distort_normalized for models 1-9 (model 0 goes numeric).
 
-    Raises NoRealCandidate when neither sign branch has an admissible root,
-    i.e. pd lies outside the model's invertible range for these coefficients.
+    Returns the principal-branch preimage (step 3 of the module docstring).
+    Raises NoRealCandidate when that branch has no admissible root, i.e. pd
+    lies outside the model's invertible range for these coefficients.
     """
     if model.model_id == 0:
         return undistort_numeric(model, pd)
@@ -218,25 +214,12 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     if swap:
         xd, yd = yd, xd
     c = yd / xd
-    cand_pos = _branch_candidate(model, xd, RadialAuxiliaries.from_slope(c, +1))
-    cand_neg = _branch_candidate(model, xd, RadialAuxiliaries.from_slope(c, -1))
-    if cand_pos is None and cand_neg is None:
+    sigma = 1 if xd > 0.0 else -1
+    x = _branch_candidate(model, xd, RadialAuxiliaries.from_slope(c, sigma))
+    if x is None:
         raise NoRealCandidate(
             f"model {model.model_id} has no admissible preimage for ({xd!r}, {yd!r})"
         )
-    if cand_pos is None:
-        x = cand_neg
-    elif cand_neg is None:
-        x = cand_pos
-    else:
-        dp = abs(cand_pos - xd)
-        dn = abs(cand_neg - xd)
-        if dp < dn:
-            x = cand_pos
-        elif dn < dp:
-            x = cand_neg
-        else:
-            x = cand_pos if xd > 0.0 else cand_neg
     y = c * x
     if swap:
         x, y = y, x
@@ -251,7 +234,8 @@ def undistort_numeric(model: DistortionModel, pd: Vec, r_max: float = 2.0) -> Ve
     r, making the ray map odd). The first sign change of the residual away
     from the origin is bracketed, bisected, and Newton-polished.
 
-    Raises BracketNotFound when no sign change exists on the interval.
+    Raises BracketNotFound when no sign change exists on the interval, or
+    when the first one is a pole of the profile rather than a root.
     """
     pd = np.asarray(pd, dtype=float)
     xd, yd = float(pd[0]), float(pd[1])
@@ -268,7 +252,7 @@ def undistort_numeric(model: DistortionModel, pd: Vec, r_max: float = 2.0) -> Ve
     mid, k = model.model_id, model.coefficients
 
     def residual(x: float) -> float:
-        return x * _profile_scalar(mid, k, s * x) - xd
+        return x * _profile(mid, k, s * x) - xd
 
     x_hi = r_max / s
     lo, f_lo = 0.0, -xd
@@ -296,7 +280,12 @@ def undistort_numeric(model: DistortionModel, pd: Vec, r_max: float = 2.0) -> Ve
     if hi > lo:
         for _ in range(48):
             m = 0.5 * (lo + hi)
-            fm = residual(m)
+            try:
+                fm = residual(m)
+            except SingularProfile:
+                raise BracketNotFound(
+                    f"model {mid}: the sign change near x={m!r} is a pole, not a root"
+                ) from None
             if fm == 0.0:
                 lo = hi = m
                 break

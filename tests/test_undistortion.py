@@ -52,6 +52,20 @@ def profile_invertible(model, r_hi=0.55):
     return bool(np.all(np.diff(rr * f) > 0.0))
 
 
+def first_fold(model, rr=np.linspace(0.0, 2.0, 4001)):
+    """First radius on a dense grid where F(r) = r f(r) stops increasing.
+
+    Returns the grid's end when F increases all the way, None when the
+    profile is singular on a grid point.
+    """
+    try:
+        F = rr * rc.eval_profile(model, rr)
+    except rc.SingularProfile:
+        return None
+    rising = np.diff(F) > 0.0
+    return rr[-1] if rising.all() else rr[int(np.argmin(rising))]
+
+
 class TestClosedCubic:
     def test_known_factorization(self):
         # x + x^2 + x^3 = 3 factors as (x - 1)(x^2 + 2x + 3) = 0.
@@ -282,6 +296,31 @@ class TestUndistort:
         with pytest.raises(rc.NoRealCandidate):
             rc.undistort_normalized(model, np.array([2.0, 0.0]))
 
+    def test_principal_preimage_inside_first_fold(self):
+        # Points anywhere inside the first fold of F come back, including
+        # where r_d/r is large and the opposite sign branch has a root nearer
+        # to x_d than the true preimage.
+        rng = np.random.default_rng(151)
+        done = 0
+        while done < 2000:
+            mid = int(rng.integers(1, 10))
+            model = rc.DistortionModel(mid, tuple(rng.uniform(-1.0, 1.0, ARITY[mid])))
+            fold = first_fold(model)
+            if not fold:
+                continue
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            p = 0.98 * fold * rng.uniform() * np.array([np.cos(angle), np.sin(angle)])
+            q = rc.undistort_normalized(model, rc.distort_normalized(model, p))
+            assert np.max(np.abs(q - p)) < 1e-6, (mid, model.coefficients, p, q)
+            done += 1
+
+    def test_opposite_sign_preimage_is_rejected(self):
+        # x = -1.0924 has f < 0 and maps onto x_d = 0.8, but F(r) peaks near
+        # 0.49 before the pole at r = 1.25: 0.8 is out of range.
+        model = rc.DistortionModel(model_id=8, coefficients=(-1.0, -0.8, 0.0))
+        with pytest.raises(rc.NoRealCandidate):
+            rc.undistort_normalized(model, np.array([0.8, 0.0]))
+
     def test_model0_numeric_round_trip(self):
         model = rc.DistortionModel(model_id=0, coefficients=(-0.2286, 0.1905))
         p = np.array([0.3, 0.2])
@@ -318,6 +357,14 @@ class TestNumeric:
         model = rc.DistortionModel(model_id=5, coefficients=(0.205,))
         with pytest.raises(rc.BracketNotFound):
             rc.undistort_numeric(model, np.array([2.0, 0.0]))
+
+    def test_pole_is_not_a_bracket(self):
+        # F(r) = r (1 - r) / (1 - 0.81 r) stays below 0.5 up to its pole at
+        # r = 1/0.81, where it jumps from -inf to +inf: a sign change without
+        # a root.
+        model = rc.DistortionModel(model_id=8, coefficients=(-1.0, -0.81, 0.0))
+        with pytest.raises(rc.BracketNotFound):
+            rc.undistort_numeric(model, np.array([0.8, 0.0]))
 
     def test_residual_quality(self):
         model = rc.DistortionModel(model_id=0, coefficients=(-0.3435, 0.1232))
