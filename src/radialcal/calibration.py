@@ -29,14 +29,13 @@ from .core import (
     rotation_from_matrix,
     rotation_to_matrix,
 )
-from .distortion import DistortionModel, _profile, coefficient_arity
+from .distortion import DistortionModel, _checked, _profile, coefficient_arity
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
     NonPositiveDepth,
     RadialCalError,
     SingularConfiguration,
-    SingularProfile,
 )
 
 # Relative singular-value floor below which the conic constraint system is
@@ -343,10 +342,11 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     params is (B, 5 + arity + 6V), each row laid out as theta above, and
     pts3 is (P, 3). Every step is elementwise numpy over (B, V, P) arrays, so
     a row's values never depend on the rows beside it. Returns u and v, each
-    (B, V, P). A (row, view) cell with a point below DEPTH_EPS or a profile
-    denominator below DENOM_EPS is invalid and its u and v are inf. With
-    strict=True, for one row and one view, such a cell raises
-    NonPositiveDepth (naming the first point) or SingularProfile instead.
+    (B, V, P). A point below DEPTH_EPS, or one where the profile denominator
+    is below DENOM_EPS, has no pixel: its u and v are nan, and the other
+    points keep theirs. With strict=True, for one row and one view, such a
+    point raises NonPositiveDepth (naming the first point) or SingularProfile
+    instead.
     """
     arity = coefficient_arity(model_id)
     head = params[:, : 5 + arity]
@@ -361,51 +361,34 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
         Pc += R[..., 2, None] * pts3[:, 2]
     z = Pc[..., 2, :]
     low = z < DEPTH_EPS
-    bad = None
     if low.any():
         if strict:
             _, _, j = np.argwhere(low)[0]
             raise NonPositiveDepth(f"point {j}: Z^c = {z[0, 0, j]!r}")
-        bad = low.any(axis=-1)
-        z = np.where(low, 1.0, z)
+        z = np.where(low, np.nan, z)
     x = Pc[..., 0, :] / z
     y = Pc[..., 1, :] / z
     r = np.hypot(x, y)
-    try:
-        f = _profile(model_id, k, r)
-    except SingularProfile:
-        if strict:
-            raise
-        # Retry cell by cell so only the offending (row, view) goes invalid.
-        f = np.zeros_like(r)
-        if bad is None:
-            bad = np.zeros(r.shape[:2], dtype=bool)
-        for row, view in np.ndindex(*bad.shape):
-            try:
-                f[row, view] = _profile(model_id, head[row, 5:], r[row, view])
-            except SingularProfile:
-                bad[row, view] = True
+    f = _profile(model_id, k, r)
+    if strict:
+        _checked(model_id, r, f)
     xd = x * f
     yd = y * f
-    u = alpha * xd + gamma * yd + u0
-    v = beta * yd + v0
-    if bad is not None:
-        u[bad] = np.inf
-        v[bad] = np.inf
-    return u, v
+    return alpha * xd + gamma * yd + u0, beta * yd + v0
 
 
 def _view_terms(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
     """The objective kernel: per-view squared pixel error sums, shape (B, V).
 
-    observations is the (V, P, 2) stack of pixel observations. A cell that
-    _project marks invalid, and every cell of a row whose focal scale alpha
-    or beta is <= 0, reads inf.
+    observations is the (V, P, 2) stack of pixel observations. A view with a
+    point that _project leaves without a pixel, and every view of a row whose
+    focal scale alpha or beta is <= 0, reads inf.
     """
     u, v = _project(model_id, params, pts3)
     du = u - observations[..., 0]
     dv = v - observations[..., 1]
     terms = np.sum(du * du + dv * dv, axis=-1)
+    terms[np.isnan(terms)] = np.inf
     terms[(params[:, 0] <= 0.0) | (params[:, 3] <= 0.0)] = np.inf
     return terms
 
@@ -738,6 +721,20 @@ def fit_distortion(
     return refine(_start(data, model_id, A), data, opts, freeze_intrinsics=True)
 
 
+def _fit_row(result: CalibrationResult, rank: int) -> ModelFitRow:
+    """The report row of one fit."""
+    return ModelFitRow(
+        model_id=result.model.model_id,
+        objective=result.objective,
+        rank=rank,
+        coefficients=result.model.coefficients,
+        intrinsics=result.intrinsics,
+        converged=result.converged,
+        iterations=result.iterations,
+        initial_objective=result.objective_trace[0] if result.objective_trace else None,
+    )
+
+
 def compare_models(
     data: CalibrationDataset, model_ids, opts: OptimizerOptions | None = None
 ) -> ModelFitReport:
@@ -759,19 +756,5 @@ def compare_models(
             results[mid] = replace(start, converged=False, status="failed")
     order = sorted(model_ids, key=lambda m: (results[m].objective, m))
     ranks = {mid: rank for rank, mid in enumerate(order)}
-    rows = tuple(
-        ModelFitRow(
-            model_id=mid,
-            objective=results[mid].objective,
-            rank=ranks[mid],
-            coefficients=results[mid].model.coefficients,
-            intrinsics=results[mid].intrinsics,
-            converged=results[mid].converged,
-            iterations=results[mid].iterations,
-            initial_objective=results[mid].objective_trace[0]
-            if results[mid].objective_trace
-            else None,
-        )
-        for mid in model_ids
-    )
+    rows = tuple(_fit_row(results[mid], ranks[mid]) for mid in model_ids)
     return ModelFitReport(rows=rows)

@@ -19,8 +19,8 @@ import numpy as np
 from .calibration import (
     CalibrationResult,
     ModelFitReport,
-    ModelFitRow,
     OptimizerOptions,
+    _fit_row,
     calibrate,
     compare_models,
     fit_distortion,
@@ -104,19 +104,7 @@ def _make_model(model_id: int, coefficients: tuple[float, ...]) -> DistortionMod
 
 
 def _single_row_report(result: CalibrationResult) -> str:
-    row = ModelFitRow(
-        model_id=result.model.model_id,
-        objective=result.objective,
-        rank=0,
-        coefficients=result.model.coefficients,
-        intrinsics=result.intrinsics,
-        converged=result.converged,
-        iterations=result.iterations,
-        initial_objective=result.objective_trace[0]
-        if result.objective_trace
-        else None,
-    )
-    return render_report(ModelFitReport(rows=(row,)))
+    return render_report(ModelFitReport(rows=(_fit_row(result, 0),)))
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:

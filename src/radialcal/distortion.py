@@ -89,8 +89,12 @@ class RadialAuxiliaries:
 def _profile(model_id: int, k: tuple[float, ...], r):
     """f(r) for a float or an ndarray of radii; the result has r's type.
 
-    Polynomial models return before any denominator check, so model 0's float
-    evaluation (the inner loop of numeric inversion) stays plain arithmetic.
+    Where a rational denominator is below DENOM_EPS in magnitude f is
+    undefined and reads nan; no exception is raised here, so a caller can
+    evaluate a batch past one bad radius. The public functions raise through
+    _checked. Polynomial models return before any denominator check, so model
+    0's float evaluation (the inner loop of numeric inversion) stays plain
+    arithmetic.
     """
     r2 = r * r
     if model_id == 0:
@@ -116,10 +120,24 @@ def _profile(model_id: int, k: tuple[float, ...], r):
     else:
         raise UnknownModel(f"no distortion model with id {model_id!r}")
     small = abs(den) < DENOM_EPS
-    if small.any() if isinstance(small, np.ndarray) else small:
-        where = float(np.broadcast_to(r, np.shape(small))[small][0])
-        raise SingularProfile(f"model {model_id} denominator vanished at r={where!r}")
+    if not isinstance(small, np.ndarray):
+        return math.nan if small else num / den
+    if small.any():
+        # Divide only where defined, so a vanishing denominator warns nothing.
+        return np.divide(num, den, out=np.full(den.shape, math.nan), where=~small)
     return num / den
+
+
+def _checked(model_id: int, r, f):
+    """f unchanged, or SingularProfile at the first radius where f is nan."""
+    if isinstance(f, np.ndarray):
+        bad = np.isnan(f)
+        if bad.any():
+            where = float(np.broadcast_to(r, f.shape)[bad][0])
+            raise SingularProfile(f"model {model_id} denominator vanished at r={where!r}")
+    elif f != f:
+        raise SingularProfile(f"model {model_id} denominator vanished at r={float(r)!r}")
+    return f
 
 
 def eval_profile(model: DistortionModel, r):
@@ -127,25 +145,29 @@ def eval_profile(model: DistortionModel, r):
 
     r may be a nonnegative scalar or an ndarray of radii; the return type
     matches. Raises SingularProfile if any rational denominator falls below
-    DENOM_EPS in magnitude.
+    DENOM_EPS in magnitude, or if f is nan for another reason (a nan radius,
+    overflow).
     """
     if not isinstance(r, np.ndarray):
         r = float(r)
-    return _profile(model.model_id, model.coefficients, r)
+    return _checked(model.model_id, r, _profile(model.model_id, model.coefficients, r))
 
 
 def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     """Forward distortion in the normalized frame: p -> p * f(|p|).
 
-    Accepts a single (x, y) pair or an (..., 2) array.
+    Accepts a single (x, y) pair or an (..., 2) array. Raises SingularProfile
+    as eval_profile does.
     """
+    mid, k = model.model_id, model.coefficients
     p = np.asarray(p, dtype=float)
     if p.shape == (2,):
         x, y = float(p[0]), float(p[1])
-        f = _profile(model.model_id, model.coefficients, math.hypot(x, y))
+        r = math.hypot(x, y)
+        f = _checked(mid, r, _profile(mid, k, r))
         return np.array([x * f, y * f])
     r = np.hypot(p[..., 0], p[..., 1])
-    f = _profile(model.model_id, model.coefficients, r)
+    f = _checked(mid, r, _profile(mid, k, r))
     return p * f[..., None]
 
 

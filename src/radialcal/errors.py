@@ -36,7 +36,7 @@ class ZeroPolynomial(RadialCalError):
 
 
 class NoRealCandidate(RadialCalError):
-    """Neither sign branch produced an admissible real root during inversion."""
+    """The principal sign branch has no admissible real root during inversion."""
 
 
 class BracketNotFound(RadialCalError):

@@ -32,7 +32,6 @@ from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
     NoRealCandidate,
-    SingularProfile,
     UnsupportedModel,
     ZeroPolynomial,
 )
@@ -43,6 +42,10 @@ _SQRT3 = math.sqrt(3.0)
 IMAG_EPS = 1e-8
 # Leading coefficients below this magnitude collapse the polynomial degree.
 COEFF_EPS = 1e-12
+# undistort_numeric scans the undistorted radius (0, _SCAN_RADIUS] in
+# _SCAN_STEPS even steps for its bracket.
+_SCAN_RADIUS = 2.0
+_SCAN_STEPS = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,16 +229,20 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     return np.array([x, y])
 
 
-def undistort_numeric(model: DistortionModel, pd: Vec, r_max: float = 2.0) -> Vec:
-    """Invert any model by bracketed bisection along the fixed ray.
+def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
+    """Invert any model by bisection along the fixed ray.
 
-    Solves x f(s x) = x_d for x in (0, r_max/s] after mirroring the problem
-    so the driving distorted coordinate is positive (every profile is even in
-    r, making the ray map odd). The first sign change of the residual away
-    from the origin is bracketed, bisected, and Newton-polished.
+    Solves x f(s x) = x_d for x in (0, 2/s] after mirroring the problem so
+    the driving distorted coordinate is positive (every profile is even in r,
+    making the ray map odd). The residual is evaluated at _SCAN_STEPS even
+    steps in one array call; the first step where it is not negative
+    brackets the root, and bisection narrows the bracket until its ends are
+    adjacent floats.
 
-    Raises BracketNotFound when no sign change exists on the interval, or
-    when the first one is a pole of the profile rather than a root.
+    The search stops at undistorted radius _SCAN_RADIUS = 2, so a preimage
+    farther out is not found. Raises BracketNotFound when no sign change
+    comes before the first undefined (nan) profile value on the interval, or
+    when the bracket closes on a pole of the profile rather than a root.
     """
     pd = np.asarray(pd, dtype=float)
     xd, yd = float(pd[0]), float(pd[1])
@@ -251,58 +258,33 @@ def undistort_numeric(model: DistortionModel, pd: Vec, r_max: float = 2.0) -> Ve
     s = math.sqrt(1.0 + c * c)
     mid, k = model.model_id, model.coefficients
 
-    def residual(x: float) -> float:
-        return x * _profile(mid, k, s * x) - xd
-
-    x_hi = r_max / s
-    lo, f_lo = 0.0, -xd
-    hi = None
-    steps = 512
-    for i in range(1, steps + 1):
-        x = x_hi * i / steps
-        try:
-            f = residual(x)
-        except SingularProfile:
-            break  # singular profile ahead; the bracket must precede it
-        if not math.isfinite(f):
-            break
-        if f == 0.0:
-            lo, hi, f_lo = x, x, 0.0
-            break
-        if f_lo < 0.0 < f or f < 0.0 < f_lo:
-            hi = x
-            break
-        lo, f_lo = x, f
-    if hi is None:
+    x_hi = _SCAN_RADIUS / s
+    grid = x_hi * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
+    f = grid * _profile(mid, k, s * grid) - xd
+    # The residual is -x_d < 0 at the origin; stop at the first step that is
+    # not a finite negative number.
+    stops = np.flatnonzero((f >= 0.0) | ~np.isfinite(f))
+    if not stops.size or not math.isfinite(f[stops[0]]):
         raise BracketNotFound(
             f"model {mid}: no sign change on (0, {x_hi!r}] for x_d={xd!r}"
         )
-    if hi > lo:
-        for _ in range(48):
-            m = 0.5 * (lo + hi)
-            try:
-                fm = residual(m)
-            except SingularProfile:
-                raise BracketNotFound(
-                    f"model {mid}: the sign change near x={m!r} is a pole, not a root"
-                ) from None
-            if fm == 0.0:
-                lo = hi = m
-                break
-            if (fm < 0.0) == (f_lo < 0.0):
-                lo, f_lo = m, fm
-            else:
-                hi = m
-    x = 0.5 * (lo + hi)
-    try:
-        for _ in range(2):
-            h = 1e-7 * max(1.0, abs(x))
-            d = (residual(x + h) - residual(x - h)) / (2.0 * h)
-            if d == 0.0 or not math.isfinite(d):
-                break
-            x -= residual(x) / d
-    except SingularProfile:
-        pass  # keep the bisection value; the polish probe stepped too far
+    i = stops[0]
+    lo, hi = (float(grid[i - 1]) if i else 0.0), float(grid[i])
+    if f[i] == 0.0:
+        lo = hi
+    # Once lo and hi are adjacent floats the midpoint rounds onto one of them.
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        fx = x * _profile(mid, k, s * x) - xd
+        if fx != fx:
+            raise BracketNotFound(
+                f"model {mid}: the sign change near x={x!r} is a pole, not a root"
+            )
+        if fx < 0.0:
+            lo = x
+        elif fx > 0.0:
+            hi = x
+        else:
+            lo = hi = x
     y = c * x
     if mirror:
         x, y = -x, -y

@@ -535,6 +535,33 @@ class TestObjectiveKernel:
             assert calib_mod._total(terms) == math.inf
         assert np.isinf(kernel([behind])).all()
 
+    def test_point_behind_camera_voids_only_its_view(self, trend):
+        data, spec = trend
+        pts3 = data.world_points
+        obs = np.stack(data.observations)
+        model = rc.DistortionModel(model_id=5, coefficients=(0.2,))
+        valid = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        # Shift view 2 back along its optical axis until exactly its nearest
+        # point lies behind the camera.
+        depth = rc.world_to_camera(spec.extrinsics[2], pts3)[:, 2]
+        j = int(np.argmin(depth))
+        nearest, second = np.sort(depth)[:2]
+        behind = valid.copy()
+        behind[6 + 6 * 2 + 5] -= 0.5 * (nearest + second)  # view 2's translation z
+        rows = np.array([valid, behind])
+
+        terms = calib_mod._view_terms(5, rows, pts3, obs)
+        assert np.isfinite(terms[0]).all()
+        others = [0, 1, 3, 4]
+        assert np.isinf(terms[1, 2])
+        assert np.array_equal(terms[1, others], terms[0, others])
+
+        u, v = calib_mod._project(5, rows, pts3)
+        assert np.array_equal(u[1, others], u[0, others])
+        assert np.array_equal(v[1, others], v[0, others])
+        assert not np.isfinite(u[1, 2, j]) and not np.isfinite(v[1, 2, j])
+        assert np.isfinite(np.delete(u[1, 2], j)).all()
+
     def test_nonpositive_focal_row_reads_inf(self, trend):
         data, spec = trend
         valid = calib_mod._pack(spec.intrinsics, spec.model, spec.extrinsics)

@@ -124,6 +124,15 @@ class TestDistort:
                 p = rng.uniform(-0.8, 0.8, 2)
                 assert np.max(np.abs(rc.distort_normalized(m, p) - p)) < 1e-16
 
+    def test_singular_profile_names_radius(self):
+        # Model 4 is 1 / (1 + k r): k = -2 makes the denominator vanish at r = 0.5.
+        m = rc.DistortionModel(model_id=4, coefficients=(-2.0,))
+        msg = r"model 4 denominator vanished at r=0\.5"
+        with pytest.raises(rc.SingularProfile, match=msg):
+            rc.distort_normalized(m, np.array([0.5, 0.0]))
+        with pytest.raises(rc.SingularProfile, match=msg):
+            rc.distort_normalized(m, np.array([[0.1, 0.2], [0.5, 0.0], [0.3, 0.0]]))
+
     def test_model1_hand_value(self):
         m = rc.DistortionModel(model_id=1, coefficients=(-0.0984,))
         out = rc.distort_normalized(m, np.array([0.3, 0.0]))

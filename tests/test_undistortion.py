@@ -366,6 +366,20 @@ class TestNumeric:
         with pytest.raises(rc.BracketNotFound):
             rc.undistort_numeric(model, np.array([0.8, 0.0]))
 
+    def test_reference_model0_within_two_ulp(self):
+        # Bisection down to adjacent floats re-distorts every point within 2
+        # ulp of its larger distorted coordinate; a fixed 48 halvings leave
+        # points near the origin up to 4 ulp off.
+        rng = np.random.default_rng(151)
+        for session in rc.reference_sessions():
+            model = rc.DistortionModel(
+                model_id=0, coefficients=rc.reference_coefficients(session, 0)
+            )
+            pd = rc.distort_normalized(model, disk_points(rng, 3000, radius=0.5))
+            q = np.array([rc.undistort_numeric(model, p) for p in pd])
+            err = np.max(np.abs(rc.distort_normalized(model, q) - pd), axis=1)
+            assert np.all(err <= 2.0 * np.spacing(np.max(np.abs(pd), axis=1)))
+
     def test_residual_quality(self):
         model = rc.DistortionModel(model_id=0, coefficients=(-0.3435, 0.1232))
         rng = np.random.default_rng(139)
