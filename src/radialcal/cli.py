@@ -136,7 +136,7 @@ def _cmd_fit_distortion(args: argparse.Namespace) -> int:
 def _cmd_undistort_points(args: argparse.Namespace) -> int:
     A = load_intrinsics(args.intrinsics)
     model = _make_model(args.model, args.coeffs)
-    out_lines = []
+    points = []
     for lineno, raw in enumerate(sys.stdin, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -145,12 +145,12 @@ def _cmd_undistort_points(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise ParseError("<stdin>", lineno, f"expected 2 values, got {len(parts)}")
         try:
-            pd = np.array([float(parts[0]), float(parts[1])])
+            points.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise ParseError("<stdin>", lineno, "not a decimal number") from None
-        p = undistort_pixel(A, model, pd)
-        out_lines.append(f"{float(p[0])} {float(p[1])}")
-    sys.stdout.write("".join(line + "\n" for line in out_lines))
+    # Every line parses before any point is inverted, in one array call.
+    undistorted = undistort_pixel(A, model, np.array(points).reshape(-1, 2))
+    sys.stdout.write("".join(f"{u} {v}\n" for u, v in undistorted.tolist()))
     return 0
 
 
@@ -222,12 +222,8 @@ def _cmd_roundtrip_check(args: argparse.Namespace) -> int:
             theta = rng.uniform(0.0, 2.0 * np.pi, args.samples)
             r = args.radius * np.sqrt(rng.uniform(0.0, 1.0, args.samples))
             pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-            distorted = distort_normalized(model, pts)
-            for p, pd in zip(pts, distorted):
-                q = undistort_normalized(model, pd)
-                err = max(abs(q[0] - p[0]), abs(q[1] - p[1]))
-                if err > worst:
-                    worst = err
+            q = undistort_normalized(model, distort_normalized(model, pts))
+            worst = max(worst, float(np.max(np.abs(q - pts), initial=0.0)))
         lines.append(f"{mid}\t{worst:.3e}")
         if worst > args.tol:
             failed = True

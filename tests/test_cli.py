@@ -175,6 +175,31 @@ class TestUndistortPoints:
         assert res.stdout == ""
         assert "error:" in res.stderr
 
+    def test_out_of_range_point_fails_with_empty_stdout(self, tmp_path):
+        # Pixel (1920, 240) is the normalized point (2, 0), past the peak of
+        # F(x) = x/(1 + 0.205 x^2) near 1.104: it has no preimage.
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        res = run_cli(
+            "undistort-points", "--model", "5", "--coeffs", "0.205",
+            "--intrinsics", str(cam), stdin="330 250\n1920 240\n310 230\n",
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "model 5 has no admissible preimage for (2.0, 0.0)" in res.stderr
+
+    def test_parse_error_is_reported_before_inversion(self, tmp_path):
+        # Every line is parsed before any point is inverted.
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        res = run_cli(
+            "undistort-points", "--model", "5", "--coeffs", "0.205",
+            "--intrinsics", str(cam), stdin="1920 240\n330 x\n",
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "<stdin>:2: not a decimal number" in res.stderr
+
 
 class TestRoundtripCheck:
     def test_passes_at_default_tolerance(self):

@@ -412,3 +412,203 @@ class TestUndistortPixel:
                 pd = rc.distort_pixel(A, model, p)
                 back = rc.undistort_pixel(A, model, pd)
                 assert np.max(np.abs(back - p)) < 1e-8
+
+
+def batch_with_special_rows(rng, model, n):
+    """n disk points re-distorted, with origin, axis and steep rows mixed in."""
+    pts = disk_points(rng, n, radius=0.5)
+    pts[:6] = [[0.0, 0.0], [0.0, 0.3], [0.0, -0.2], [0.25, 0.0], [0.01, 0.45], [-0.02, -0.4]]
+    rng.shuffle(pts)
+    return rc.distort_normalized(model, pts)
+
+
+def stacked_pairs(invert, model, pd):
+    return np.array([invert(model, q) for q in pd.reshape(-1, 2)]).reshape(pd.shape)
+
+
+# Models whose array route runs the pair route's float operations exactly;
+# the cubic models (2, 3, 9) take their radicals through numpy's complex
+# arithmetic, which differs from cmath in the last ulp.
+BIT_EXACT = (0, 1, 4, 5, 6, 7, 8)
+
+
+class TestArrayRoute:
+    def test_matches_pair_route_on_reference_sessions(self):
+        rng = np.random.default_rng(157)
+        for session in rc.reference_sessions():
+            for mid in range(10):
+                model = rc.DistortionModel(
+                    model_id=mid, coefficients=rc.reference_coefficients(session, mid)
+                )
+                pd = batch_with_special_rows(rng, model, 400)
+                got = rc.undistort_normalized(model, pd)
+                want = stacked_pairs(rc.undistort_normalized, model, pd)
+                assert got.shape == pd.shape
+                if mid in BIT_EXACT:
+                    assert np.array_equal(got, want), (session, mid)
+                else:
+                    assert np.max(np.abs(got - want)) <= 2e-15, (session, mid)
+
+    def test_numeric_matches_pair_route_for_every_model(self):
+        # The numeric route is the oracle for every model; its array form
+        # runs the same scan and bisection arithmetic on each point.
+        rng = np.random.default_rng(163)
+        for session in rc.reference_sessions():
+            for mid in range(10):
+                model = rc.DistortionModel(
+                    model_id=mid, coefficients=rc.reference_coefficients(session, mid)
+                )
+                pd = batch_with_special_rows(rng, model, 60)
+                got = rc.undistort_numeric(model, pd)
+                assert np.array_equal(got, stacked_pairs(rc.undistort_numeric, model, pd))
+
+    def test_pixel_array_matches_pairs(self):
+        rng = np.random.default_rng(167)
+        A = rc.IntrinsicParams(alpha=830.0, gamma=0.2, u0=304.0, beta=830.5, v0=206.6)
+        for mid in (0, 4, 8):
+            model = rc.DistortionModel(
+                model_id=mid, coefficients=rc.reference_coefficients("microsoft", mid)
+            )
+            pd = rc.denormalize(A, batch_with_special_rows(rng, model, 50))
+            got = rc.undistort_pixel(A, model, pd)
+            want = np.array([rc.undistort_pixel(A, model, q) for q in pd])
+            assert np.array_equal(got, want)
+
+    def test_shapes(self):
+        rng = np.random.default_rng(173)
+        for mid in (0, 3, 6):
+            model = rc.DistortionModel(
+                model_id=mid, coefficients=rc.reference_coefficients("desktop", mid)
+            )
+            grid = batch_with_special_rows(rng, model, 24).reshape(4, 6, 2)
+            got = rc.undistort_normalized(model, grid)
+            assert got.shape == (4, 6, 2)
+            flat = rc.undistort_normalized(model, grid.reshape(-1, 2))
+            assert np.array_equal(got.reshape(-1, 2), flat)
+            for invert in (rc.undistort_normalized, rc.undistort_numeric):
+                empty = invert(model, np.zeros((0, 2)))
+                assert empty.shape == (0, 2)
+                one = invert(model, grid[:1, 0])
+                assert one.shape == (1, 2)
+                assert np.array_equal(one[0], invert(model, grid[0, 0]))
+
+    def test_degenerate_rows_take_the_pair_route(self):
+        # Zero coefficients collapse every row's degree (the identity map),
+        # and a model-4 row with a vanishing linear coefficient has no root.
+        rng = np.random.default_rng(179)
+        for mid, k in ((2, (0.0,)), (3, (0.0, 0.0)), (9, (0.0, 0.1, 0.2))):
+            model = rc.DistortionModel(model_id=mid, coefficients=k)
+            pd = batch_with_special_rows(rng, model, 20)
+            assert np.array_equal(
+                rc.undistort_normalized(model, pd),
+                stacked_pairs(rc.undistort_normalized, model, pd),
+            )
+        model = rc.DistortionModel(model_id=4, coefficients=(2.0,))
+        with pytest.raises(rc.NoRealCandidate) as pair:
+            rc.undistort_normalized(model, np.array([0.5, 0.0]))
+        with pytest.raises(rc.NoRealCandidate) as batch:
+            rc.undistort_normalized(model, np.array([[0.1, 0.0], [0.5, 0.0]]))
+        assert str(batch.value) == str(pair.value)
+
+    def test_masked_lanes_raise_no_floating_point_error(self):
+        rng = np.random.default_rng(181)
+        for mid in range(10):
+            model = rc.DistortionModel(
+                model_id=mid, coefficients=rc.reference_coefficients("odis", mid)
+            )
+            pd = batch_with_special_rows(rng, model, 40)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                rc.undistort_normalized(model, pd)
+                rc.undistort_numeric(model, pd)
+
+    @pytest.mark.parametrize("invert", [rc.undistort_normalized, rc.undistort_numeric])
+    def test_first_failing_point_names_the_error(self, invert):
+        # F(x) = x/(1 + 0.205 x^2) peaks near 1.104: (2, 0) and (0, -3) have
+        # no preimage, and the batch reports the first of them.
+        model = rc.DistortionModel(model_id=5, coefficients=(0.205,))
+        batch = np.array([[0.1, 0.2], [0.0, 0.0], [2.0, 0.0], [0.3, -0.1], [0.0, -3.0]])
+        with pytest.raises(rc.RadialCalError) as pair:
+            invert(model, batch[2])
+        with pytest.raises(type(pair.value)) as got:
+            invert(model, batch)
+        assert str(got.value) == str(pair.value)
+        assert "2.0" in str(got.value)
+
+    def test_non_pair_shape_is_rejected(self):
+        model = rc.DistortionModel(model_id=1, coefficients=(0.1,))
+        with pytest.raises(ValueError):
+            rc.undistort_normalized(model, np.zeros((3, 3)))
+
+
+class TestPole:
+    # D(r) = 1 - 0.81 r vanishes at r = 1/0.81 ~ 1.2346. F(r) = r (1 - r) /
+    # (1 - 0.81 r) peaks near 0.49 before the pole, so x_d = 4 has no
+    # principal preimage even though the branch polynomial has a root past
+    # the pole.
+    model = rc.DistortionModel(model_id=8, coefficients=(-1.0, -0.81, 0.0))
+
+    def test_root_past_pole_is_rejected_for_a_pair(self):
+        with pytest.raises(rc.NoRealCandidate, match=r"model 8 .* \(4\.0, 0\.0\)"):
+            rc.undistort_normalized(self.model, np.array([4.0, 0.0]))
+        with pytest.raises(rc.BracketNotFound):
+            rc.undistort_numeric(self.model, np.array([4.0, 0.0]))
+
+    def test_root_past_pole_is_rejected_in_an_array(self):
+        batch = np.array([[0.2, 0.1], [0.0, 4.0], [4.0, 0.0]])
+        with pytest.raises(rc.NoRealCandidate, match=r"model 8 .* \(4\.0, 0\.0\)"):
+            rc.undistort_normalized(self.model, batch)
+
+    def test_points_before_the_pole_still_invert(self):
+        p = np.array([[0.3, 0.1], [-0.5, 0.2], [0.1, -0.45]])
+        pd = rc.distort_normalized(self.model, p)
+        assert np.max(np.abs(rc.undistort_normalized(self.model, pd) - p)) < 1e-12
+        for q, want in zip(pd, p):
+            assert np.max(np.abs(rc.undistort_normalized(self.model, q) - want)) < 1e-12
+
+
+def test_array_route_matches_pair_route_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.floats(-1.0, 1.0, allow_subnormal=False)
+    # The cubic models' leading coefficient stays at least 1e-2 in size:
+    # below that the closed-form radicals cancel terms of size |p/q| and
+    # both routes lose digits alike, so their last-ulp differences grow.
+    leading = st.floats(1e-2, 1.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    lead_index = {2: 0, 3: 1, 9: 0}
+    # Points sit at the origin or at least 1e-6 of the way to the fold: the
+    # radicals carry an absolute error near 1e-16, so a preimage much
+    # smaller than that is noise on either route.
+    frac = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    point = st.tuples(frac, st.floats(0.0, 2.0 * np.pi))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        mid=st.integers(1, 9),
+        k=st.lists(coefficient, min_size=3, max_size=3),
+        lead=leading,
+        polar=st.lists(point, min_size=1, max_size=12),
+    )
+    def check(mid, k, lead, polar):
+        if mid in lead_index:
+            k[lead_index[mid]] = lead
+        model = rc.DistortionModel(mid, tuple(k[: ARITY[mid]]))
+        fold = first_fold(model)
+        hypothesis.assume(fold)
+        frac, angle = np.array(polar).T
+        p = 0.98 * fold * frac[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        pd = rc.distort_normalized(model, p)
+        try:
+            want = stacked_pairs(rc.undistort_normalized, model, pd)
+        except rc.RadialCalError as exc:
+            # Where a pair call fails, the array raises the same error.
+            with pytest.raises(type(exc)) as got:
+                rc.undistort_normalized(model, pd)
+            assert str(got.value) == str(exc)
+            return
+        got = rc.undistort_normalized(model, pd)
+        if mid in BIT_EXACT:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    check()
