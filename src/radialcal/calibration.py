@@ -2,9 +2,9 @@
 
 Pipeline: per-view homographies (normalized DLT), intrinsics from the
 absolute-conic constraints, extrinsics by decomposing A^-1 H, then joint
-nonlinear refinement of intrinsics + distortion coefficients + all poses,
-minimizing the sum of squared pixel distances between observations and
-distorted forward projections:
+Levenberg-Marquardt refinement of intrinsics + distortion coefficients + all
+poses, minimizing the sum of squared pixel distances between observations
+and distorted forward projections:
 
     J = sum_i sum_j || m_ij - distort(project(A, R_i, t_i, M_j)) ||^2
 
@@ -107,7 +107,14 @@ class Homography:
 
 @dataclass(frozen=True, slots=True)
 class OptimizerOptions:
-    """Termination settings for refine (defaults match the library's tests)."""
+    """Termination settings for refine (defaults match the library's tests).
+
+    step_tolerance bounds the largest accepted step relative to
+    max(1, |theta_i|), and objective_tolerance the relative fall of J over
+    two consecutive accepted steps. max_function_evaluations counts residual
+    evaluations: the start, each Jacobian (one batched kernel call, or two
+    when a forward probe is not finite) and each trial step count one each.
+    """
 
     step_tolerance: float = 1e-5
     objective_tolerance: float = 1e-5
@@ -377,20 +384,35 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     return alpha * xd + gamma * yd + u0, beta * yd + v0
 
 
+def _residuals(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
+    """The residual kernel: predicted minus observed pixels, shape (B, V, P, 2).
+
+    observations is the (V, P, 2) stack of pixel observations. A point that
+    _project leaves without a pixel, and every point of a row whose focal
+    scale alpha or beta is <= 0, has nan residuals.
+    """
+    u, v = _project(model_id, params, pts3)
+    r = np.stack([u - observations[..., 0], v - observations[..., 1]], axis=-1)
+    r[(params[:, 0] <= 0.0) | (params[:, 3] <= 0.0)] = np.nan
+    return r
+
+
+def _squared_terms(r: np.ndarray) -> np.ndarray:
+    """Per-view sums of squared residuals, shape (..., V); a nan view reads inf."""
+    du = r[..., 0]
+    dv = r[..., 1]
+    terms = np.sum(du * du + dv * dv, axis=-1)
+    terms[np.isnan(terms)] = np.inf
+    return terms
+
+
 def _view_terms(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
     """The objective kernel: per-view squared pixel error sums, shape (B, V).
 
-    observations is the (V, P, 2) stack of pixel observations. A view with a
-    point that _project leaves without a pixel, and every view of a row whose
-    focal scale alpha or beta is <= 0, reads inf.
+    A view with a point that _project leaves without a pixel, and every view
+    of a row whose focal scale alpha or beta is <= 0, reads inf.
     """
-    u, v = _project(model_id, params, pts3)
-    du = u - observations[..., 0]
-    dv = v - observations[..., 1]
-    terms = np.sum(du * du + dv * dv, axis=-1)
-    terms[np.isnan(terms)] = np.inf
-    terms[(params[:, 0] <= 0.0) | (params[:, 3] <= 0.0)] = np.inf
-    return terms
+    return _squared_terms(_residuals(model_id, params, pts3, observations))
 
 
 def _total(terms: np.ndarray):
@@ -454,55 +476,85 @@ def compute_objective(
     return float(_total(terms))
 
 
-def _terms_function(model_id: int, data: CalibrationDataset, frozen: np.ndarray):
-    """Per-view terms, shape (B, V), of (B, n) rows of refine's free parameters.
+# Relative forward-difference step of the Jacobian: the square root of the
+# float64 epsilon balances truncation against rounding error.
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+# Levenberg-Marquardt damping at the first step, and the damping past which
+# refine reports line_search_failure: a step there is about 1e-16 of the
+# scaled gradient step -b_i / N_ii, the relative resolution of a double.
+_DAMPING_START = 1e-3
+_DAMPING_LIMIT = 1e16
 
-    frozen holds the leading packed entries refine keeps fixed (the five
-    intrinsics under freeze_intrinsics, else nothing).
+
+def _jacobian(residuals, theta: np.ndarray, r0: np.ndarray, m: int):
+    """Forward-difference Jacobian blocks of the residuals at theta.
+
+    residuals maps (B, n) parameter rows to (B, V, P, 2) residuals, r0 is the
+    residual at theta, and theta holds m global entries (free intrinsics and
+    coefficients) before the 6V pose entries. Returns Jg of shape
+    (m, V, P, 2), the derivatives along the global entries, and Jp of shape
+    (6, V, P, 2), where Jp[q, v] is the derivative along view v's pose
+    coordinate q; the other views do not depend on that coordinate.
+
+    One kernel call of m + 6 rows probes every entry: a row per global entry,
+    and a row per pose coordinate q that moves q in every view at once, since
+    a view's pose moves only that view's residuals. With the step h_i =
+    sqrt(eps) max(1, |theta_i|), rounded so that theta_i + h_i - theta_i is
+    h_i, each derivative is (r(theta + h_i e_i) - r(theta)) / h_i, bit for
+    bit what a full recompute at the perturbed vector gives. Where that
+    forward probe leaves a residual non-finite (a pole of the profile, or a
+    point behind the camera), the backward difference from a second call of
+    the same shape takes its place, and a derivative non-finite both ways
+    reads 0.
     """
-    pts3 = data.world_points
-    observations = np.stack(data.observations)
-
-    def terms(rows: np.ndarray) -> np.ndarray:
-        if len(frozen):
-            rows = np.concatenate(
-                [np.broadcast_to(frozen, (len(rows), len(frozen))), rows], axis=1
-            )
-        return _view_terms(model_id, rows, pts3, observations)
-
-    return terms
-
-
-def _probe(terms, theta: np.ndarray, base: np.ndarray):
-    """Central-difference probes of J around theta from one kernel call.
-
-    Returns h, fp and fm with fp[i] = J(theta + h_i e_i) and
-    fm[i] = J(theta - h_i e_i), h_i = 1e-6 max(1, |theta_i|). base holds the
-    per-view terms at theta. Each of the m global entries (free intrinsics
-    and coefficients) gets a row per sign. A pose entry changes only its own
-    view's term, so row (q, sign) moves pose coordinate q of every view at
-    once, and J(theta + h e_{v,q}) is the in-order sum of base with term v
-    taken from that row: exactly what evaluating the perturbed vector gives.
-    The kernel call has 2m + 12 rows.
-    """
-    n_views = len(base)
-    m = len(theta) - 6 * n_views
-    h = 1e-6 * np.maximum(1.0, np.abs(theta))
+    n_views = len(r0)
+    h = _FD_STEP * np.maximum(1.0, np.abs(theta))
+    h = (theta + h) - theta
     glob = np.arange(m)
-    q = np.arange(6)
-    pose = m + 6 * np.arange(n_views)[:, None] + q
-    rows = np.repeat(theta[None], 2 * m + 12, axis=0)
-    rows[glob, glob] += h[glob]
-    rows[m + glob, glob] -= h[glob]
-    rows[2 * m + q, pose] += h[pose]
-    rows[2 * m + 6 + q, pose] -= h[pose]
-    T = terms(rows)
-    moved = T[2 * m :].reshape(2, 6, n_views).transpose(0, 2, 1)
-    swapped = np.where(np.eye(n_views, dtype=bool)[:, None, :], moved[..., None], base)
-    J_pose = _total(swapped).reshape(2, -1)
-    fp = np.concatenate([_total(T[:m]), J_pose[0]])
-    fm = np.concatenate([_total(T[m : 2 * m]), J_pose[1]])
-    return h, fp, fm
+    pose = m + 6 * np.arange(n_views)[:, None] + np.arange(6)
+    # The step of probe row i in view v, shaped (m + 6, V, 1, 1).
+    steps = np.concatenate([np.repeat(h[:m, None], n_views, axis=1), h[pose].T])
+    steps = steps[..., None, None]
+
+    def probe(sign: float):
+        rows = np.repeat(theta[None], m + 6, axis=0)
+        rows[glob, glob] += sign * h[glob]
+        rows[m + np.arange(6), pose] += sign * h[pose]
+        r = residuals(rows)
+        ok = np.isfinite(r).all(axis=(2, 3))
+        ok[:m] = ok[:m].all(axis=1, keepdims=True)
+        return r, ok[..., None, None]
+
+    r_fwd, ok_fwd = probe(1.0)
+    D = (r_fwd - r0) / steps
+    if not ok_fwd.all():
+        r_bwd, ok_bwd = probe(-1.0)
+        D = np.where(ok_fwd, D, np.where(ok_bwd, (r0 - r_bwd) / steps, 0.0))
+    return D[:m], D[m:]
+
+
+def _normal_equations(Jg: np.ndarray, Jp: np.ndarray, r: np.ndarray):
+    """J^T J and J^T r of the full Jacobian, assembled from _jacobian's blocks.
+
+    J^T J is block-arrowhead: the global-global block, one global-pose block
+    per view, and one 6 x 6 block per view; pose blocks of different views
+    are zero.
+    """
+    m, n_views = len(Jg), len(r)
+    n = m + 6 * n_views
+    N = np.zeros((n, n))
+    N[:m, :m] = np.einsum("ivpc,jvpc->ij", Jg, Jg)
+    cross = np.einsum("ivpc,qvpc->ivq", Jg, Jp).reshape(m, -1)
+    N[:m, m:] = cross
+    N[m:, :m] = cross.T
+    views = np.arange(n_views)
+    poses = np.zeros((n_views, 6, n_views, 6))
+    poses[views, :, views, :] = np.einsum("qvpc,svpc->vqs", Jp, Jp)
+    N[m:, m:] = poses.reshape(6 * n_views, 6 * n_views)
+    b = np.concatenate(
+        [np.einsum("ivpc,vpc->i", Jg, r), np.einsum("qvpc,vpc->vq", Jp, r).ravel()]
+    )
+    return N, b
 
 
 def refine(
@@ -511,28 +563,30 @@ def refine(
     opts: OptimizerOptions | None = None,
     freeze_intrinsics: bool = False,
 ) -> CalibrationResult:
-    """Jointly minimize the objective by quasi-Newton descent.
+    """Jointly minimize the objective by Levenberg-Marquardt.
 
-    BFGS with central-difference gradients (relative step 1e-6) and a
-    backtracking Armijo line search with quadratic interpolation. Parameters
-    are the 5 intrinsics, the model's coefficients and all 6N pose entries;
-    freeze_intrinsics pins the first five.
+    Parameters are the 5 intrinsics, the model's coefficients and all 6N
+    pose entries; freeze_intrinsics pins the first five. The residual
+    r(theta), predicted minus observed pixels of shape (V, P, 2), comes from
+    the one projection kernel, and J = ||r||^2 is its per-view sums added in
+    view order, so J of the result recomputes to its objective bit for bit.
 
-    Every objective value comes from one kernel that returns per-view terms
-    for a batch of parameter rows. A gradient is one batch of 2m + 12 rows
-    (m free intrinsics and coefficients): the global entries are perturbed
-    one per row, and pose coordinate q is perturbed in every view at once,
-    since a view's pose moves only that view's term. Each J(theta +- h e_i)
-    is then assembled from the per-view terms with the views summed in
-    order, which equals a full recompute bit for bit, and counts as one
+    Each iteration takes the forward-difference Jacobian in one batched
+    kernel call (see _jacobian), assembles J^T J and J^T r block by block,
+    and solves (J^T J + lambda diag(J^T J)) delta = -J^T r densely. A trial
+    point whose J is lower is accepted and lambda is rescaled by the gain
+    ratio (Madsen, Nielsen and Tingleff 2004, section 3.2); otherwise, also
+    where J is not finite, lambda rises and the step is solved again. The
+    residual at the start, each Jacobian and each trial count as one
     function evaluation.
 
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
     numerically zero gradient, or the iteration/evaluation caps. The caps
-    and a failed line search report converged=False carrying the best point
-    reached; the accepted-step objective sequence (objective_trace) is
-    non-increasing by construction.
+    and line_search_failure (no damped step lowered J before lambda passed
+    its limit) report converged=False carrying the best point reached; the
+    accepted-step objective sequence (objective_trace) is decreasing by
+    construction.
     """
     opts = opts or OptimizerOptions()
     model_id = initial.model.model_id
@@ -542,106 +596,81 @@ def refine(
 
     theta_full = _pack(initial.intrinsics, initial.model, initial.extrinsics)
     frozen = theta_full[:5] if freeze_intrinsics else theta_full[:0]
-    terms = _terms_function(model_id, data, frozen)
     theta = theta_full[len(frozen) :].copy()
-    n = len(theta)
+    m = len(theta) - 6 * n_views
+    pts3 = data.world_points
+    observations = np.stack(data.observations)
 
-    evals = 0
-
-    def gradient(tr: np.ndarray, f0: float, base: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        h, fp, fm = _probe(terms, tr, base)
-        evals += 2 * n
-        okp, okm = np.isfinite(fp), np.isfinite(fm)
-        with np.errstate(invalid="ignore"):
-            return np.select(
-                [okp & okm, okp, okm],
-                [(fp - fm) / (2.0 * h), (fp - f0) / h, (f0 - fm) / h],
-                0.0,
+    def residuals(rows: np.ndarray) -> np.ndarray:
+        if len(frozen):
+            rows = np.concatenate(
+                [np.broadcast_to(frozen, (len(rows), len(frozen))), rows], axis=1
             )
+        return _residuals(model_id, rows, pts3, observations)
 
-    base = terms(theta[None])[0]
-    J = float(_total(base))
-    evals += 1
+    r = residuals(theta[None])[0]
+    J = float(_total(_squared_terms(r)))
+    evals = 1
     if not math.isfinite(J):
         raise ValueError("initial parameters do not give a finite objective")
     trace = [J]
-    best_J, best_theta = J, theta.copy()
     iterations = 0
     status = "max_iterations"
     converged = False
+    lam, nu = _DAMPING_START, 2.0
+    flat_streak = 0
+    while iterations < opts.max_iterations:
+        if evals >= opts.max_function_evaluations:
+            status = "max_function_evaluations"
+            break
+        N, b = _normal_equations(*_jacobian(residuals, theta, r, m), r)
+        evals += 1
+        if 2.0 * float(np.max(np.abs(b))) <= 1e-9 * max(1.0, J):
+            status, converged = "stationary", True
+            break
+        scale = np.diag(N).copy()
+        scale[scale <= 0.0] = 1.0
+        accepted = False
+        while lam <= _DAMPING_LIMIT and evals < opts.max_function_evaluations:
+            step = np.linalg.solve(N + np.diag(lam * scale), -b)
+            trial = theta + step
+            # A far trial may overflow; it reads inf and is rejected.
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new = residuals(trial[None])[0]
+                J_new = float(_total(_squared_terms(r_new)))
+            evals += 1
+            if J_new < J:
+                accepted = True
+                break
+            lam *= nu
+            nu *= 2.0
+        if not accepted:
+            status = (
+                "max_function_evaluations"
+                if evals >= opts.max_function_evaluations
+                else "line_search_failure"
+            )
+            break
+        predicted = float(step @ (lam * scale * step - b))
+        rho = min(1.0, (J - J_new) / predicted) if predicted > 0.0 else 1.0
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = 2.0
+        iterations += 1
+        trace.append(J_new)
+        rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(theta))))
+        rel_dJ = (J - J_new) / max(1.0, J_new)
+        theta, r, J = trial, r_new, J_new
+        if rel_step < opts.step_tolerance:
+            status, converged = "step_tolerance", True
+            break
+        flat_streak = flat_streak + 1 if rel_dJ < opts.objective_tolerance else 0
+        if flat_streak >= 2:
+            status, converged = "objective_tolerance", True
+            break
 
-    g = gradient(theta, J, base)
-    if float(np.max(np.abs(g))) <= 1e-9 * max(1.0, abs(J)):
-        status, converged = "stationary", True
-    else:
-        Hinv = np.eye(n)
-        flat_streak = 0
-        while iterations < opts.max_iterations:
-            d = -Hinv @ g
-            gd = float(g @ d)
-            if gd >= 0.0:
-                Hinv = np.eye(n)
-                d = -g
-                gd = float(g @ d)
-            alpha = 1.0
-            accepted = False
-            J_new = J
-            for _ in range(30):
-                if evals >= opts.max_function_evaluations:
-                    break
-                trial = theta + alpha * d
-                trial_terms = terms(trial[None])[0]
-                J_try = float(_total(trial_terms))
-                evals += 1
-                if J_try <= J + 1e-4 * alpha * gd:
-                    J_new, accepted = J_try, True
-                    break
-                denom = 2.0 * (J_try - J - alpha * gd)
-                if math.isfinite(denom) and denom > 0.0:
-                    alpha = min(max(-gd * alpha * alpha / denom, 0.1 * alpha), 0.5 * alpha)
-                else:
-                    alpha *= 0.5
-            if not accepted:
-                status = (
-                    "max_function_evaluations"
-                    if evals >= opts.max_function_evaluations
-                    else "line_search_failure"
-                )
-                break
-            step = alpha * d
-            theta_new = theta + step
-            iterations += 1
-            trace.append(J_new)
-            if J_new < best_J:
-                best_J, best_theta = J_new, theta_new.copy()
-            rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(theta))))
-            rel_dJ = (J - J_new) / max(1.0, abs(J_new))
-            if evals + 2 * n > opts.max_function_evaluations:
-                theta, J = theta_new, J_new
-                status = "max_function_evaluations"
-                break
-            g_new = gradient(theta_new, J_new, trial_terms)
-            yk = g_new - g
-            sy = float(step @ yk)
-            if sy > 1e-12 * float(np.linalg.norm(step)) * float(np.linalg.norm(yk)):
-                rho = 1.0 / sy
-                Vk = np.eye(n) - rho * np.outer(step, yk)
-                Hinv = Vk @ Hinv @ Vk.T + rho * np.outer(step, step)
-            theta, J, g = theta_new, J_new, g_new
-            if rel_step < opts.step_tolerance:
-                status, converged = "step_tolerance", True
-                break
-            flat_streak = flat_streak + 1 if rel_dJ < opts.objective_tolerance else 0
-            if flat_streak >= 2:
-                status, converged = "objective_tolerance", True
-                break
-            if float(np.max(np.abs(g))) <= 1e-9 * max(1.0, abs(J)):
-                status, converged = "stationary", True
-                break
-
-    final_full = np.concatenate([frozen, best_theta])
-    intr, k, rotations, translations = _unpack(final_full, model_id, n_views)
+    intr, k, rotations, translations = _unpack(
+        np.concatenate([frozen, theta]), model_id, n_views
+    )
     return CalibrationResult(
         intrinsics=IntrinsicParams(
             alpha=intr[0], gamma=intr[1], u0=intr[2], beta=intr[3], v0=intr[4]
@@ -651,7 +680,7 @@ def refine(
             for w, t in zip(rotations, translations)
         ),
         model=DistortionModel(model_id=model_id, coefficients=k),
-        objective=best_J,
+        objective=J,
         iterations=iterations,
         converged=converged,
         status=status,

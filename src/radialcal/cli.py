@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--max-iter", type=int, default=120, metavar="N",
                        help="iteration cap (default 120)")
     group.add_argument("--max-fevals", type=int, default=8000, metavar="N",
-                       help="objective evaluation cap (default 8000)")
+                       help="residual evaluation cap, a Jacobian counting as one "
+                            "(default 8000)")
 
     parser = argparse.ArgumentParser(
         prog="radialcal",

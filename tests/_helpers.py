@@ -72,6 +72,27 @@ def trend_dataset():
     return data, spec
 
 
+def wide_dataset(seed):
+    """A 68-parameter set: model 9 on 10 seeded poses of a 12 x 12 grid.
+
+    Poses tilt about a random axis by 0.2-0.5 rad at 15-19 units, sigma is
+    0.3 px; a seed gives the benchmark's calibrate-wide set.
+    """
+    rng = np.random.default_rng(seed)
+    poses = []
+    for _ in range(10):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        rotation = axis * rng.uniform(0.2, 0.5)
+        translation = np.array(
+            [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(15.0, 19.0)]
+        )
+        poses.append(rc.Extrinsics(rotation=rotation, translation=translation))
+    return synth_dataset(
+        model_id=9, k=(0.4, -0.01, 0.6), sigma=0.3, seed=seed, poses=tuple(poses), grid=12
+    )
+
+
 def session_models():
     """Every (session, model_id>=1, DistortionModel) with fitted coefficients."""
     out = []

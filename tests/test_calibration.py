@@ -15,6 +15,7 @@ from _helpers import (
     session_models,
     synth_dataset,
     trend_dataset,
+    wide_dataset,
 )
 
 
@@ -34,6 +35,11 @@ def exact3():
 @pytest.fixture(scope="module")
 def noisy3():
     return synth_dataset(sigma=0.3, seed=7)
+
+
+@pytest.fixture(scope="module")
+def trend():
+    return trend_dataset()
 
 
 class TestHomographyType:
@@ -353,12 +359,12 @@ class TestRefine:
             step_tolerance=1e-15,
             objective_tolerance=1e-15,
             max_iterations=10**4,
-            max_function_evaluations=100,
+            max_function_evaluations=30,
         )
         res = rc.calibrate(data, 3, opts)
         assert res.status == "max_function_evaluations"
         assert not res.converged
-        assert res.evaluations <= 110
+        assert res.evaluations <= 30
         assert res.objective <= res.objective_trace[0]
 
     def test_freeze_intrinsics(self, exact3):
@@ -370,18 +376,18 @@ class TestRefine:
 
     def test_line_search_failure_is_reported(self, exact3, monkeypatch):
         data, spec = exact3
-        J0 = 7.0
+        J0 = 4.0
 
         def ramp(model_id, params, pts3, observations):
-            # Jump on one side: the finite-difference gradient sees a steep
-            # descent direction that no actual trial point can realize. The
-            # ramp sits in view 0's term; the other views contribute zero.
+            # J = J0 + (1 + s if s > 0 else -s) in one residual of view 0: the
+            # forward-difference Jacobian sees a steep descent towards s < 0
+            # that no actual trial point can realize.
             s = params[:, 0] - 830.0
-            terms = np.zeros((len(params), len(observations)))
-            terms[:, 0] = J0 + np.where(s > 0.0, 1.0 + s, -s)
-            return terms
+            r = np.zeros((len(params), *observations.shape))
+            r[:, 0, 0, 0] = np.sqrt(J0 + np.where(s > 0.0, 1.0 + s, -s))
+            return r
 
-        monkeypatch.setattr(calib_mod, "_view_terms", ramp)
+        monkeypatch.setattr(calib_mod, "_residuals", ramp)
         initial = rc.CalibrationResult(
             intrinsics=spec.intrinsics,
             extrinsics=spec.extrinsics,
@@ -396,6 +402,35 @@ class TestRefine:
         assert res.objective == J0
         assert res.iterations == 0
         assert res.objective_trace == (J0,)
+
+    def test_step_across_pole_is_rejected(self, trend):
+        # Model 4 is 1 / (1 + k r). From k = 2.5 the undamped step lands at
+        # k < 0 with 1 + k r < 0 for some point, where J is not finite; the
+        # damping must rise until a step lowers J.
+        data, _ = trend
+        start = rc.linear_initialize(data, 4)
+        start = replace(start, model=rc.DistortionModel(model_id=4, coefficients=(2.5,)))
+        theta = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        kernel = lambda rows: calib_mod._residuals(
+            4, rows, data.world_points, np.stack(data.observations)
+        )
+        r0 = kernel(theta[None])[0]
+        J0 = calib_mod._total(calib_mod._squared_terms(r0))
+        N, b = calib_mod._normal_equations(*calib_mod._jacobian(kernel, theta, r0, 6), r0)
+        undamped = theta + np.linalg.solve(N, -b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            J_undamped = calib_mod._total(calib_mod._squared_terms(kernel(undamped[None])[0]))
+        assert undamped[5] < 0.0 and not math.isfinite(J_undamped)
+
+        res = rc.refine(start, data)
+        trace = np.array(res.objective_trace)
+        assert trace[0] == J0
+        assert np.isfinite(trace).all() and np.all(np.diff(trace) <= 0.0)
+        assert math.isfinite(res.objective) and res.objective <= J0
+        assert np.isfinite(res.model.coefficients).all()
+        assert np.isfinite(res.intrinsics.as_tuple()).all()
+        for e in res.extrinsics:
+            assert np.isfinite(e.rotation).all() and np.isfinite(e.translation).all()
 
     def test_recovers_ground_truth(self, exact3):
         data, spec = exact3
@@ -449,42 +484,74 @@ class TestRefine:
         assert again == res.objective
 
 
-def objective_at(theta_full, model_id, data):
-    """compute_objective at a packed parameter vector."""
+def unpack_at(theta_full, model_id, data):
+    """Intrinsics, extrinsics and model of a packed parameter vector."""
     intr, k, rotations, translations = calib_mod._unpack(theta_full, model_id, data.n_views)
     A = rc.IntrinsicParams(alpha=intr[0], gamma=intr[1], u0=intr[2], beta=intr[3], v0=intr[4])
     extrinsics = tuple(
         rc.Extrinsics(rotation=w, translation=t) for w, t in zip(rotations, translations)
     )
-    model = rc.DistortionModel(model_id=model_id, coefficients=k)
-    return rc.compute_objective(A, extrinsics, model, data)
+    return A, extrinsics, rc.DistortionModel(model_id=model_id, coefficients=k)
 
 
-@pytest.fixture(scope="module")
-def trend():
-    return trend_dataset()
+def residuals_at(theta_full, model_id, data):
+    """Residuals (V, P, 2) at a packed vector, recomputed view by view in full."""
+    A, extrinsics, model = unpack_at(theta_full, model_id, data)
+    return np.stack(
+        [
+            rc.project_distorted(A, ext, model, data.world_points) - obs
+            for ext, obs in zip(extrinsics, data.observations)
+        ]
+    )
 
 
 class TestObjectiveKernel:
-    def assert_probes_exact(self, data, start, freeze_intrinsics=False):
-        # Every J(theta +- h e_i) the gradient assembles from per-view terms
-        # must be the value a full recompute at the perturbed vector gives.
+    def jacobian(self, data, start, freeze_intrinsics=False, hole=None):
+        """_jacobian at start's packed vector, with what a check needs.
+
+        hole, if given, post-processes the kernel's (rows, residuals) to
+        knock out probes.
+        """
         model_id = start.model.model_id
         theta_full = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
         frozen = theta_full[:5] if freeze_intrinsics else theta_full[:0]
         theta = theta_full[len(frozen) :]
-        terms = calib_mod._terms_function(model_id, data, frozen)
-        base = terms(theta[None])[0]
-        h, fp, fm = calib_mod._probe(terms, theta, base)
-        assert len(h) == len(fp) == len(fm) == len(theta)
-        for i in range(len(theta)):
-            plus, minus = theta.copy(), theta.copy()
-            plus[i] += h[i]
-            minus[i] -= h[i]
-            assert fp[i] == objective_at(np.concatenate([frozen, plus]), model_id, data)
-            assert fm[i] == objective_at(np.concatenate([frozen, minus]), model_id, data)
+        obs = np.stack(data.observations)
 
-    def test_probes_match_full_recompute(self, trend):
+        def kernel(rows):
+            full = np.concatenate([np.broadcast_to(frozen, (len(rows), len(frozen))), rows], 1)
+            r = calib_mod._residuals(model_id, full, data.world_points, obs)
+            return r if hole is None else hole(rows, r)
+
+        r0 = residuals_at(theta_full, model_id, data)
+        m = len(theta) - 6 * data.n_views
+        Jg, Jp = calib_mod._jacobian(kernel, theta, r0, m)
+        h = calib_mod._FD_STEP * np.maximum(1.0, np.abs(theta))
+        h = (theta + h) - theta
+        return theta, frozen, r0, m, Jg, Jp, h
+
+    def column(self, Jg, Jp, m, i):
+        """Column i of the full Jacobian, shape (V, P, 2)."""
+        if i < m:
+            return Jg[i]
+        v, q = divmod(i - m, 6)
+        col = np.zeros_like(Jp[0])
+        col[v] = Jp[q, v]
+        return col
+
+    def assert_jacobian_exact(self, data, start, freeze_intrinsics=False):
+        # Every column the one batched call assembles must be the forward
+        # difference a full recompute at the perturbed vector gives.
+        model_id = start.model.model_id
+        theta, frozen, r0, m, Jg, Jp, h = self.jacobian(data, start, freeze_intrinsics)
+        assert Jg.shape == (m, *r0.shape) and Jp.shape == (6, *r0.shape)
+        for i in range(len(theta)):
+            plus = theta.copy()
+            plus[i] += h[i]
+            want = (residuals_at(np.concatenate([frozen, plus]), model_id, data) - r0) / h[i]
+            assert np.array_equal(self.column(Jg, Jp, m, i), want)
+
+    def test_jacobian_matches_full_recompute(self, trend):
         data, _ = trend
         base = rc.linear_initialize(data, 0)
         few = rc.OptimizerOptions(max_iterations=3)
@@ -495,14 +562,45 @@ class TestObjectiveKernel:
                     model_id=mid, coefficients=(0.0,) * rc.coefficient_arity(mid)
                 ),
             )
-            self.assert_probes_exact(data, start)
+            self.assert_jacobian_exact(data, start)
             # A few iterations in, the coefficients are no longer zero.
-            self.assert_probes_exact(data, rc.refine(start, data, few))
+            self.assert_jacobian_exact(data, rc.refine(start, data, few))
 
-    def test_probes_match_with_frozen_intrinsics(self, trend):
+    def test_jacobian_matches_with_frozen_intrinsics(self, trend):
         data, spec = trend
         start = rc.fit_distortion(data, spec.intrinsics, 9, rc.OptimizerOptions(max_iterations=3))
-        self.assert_probes_exact(data, start, freeze_intrinsics=True)
+        self.assert_jacobian_exact(data, start, freeze_intrinsics=True)
+
+    def test_nonfinite_forward_probe_takes_backward_difference(self, trend):
+        # Knock out the forward probe of coefficient k1 everywhere, that of
+        # view 2's pose coordinate 1 in view 2 only, and both probes of alpha.
+        data, _ = trend
+        start = rc.refine(rc.linear_initialize(data, 3), data, rc.OptimizerOptions(max_iterations=3))
+        theta0 = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        m = 5 + rc.coefficient_arity(3)
+        pose = m + 6 * 2 + 1
+
+        def hole(rows, r):
+            r = r.copy()
+            r[rows[:, 5] > theta0[5]] = np.nan
+            r[rows[:, pose] > theta0[pose], 2, 0, 1] = np.nan
+            r[rows[:, 0] != theta0[0], 0, 3] = np.nan
+            return r
+
+        theta, _, r0, _, Jg, Jp, h = self.jacobian(data, start, hole=hole)
+        for i in range(len(theta)):
+            got = self.column(Jg, Jp, m, i)
+            if i == 0:
+                assert not got.any()
+                continue
+            moved = theta.copy()
+            if i in (5, pose):
+                moved[i] -= h[i]
+                want = (r0 - residuals_at(moved, 3, data)) / h[i]
+            else:
+                moved[i] += h[i]
+                want = (residuals_at(moved, 3, data) - r0) / h[i]
+            assert np.array_equal(got, want), i
 
     def test_rows_do_not_depend_on_their_batch(self, trend):
         data, spec = trend
@@ -572,6 +670,40 @@ class TestObjectiveKernel:
         )
         assert np.isinf(terms[0]).all()
         assert np.isfinite(terms[1]).all()
+
+
+class TestLeastSquaresOracle:
+    """refine's final J against MINPACK's Levenberg-Marquardt, same start."""
+
+    def oracle_objective(self, start, data):
+        optimize = pytest.importorskip("scipy.optimize")
+        model_id = start.model.model_id
+        obs = np.stack(data.observations)
+
+        def residuals(theta):
+            return calib_mod._residuals(model_id, theta[None], data.world_points, obs)[0].ravel()
+
+        theta0 = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        sol = optimize.least_squares(
+            residuals, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
+        return float(sol.fun @ sol.fun)
+
+    def assert_matches(self, start, data):
+        want = self.oracle_objective(start, data)
+        got = rc.refine(start, data)
+        assert abs(got.objective - want) <= 1e-6 * want, (start.model.model_id, got, want)
+
+    def test_trend_models(self, trend):
+        data, _ = trend
+        base = rc.linear_initialize(data, 0)
+        for mid in range(10):
+            self.assert_matches(calib_mod._start(data, mid, base.intrinsics, base.extrinsics), data)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wide_set(self, seed):
+        data, _ = wide_dataset(seed)
+        self.assert_matches(rc.linear_initialize(data, 9), data)
 
 
 class TestCompareModels:
