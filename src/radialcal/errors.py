@@ -40,7 +40,7 @@ class NoRealCandidate(RadialCalError):
 
 
 class BracketNotFound(RadialCalError):
-    """Numeric inversion found no sign change on the search interval."""
+    """Numeric inversion got a point outside the model's invertible domain."""
 
 
 class DegenerateConfiguration(RadialCalError):

@@ -5,15 +5,13 @@ and assuming a sign sigma for the unknown x turns x_d = x f(r) into a
 polynomial in x of degree at most three (see branch_reduce). The algorithm:
 
 1. the origin maps to the origin;
-2. take sigma = sign(x_d): the principal branch has f(r) > 0, so x and x_d
+2. a point outside the model's invertible domain (its distorted radius is
+   not below F_max, see invertible_radius) raises NoRealCandidate;
+3. take sigma = sign(x_d): the principal branch has f(r) > 0, so x and x_d
    share a sign (the opposite branch only holds preimages with f(r) < 0);
-3. solve that one reduction, discard complex roots and roots with the wrong
-   sign, and return the smallest |x|. It is the first crossing of
-   F(r) = r f(r) with the distorted radius, moving out from the origin, the
-   same preimage undistort_numeric brackets;
-4. with no admissible root, or when that root lies at or past the first
-   pole of the profile's denominator D (where F stops being continuous),
-   raise NoRealCandidate.
+4. solve that one reduction, discard complex roots and roots with the wrong
+   sign, and return the smallest |x| if its radius is below r_b, the end of
+   the domain; otherwise solve with undistort_numeric.
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
@@ -24,11 +22,11 @@ its route by that shape. A pair runs scalar Python code, which is the
 cheaper route for one point. An array is inverted in one vectorised pass:
 the same branch coefficients, quadratic and linear formulas with the same
 Newton step, the cubic radicals over complex arrays, masked root selection,
-and for the numeric route a block-wise scan with lock-step bisection. Rows
-the vectorised formulas do not cover (a collapsed polynomial degree, a
-non-finite coordinate) and rows without a preimage go through the pair
-route, so an array raises what the pair call raises for its first failing
-point.
+and for the numeric route lock-step bracketing and bisection. Rows the
+vectorised formulas do not cover (a collapsed polynomial degree, a
+non-finite coordinate, a root missing or past r_b) and rows outside the
+domain go through the pair route, so an array raises what the pair call
+raises for its first failing point.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntrinsicParams, Vec, denormalize, normalize
-from .distortion import DistortionModel, RadialAuxiliaries, _profile
+from .distortion import DistortionModel, RadialAuxiliaries, _profile, invertible_radius
 from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
@@ -55,15 +53,6 @@ _SQRT3 = math.sqrt(3.0)
 IMAG_EPS = 1e-8
 # Leading coefficients below this magnitude collapse the polynomial degree.
 COEFF_EPS = 1e-12
-# undistort_numeric scans the undistorted radius (0, _SCAN_RADIUS] in
-# _SCAN_STEPS even steps for its bracket. The array route scans
-# _SCAN_BLOCK steps at a time and drops each point once it is bracketed.
-_SCAN_RADIUS = 2.0
-_SCAN_STEPS = 512
-_SCAN_BLOCK = 32
-# Indices into the coefficients k of the linear and quadratic terms of the
-# profile's denominator D(r) = 1 + b r + c r^2 (None: the term is absent).
-_DENOMINATOR = {4: (0, None), 5: (None, 0), 6: (None, 1), 7: (0, 1), 8: (1, 2), 9: (1, 2)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,33 +215,6 @@ def _branch_candidate(
     return min((x for x in roots if x * aux.sigma > 0.0), key=abs, default=None)
 
 
-def _pole_radius(model: DistortionModel) -> float:
-    """First positive root of the profile's denominator D(r); inf if none.
-
-    F(r) = r f(r) is continuous only below it, so a branch root at or past
-    it is not a first crossing of the distorted radius. D depends on the
-    coefficients alone, so this is computed once per call.
-    """
-    terms = _DENOMINATOR.get(model.model_id)
-    if terms is None:
-        return math.inf
-    lin, quad = terms
-    k = model.coefficients
-    b = 0.0 if lin is None else k[lin]
-    c = 0.0 if quad is None else k[quad]
-    if abs(c) < COEFF_EPS:
-        return -1.0 / b if b < 0.0 else math.inf
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        return math.inf
-    # The roots are qq / c and 1 / qq (their product is 1 / c).
-    qq = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    lo, hi = qq / c, 1.0 / qq
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo if lo > 0.0 else hi if hi > 0.0 else math.inf
-
-
 def _cubic_roots(y, p, q) -> np.ndarray:
     """solve_cubic_closed's radicals over arrays: shape (3, n), complex."""
     inner = 4.0 * q - p * p + 18.0 * p * q * y + 27.0 * y * y * q * q - 4.0 * y * p**3
@@ -312,53 +274,43 @@ def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Principal preimages x along the rays y = c x; nan where none."""
+    """Principal preimages x along the rays y = c x; nan where none below r_b."""
     sigma = np.where(x_d > 0.0, 1.0, -1.0)
     t = 1.0 + c * c
     s = np.sqrt(t)
     coeffs = _branch_coefficients(model.model_id, model.coefficients, x_d, s, t, sigma)
     x = _principal_roots([np.broadcast_to(v, x_d.shape) for v in coeffs], sigma)
-    return np.where(s * np.abs(x) < _pole_radius(model), x, np.nan)
+    r_b, f_max = invertible_radius(model)
+    return np.where((s * np.abs(x_d) < f_max) & (s * np.abs(x) < r_b), x, np.nan)
 
 
 def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """undistort_numeric's scan and bisection on every ray in lock step.
+    """undistort_numeric's bracket and bisection on every ray in lock step.
 
     Each point runs the pair route's arithmetic, so the results are bit for
-    bit the same. nan marks a point without a bracket or with a pole.
+    bit the same. nan marks a point outside the invertible domain.
     """
     mid, k = model.model_id, model.coefficients
     xd = np.abs(x_d)
     s = np.sqrt(1.0 + c * c)
-    x_hi = _SCAN_RADIUS / s
-    # First scan step whose residual is not a finite negative number, and the
-    # residual there; _SCAN_STEPS marks a point with no such step.
-    stop = np.full(xd.shape, _SCAN_STEPS)
-    f_stop = np.full(xd.shape, np.nan)
-    todo = np.arange(xd.size)
-    for first in range(0, _SCAN_STEPS, _SCAN_BLOCK):
-        if not todo.size:
-            break
-        grid = x_hi[todo, None] * np.arange(first + 1, first + _SCAN_BLOCK + 1) / _SCAN_STEPS
-        f = grid * _profile(mid, k, s[todo, None] * grid) - xd[todo, None]
-        hit = (f >= 0.0) | ~np.isfinite(f)
-        found = np.flatnonzero(hit.any(axis=1))
-        i = hit[found].argmax(axis=1)
-        stop[todo[found]] = first + i
-        f_stop[todo[found]] = f[found, i]
-        todo = np.delete(todo, found)
-    bracketed = np.isfinite(f_stop)
-    hi = np.where(bracketed, x_hi * (stop + 1) / _SCAN_STEPS, np.nan)
-    lo = np.where(stop > 0, x_hi * stop / _SCAN_STEPS, 0.0)
-    lo = np.where(f_stop == 0.0, hi, np.where(bracketed, lo, np.nan))
+    r_b, f_max = invertible_radius(model)
+    top = r_b / s
+    lo = np.where(s * xd < f_max, 0.0, np.nan)
+    hi = xd.copy()
+    todo = np.flatnonzero(lo == 0.0)
+    while todo.size:
+        todo = todo[hi[todo] < top[todo]]
+        short = hi[todo] * _profile(mid, k, s[todo] * hi[todo]) - xd[todo] < 0.0
+        todo = todo[short]
+        lo[todo] = hi[todo]
+        hi[todo] *= 2.0
+    hi = np.minimum(hi, top)
     x = 0.5 * (lo + hi)
     act = (lo < x) & (x < hi)
     while act.any():
         fx = x * _profile(mid, k, s * x) - xd
         lo = np.where(act & (fx <= 0.0), x, lo)
-        hi = np.where(act & (fx >= 0.0), x, hi)
-        # A nan residual is a pole, not a root: the point leaves with nan.
-        lo[act & np.isnan(fx)] = np.nan
+        hi = np.where(act & ~(fx < 0.0), x, hi)
         x = 0.5 * (lo + hi)
         act = (lo < x) & (x < hi)
     return np.where(x_d < 0.0, -x, x)
@@ -397,12 +349,11 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     """Invert distort_normalized for models 1-9 (model 0 goes numeric).
 
     Accepts a single (x, y) pair or an (..., 2) array and returns the same
-    shape. Returns the principal-branch preimage (step 3 of the module
-    docstring). Raises NoRealCandidate when that branch has no admissible
-    root, or only one at or past the first pole of D, i.e. pd lies outside
-    the model's invertible range for these coefficients; for an array, the
-    error names the first such point in array order, as the pair call on
-    that point would.
+    shape. Returns the principal-branch preimage (steps 2-4 of the module
+    docstring), or undistort_numeric's where the closed form has no root
+    below r_b. Raises NoRealCandidate when pd lies outside the model's
+    invertible domain (see invertible_radius); for an array, the error names
+    the first such point in array order, as the pair call on that point would.
     """
     if model.model_id == 0:
         return undistort_numeric(model, pd)
@@ -420,11 +371,14 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     c = yd / xd
     sigma = 1 if xd > 0.0 else -1
     aux = RadialAuxiliaries.from_slope(c, sigma)
-    x = _branch_candidate(model, xd, aux)
-    if x is None or aux.s * abs(x) >= _pole_radius(model):
+    r_b, f_max = invertible_radius(model)
+    if not aux.s * abs(xd) < f_max:
         raise NoRealCandidate(
             f"model {model.model_id} has no admissible preimage for ({xd!r}, {yd!r})"
         )
+    x = _branch_candidate(model, xd, aux)
+    if x is None or aux.s * abs(x) >= r_b:
+        return undistort_numeric(model, pd)
     y = c * x
     if swap:
         x, y = y, x
@@ -434,22 +388,18 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
 def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
     """Invert any model by bisection along the fixed ray.
 
-    Solves x f(s x) = x_d for x in (0, 2/s] after mirroring the problem so
-    the driving distorted coordinate is positive (every profile is even in r,
-    making the ray map odd). The residual is evaluated at _SCAN_STEPS even
-    steps in one array call; the first step where it is not negative
-    brackets the root, and bisection narrows the bracket until its ends are
-    adjacent floats.
-
-    The search stops at undistorted radius _SCAN_RADIUS = 2, so a preimage
-    farther out is not found. Raises BracketNotFound when no sign change
-    comes before the first undefined (nan) profile value on the interval, or
-    when the bracket closes on a pole of the profile rather than a root.
+    Solves x f(s x) = |x_d| for x > 0 and gives x the sign of x_d (every
+    profile is even in r, making the ray map odd). Raises BracketNotFound
+    when pd lies outside the model's invertible domain (see
+    invertible_radius). Inside it the solution is the one below r_b / s. The
+    bracket [0, |x_d|] doubles its upper end until it holds the solution or
+    reaches r_b / s, which keeps it short when r_b is far (up to 1e100), and
+    bisection narrows it until its ends are adjacent floats.
 
     Accepts a single (x, y) pair or an (..., 2) array and returns the same
-    shape. An array is scanned _SCAN_BLOCK steps at a time and bisected in
-    lock step, with each point's results bit for bit those of its pair call;
-    its error names the first failing point in array order.
+    shape. An array is bracketed and bisected in lock step, with each point's
+    results bit for bit those of its pair call; its error names the first
+    failing point in array order.
     """
     pd = np.asarray(pd, dtype=float)
     if pd.shape != (2,):
@@ -460,43 +410,23 @@ def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
     swap = abs(xd) < abs(yd)
     if swap:
         xd, yd = yd, xd
-    mirror = xd < 0.0
-    if mirror:
-        xd, yd = -xd, -yd
     c = yd / xd
     s = math.sqrt(1.0 + c * c)
-    mid, k = model.model_id, model.coefficients
-
-    x_hi = _SCAN_RADIUS / s
-    grid = x_hi * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
-    f = grid * _profile(mid, k, s * grid) - xd
-    # The residual is -x_d < 0 at the origin; stop at the first step that is
-    # not a finite negative number.
-    stops = np.flatnonzero((f >= 0.0) | ~np.isfinite(f))
-    if not stops.size or not math.isfinite(f[stops[0]]):
-        raise BracketNotFound(
-            f"model {mid}: no sign change on (0, {x_hi!r}] for x_d={xd!r}"
-        )
-    i = stops[0]
-    lo, hi = (float(grid[i - 1]) if i else 0.0), float(grid[i])
-    if f[i] == 0.0:
-        lo = hi
+    mid, k, a = model.model_id, model.coefficients, abs(xd)
+    r_b, f_max = invertible_radius(model)
+    if not s * a < f_max:
+        raise BracketNotFound(f"model {mid}: no preimage for x_d={xd!r} (F_max={f_max!r})")
+    lo, hi, top = 0.0, a, r_b / s
+    while hi < top and hi * _profile(mid, k, s * hi) - a < 0.0:
+        lo, hi = hi, 2.0 * hi
+    hi = min(hi, top)
     # Once lo and hi are adjacent floats the midpoint rounds onto one of them.
     while lo < (x := 0.5 * (lo + hi)) < hi:
-        fx = x * _profile(mid, k, s * x) - xd
-        if fx != fx:
-            raise BracketNotFound(
-                f"model {mid}: the sign change near x={x!r} is a pole, not a root"
-            )
-        if fx < 0.0:
-            lo = x
-        elif fx > 0.0:
-            hi = x
-        else:
-            lo = hi = x
+        fx = x * _profile(mid, k, s * x) - a
+        # An exact root closes the bracket.
+        lo, hi = (x, hi) if fx < 0.0 else (x, x) if fx == 0.0 else (lo, x)
+    x = math.copysign(x, xd)
     y = c * x
-    if mirror:
-        x, y = -x, -y
     if swap:
         x, y = y, x
     return np.array([x, y])

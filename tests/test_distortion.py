@@ -108,6 +108,24 @@ class TestProfile:
             single = np.array([rc.eval_profile(m, float(r)) for r in rr])
             assert np.array_equal(batch, single)
 
+    def test_rational_table_matches_profile(self):
+        # _rational's polynomials are a second encoding of the ten profiles;
+        # N(r) / D(r) must equal _profile wherever D is clear of zero.
+        from numpy.polynomial import polynomial as P
+
+        from radialcal.distortion import _profile, _rational
+
+        rng = np.random.default_rng(59)
+        for mid, arity in ARITY.items():
+            for _ in range(50):
+                k = tuple(rng.uniform(-1.0, 1.0, arity))
+                num, den = _rational(mid, k)
+                rr = rng.uniform(0.0, 2.0, 40)
+                rr = rr[np.abs(P.polyval(rr, den)) > 0.1]
+                want = _profile(mid, k, rr)
+                got = P.polyval(rr, num) / P.polyval(rr, den)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (mid, k)
+
     def test_array_path_reports_singularity(self):
         m = rc.DistortionModel(model_id=5, coefficients=(-4.0,))
         rr = np.array([0.1, 0.5, 0.2])

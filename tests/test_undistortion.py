@@ -390,6 +390,94 @@ class TestNumeric:
             assert np.max(np.abs(back - pd)) < 1e-11
 
 
+class TestDomain:
+    def test_point_past_the_fold_raises_on_both_routes(self):
+        # F(r) folds at r_b ~ 1.218 with F_max ~ 0.578, so this point of
+        # distorted radius 1.835 has no preimage; the branch cubic's root at
+        # (9.118, -7.330) lies past the fold.
+        model = rc.DistortionModel(3, (-0.473249164046349, 0.03429197591214428))
+        pd = np.array([1.4302310189105818, -1.1497655624650445])
+        r_b, f_max = rc.invertible_radius(model)
+        assert abs(r_b - 1.2177) < 1e-4 and abs(f_max - 0.5779) < 1e-4
+        for batch in (pd, pd[None]):
+            with pytest.raises(rc.NoRealCandidate):
+                rc.undistort_normalized(model, batch)
+            with pytest.raises(rc.BracketNotFound):
+                rc.undistort_numeric(model, batch)
+
+    def test_tiny_cubic_coefficient_falls_back_to_bisection(self):
+        # The pair route's radicals lose the near root to cancellation and
+        # return one past the fold at r ~ 8.66; the point is inside the
+        # domain, so the closed form hands it to the numeric route.
+        model = rc.DistortionModel(3, (-0.05776733531954746, 3.6168310094323756e-10))
+        pd = np.array([0.29116849025818486, 0.17380345475260983])
+        q = rc.undistort_normalized(model, pd)
+        assert np.max(np.abs(rc.distort_normalized(model, q) - pd)) < 1e-15
+        # The array route's radicals keep the near root, to a few digits less.
+        for q in (q, rc.undistort_normalized(model, pd[None])[0]):
+            assert np.max(np.abs(q - [0.29711, 0.17735])) < 1e-5
+
+    def test_preimage_past_radius_two(self):
+        # D(r) = 1 - 0.4 r has its pole at r = 2.5, so F rises without bound
+        # below it and (2.2, 0), which distorts to (18.33, 0), inverts. The
+        # domain ends just short of the pole, where D is 2^-26 of its terms.
+        model = rc.DistortionModel(4, (-0.4,))
+        r_b, f_max = rc.invertible_radius(model)
+        assert 2.5 - 1e-7 < r_b < 2.5 and f_max > 1e7
+        pd = rc.distort_normalized(model, np.array([2.2, 0.0]))
+        for q in (rc.undistort_numeric(model, pd), rc.undistort_numeric(model, pd[None])[0]):
+            assert np.max(np.abs(q - [2.2, 0.0])) < 1e-14
+
+    def test_domain_without_fold_or_pole(self):
+        # Model 4 with k > 0 has no fold or pole: F rises towards 1/k, and
+        # r_b is capped at 1e100, where F has reached that limit.
+        model = rc.DistortionModel(4, (0.5,))
+        assert rc.invertible_radius(model) == (1e100, 2.0)
+        p = np.array([[30.0, 40.0], [-1e6, 0.0]])
+        pd = rc.distort_normalized(model, p)
+        for invert in (rc.undistort_normalized, rc.undistort_numeric):
+            assert np.allclose(invert(model, pd), p, rtol=1e-9, atol=0.0)
+        with pytest.raises(rc.NoRealCandidate):
+            rc.undistort_normalized(model, np.array([0.0, 2.0]))
+        with pytest.raises(rc.BracketNotFound):
+            rc.undistort_numeric(model, np.array([0.0, 2.0]))
+
+    def test_far_pole_is_capped(self):
+        # A tiny k2 puts the pole of D = 1 + 0.5 r - 6.1e-195 r^2 at 8.2e193.
+        # F approaches 2 long before; it climbs past 2 only beyond 1e100,
+        # where r^2 overflows and not even distort_normalized can evaluate
+        # it. Both routes raise for (3, 0), whose preimage lies there.
+        model = rc.DistortionModel(7, (0.5, -6.099101085468769e-195))
+        assert rc.invertible_radius(model) == (1e100, 2.0)
+        for invert in (rc.undistort_normalized, rc.undistort_numeric):
+            for x_d, x in ((1.0, 2.0), (1.99, 398.0)):
+                q = invert(model, np.array([x_d, 0.0]))
+                assert np.allclose(q, [x, 0.0], rtol=1e-12)
+        with pytest.raises(rc.NoRealCandidate):
+            rc.undistort_normalized(model, np.array([3.0, 0.0]))
+        with pytest.raises(rc.BracketNotFound):
+            rc.undistort_numeric(model, np.array([3.0, 0.0]))
+
+    def test_radius_matches_the_grid_fold(self):
+        # invertible_radius reads r_b off the polynomials; first_fold reads
+        # it off F sampled on a grid of step 5e-4 over [0, 2]. At a pole, F
+        # jumps from +inf to -inf, which the grid also reads as a fold.
+        rng = np.random.default_rng(191)
+        step = 2.0 / 4000
+        for _ in range(1000):
+            mid = int(rng.integers(0, 10))
+            k = tuple(rng.uniform(-1.0, 1.0, rc.coefficient_arity(mid)))
+            model = rc.DistortionModel(mid, k)
+            r_b, _ = rc.invertible_radius(model)
+            fold = first_fold(model)
+            if fold is None or abs(r_b - 2.0) <= step:
+                continue
+            if r_b < 2.0:
+                assert abs(fold - r_b) <= step, (mid, model.coefficients, r_b, fold)
+            else:
+                assert fold == 2.0, (mid, model.coefficients, r_b, fold)
+
+
 class TestUndistortPixel:
     def test_zero_coefficients_identity(self):
         A = rc.IntrinsicParams(alpha=600.0, gamma=0.1, u0=320.0, beta=610.0, v0=240.0)
@@ -610,5 +698,51 @@ def test_array_route_matches_pair_route_property():
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    check()
+
+
+def test_both_routes_share_the_invertible_domain_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        mid=st.integers(1, 9),
+        k=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=3),
+        r_d=st.floats(0.0, 3.0),
+        angle=st.floats(0.0, 2.0 * np.pi),
+    )
+    def check(mid, k, r_d, angle):
+        model = rc.DistortionModel(mid, tuple(k[: ARITY[mid]]))
+        _, f_max = rc.invertible_radius(model)
+        pd = r_d * np.array([np.cos(angle), np.sin(angle)])
+        # The routes measure the distorted radius along the ray, which can
+        # round to a neighbour of np.hypot's: leave out points within a few
+        # ulp of the domain's edge.
+        r = np.hypot(*pd)
+        hypothesis.assume(abs(r - f_max) > 4.0 * np.spacing(r))
+        closed = numeric = None
+        try:
+            closed = rc.undistort_normalized(model, pd)
+        except rc.NoRealCandidate:
+            pass
+        try:
+            numeric = rc.undistort_numeric(model, pd)
+        except rc.BracketNotFound:
+            pass
+        assert (closed is not None) == (r < f_max)
+        assert (numeric is not None) == (r < f_max)
+        if closed is not None:
+            gap = np.max(np.abs(closed - numeric)) / max(1.0, np.max(np.abs(numeric)))
+            if gap >= 1e-6:
+                # Where F is nearly flat, by a fold or far out, the rounding
+                # of F moves the preimage further than that: model 8 with
+                # k = (0.99999,) * 3 has F_max - 1 = 2.5e-11, and the two
+                # routes invert (cos 3, sin 3) 2.5e-6 apart near r = 1e5.
+                # Both must then still distort back onto pd.
+                for q in (closed, numeric):
+                    back = np.max(np.abs(rc.distort_normalized(model, q) - pd))
+                    assert back <= 1e-12 * max(1.0, r)
 
     check()
