@@ -152,9 +152,13 @@ def rotation_from_matrix(R: Mat) -> Vec:
 def normalize(A: IntrinsicParams, p: Vec) -> Vec:
     """Map pixel coordinates to normalized coordinates by applying A^-1.
 
-    Accepts a single (u, v) pair or an (..., 2) array.
+    Accepts a single (u, v) pair or an (..., 2) array. A pair is mapped in
+    Python floats, with the same operations in the same order as an array
+    row, so both give the same bits.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape == (2,):
+        return np.array(_normalize_pair(A, *p.tolist()))
     u = p[..., 0]
     v = p[..., 1]
     y = (v - A.v0) / A.beta
@@ -163,13 +167,30 @@ def normalize(A: IntrinsicParams, p: Vec) -> Vec:
 
 
 def denormalize(A: IntrinsicParams, n: Vec) -> Vec:
-    """Map normalized coordinates to pixel coordinates by applying A."""
+    """Map normalized coordinates to pixel coordinates by applying A.
+
+    Accepts a single (x, y) pair, mapped in Python floats as normalize maps
+    one, or an (..., 2) array.
+    """
     n = np.asarray(n, dtype=float)
+    if n.shape == (2,):
+        return np.array(_denormalize_pair(A, *n.tolist()))
     x = n[..., 0]
     y = n[..., 1]
     u = A.alpha * x + A.gamma * y + A.u0
     v = A.beta * y + A.v0
     return np.stack([u, v], axis=-1)
+
+
+def _normalize_pair(A: IntrinsicParams, u: float, v: float) -> tuple[float, float]:
+    """normalize for one pixel given as floats."""
+    y = (v - A.v0) / A.beta
+    return (u - A.u0 - A.gamma * y) / A.alpha, y
+
+
+def _denormalize_pair(A: IntrinsicParams, x: float, y: float) -> tuple[float, float]:
+    """denormalize for one point given as floats."""
+    return A.alpha * x + A.gamma * y + A.u0, A.beta * y + A.v0
 
 
 def world_to_camera(ext: Extrinsics, P: Vec) -> Vec:

@@ -10,23 +10,28 @@ polynomial in x of degree at most three (see branch_reduce). The algorithm:
 3. take sigma = sign(x_d): the principal branch has f(r) > 0, so x and x_d
    share a sign (the opposite branch only holds preimages with f(r) < 0);
 4. solve that one reduction, discard complex roots and roots with the wrong
-   sign, and return the smallest |x| if its radius is below r_b, the end of
-   the domain; otherwise solve with undistort_numeric.
+   sign, and return the smallest |x| if its radius r is below r_b, the end of
+   the domain, and F(r) = r f(r) re-distorts onto the point; otherwise solve
+   with undistort_numeric. The re-distortion test catches roots that fit the
+   rounded polynomial but not the model: radicals that cancel, or a tiny
+   leading coefficient dropped although its term dominates at the root.
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
 analytic path).
 
 Each public function takes one (x, y) pair or an (..., 2) array, and picks
-its route by that shape. A pair runs scalar Python code, which is the
-cheaper route for one point. An array is inverted in one vectorised pass:
+its route by that shape. A pair runs in Python floats from end to end
+(_closed_pair, _numeric_pair), building no numpy object but its result,
+which is the cheaper route for one point; undistort_pixel's pair route does
+the same from pixel to pixel. An array is inverted in one vectorised pass:
 the same branch coefficients, quadratic and linear formulas with the same
 Newton step, the cubic radicals over complex arrays, masked root selection,
 and for the numeric route lock-step bracketing and bisection. Rows the
 vectorised formulas do not cover (a collapsed polynomial degree, a
-non-finite coordinate, a root missing or past r_b) and rows outside the
-domain go through the pair route, so an array raises what the pair call
-raises for its first failing point.
+non-finite coordinate, a root missing, past r_b or off the point) and rows
+outside the domain go through the pair route, so an array raises what the
+pair call raises for its first failing point.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntrinsicParams, Vec, denormalize, normalize
+from .core import IntrinsicParams, Vec, _denormalize_pair, _normalize_pair, denormalize, normalize
 from .distortion import DistortionModel, RadialAuxiliaries, _profile, invertible_radius
 from .errors import (
     BracketNotFound,
@@ -53,6 +58,11 @@ _SQRT3 = math.sqrt(3.0)
 IMAG_EPS = 1e-8
 # Leading coefficients below this magnitude collapse the polynomial degree.
 COEFF_EPS = 1e-12
+# A closed-form root of radius r is accepted only when F(r) = r f(r) lies
+# within this fraction of max(1, r_d) of the distorted radius r_d. Where a
+# tiny coefficient makes the radicals cancel, or is dropped although its term
+# dominates at the root, the root fits the rounded polynomial but not F.
+_REDISTORT_TOL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,9 +91,13 @@ def solve_cubic_closed(prob: CubicProblem) -> tuple[complex, complex, complex]:
     Raises DegenerateLeadingCoefficient when |q| < COEFF_EPS; the formulas
     divide by q, so degenerate cubics belong in solve_poly_real.
     """
-    y, p, q = prob.y, prob.p, prob.q
-    if abs(q) < COEFF_EPS:
-        raise DegenerateLeadingCoefficient(f"|q|={abs(q)!r} too small for the closed form")
+    if abs(prob.q) < COEFF_EPS:
+        raise DegenerateLeadingCoefficient(f"|q|={abs(prob.q)!r} too small for the closed form")
+    return _radicals(prob.y, prob.p, prob.q)
+
+
+def _radicals(y: float, p: float, q: float) -> tuple[complex, complex, complex]:
+    """solve_cubic_closed's roots for floats, with |q| >= COEFF_EPS."""
     inner = 4.0 * q - p * p + 18.0 * p * q * y + 27.0 * y * y * q * q - 4.0 * y * p**3
     sq = 12.0 * _SQRT3 * q * cmath.sqrt(complex(inner))
     base = 36.0 * p * q + 108.0 * y * q * q - 8.0 * p**3
@@ -195,24 +209,21 @@ def _branch_coefficients(mid: int, k: tuple[float, ...], x_d, s, t, sg) -> tuple
 
 
 def _branch_candidate(
-    model: DistortionModel, x_d: float, aux: RadialAuxiliaries
+    model: DistortionModel, x_d: float, s: float, t: float, sigma: int
 ) -> float | None:
-    """Admissible real root of one sign branch nearest the origin, or None."""
-    coeffs = branch_reduce(model, x_d, aux)
-    roots: list[float] = []
-    if len(coeffs) == 4 and abs(coeffs[3]) >= COEFF_EPS and abs(coeffs[1]) >= COEFF_EPS:
+    """Admissible real root of one sign branch nearest the origin, or None.
+
+    s, t and sigma are the RadialAuxiliaries fields of the point's ray.
+    """
+    a = _branch_coefficients(model.model_id, model.coefficients, x_d, s, t, sigma)
+    cubic = len(a) == 4 and abs(a[3]) >= COEFF_EPS and abs(a[1]) >= COEFF_EPS
+    if cubic and abs(a[3] / a[1]) >= COEFF_EPS:
         # Normalize a0 + a1 x + a2 x^2 + a3 x^3 = 0 to y = x + p x^2 + q x^3.
-        a1 = coeffs[1]
-        prob = CubicProblem(y=-coeffs[0] / a1, p=coeffs[2] / a1, q=coeffs[3] / a1)
-        try:
-            for z in solve_cubic_closed(prob):
-                if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real)):
-                    roots.append(z.real)
-        except DegenerateLeadingCoefficient:
-            roots = solve_poly_real(coeffs)
+        z3 = _radicals(-a[0] / a[1], a[2] / a[1], a[3] / a[1])
+        roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
     else:
-        roots = solve_poly_real(coeffs)
-    return min((x for x in roots if x * aux.sigma > 0.0), key=abs, default=None)
+        roots = solve_poly_real(a)
+    return min((x for x in roots if x * sigma > 0.0), key=abs, default=None)
 
 
 def _cubic_roots(y, p, q) -> np.ndarray:
@@ -274,14 +285,21 @@ def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Principal preimages x along the rays y = c x; nan where none below r_b."""
+    """Principal preimages x along the rays y = c x; nan where none below r_b
+    re-distorts onto the point (see _REDISTORT_TOL)."""
     sigma = np.where(x_d > 0.0, 1.0, -1.0)
     t = 1.0 + c * c
     s = np.sqrt(t)
     coeffs = _branch_coefficients(model.model_id, model.coefficients, x_d, s, t, sigma)
     x = _principal_roots([np.broadcast_to(v, x_d.shape) for v in coeffs], sigma)
     r_b, f_max = invertible_radius(model)
-    return np.where((s * np.abs(x_d) < f_max) & (s * np.abs(x) < r_b), x, np.nan)
+    r_d = s * np.abs(x_d)
+    r = s * np.abs(x)
+    ok = (r_d < f_max) & (r < r_b)
+    r = np.where(ok, r, 0.0)
+    F = r * _profile(model.model_id, model.coefficients, r)
+    ok &= np.abs(F - r_d) <= _REDISTORT_TOL * np.maximum(1.0, r_d)
+    return np.where(ok, x, np.nan)
 
 
 def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -341,7 +359,7 @@ def _invert_points(model: DistortionModel, pd: np.ndarray, ray, pair) -> np.ndar
     out[live, 0] = np.where(swap, y, x)
     out[live, 1] = np.where(swap, x, y)
     for i in np.flatnonzero(np.isnan(out[:, 0])):
-        out[i] = pair(model, flat[i])
+        out[i] = pair(model, *flat[i].tolist())
     return out.reshape(pd.shape)
 
 
@@ -351,38 +369,43 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     Accepts a single (x, y) pair or an (..., 2) array and returns the same
     shape. Returns the principal-branch preimage (steps 2-4 of the module
     docstring), or undistort_numeric's where the closed form has no root
-    below r_b. Raises NoRealCandidate when pd lies outside the model's
-    invertible domain (see invertible_radius); for an array, the error names
-    the first such point in array order, as the pair call on that point would.
+    below r_b that re-distorts onto pd. Raises NoRealCandidate when pd lies
+    outside the model's invertible domain (see invertible_radius); for an
+    array, the error names the first such point in array order, as the pair
+    call on that point would.
     """
     if model.model_id == 0:
         return undistort_numeric(model, pd)
     pd = np.asarray(pd, dtype=float)
     if pd.shape != (2,):
-        return _invert_points(model, pd, _closed_form_ray, undistort_normalized)
-    xd, yd = float(pd[0]), float(pd[1])
+        return _invert_points(model, pd, _closed_form_ray, _closed_pair)
+    return np.array(_closed_pair(model, *pd.tolist()))
+
+
+def _closed_pair(model: DistortionModel, xd: float, yd: float) -> tuple[float, float]:
+    """undistort_normalized for one point of models 1-9, in floats."""
     if xd == 0.0 and yd == 0.0:
-        return np.array([0.0, 0.0])
+        return 0.0, 0.0
     # Drive the reduction from the larger coordinate so |c| <= 1; this keeps
     # the slope factors bounded (t <= 2) and handles x_d = 0 exactly.
     swap = abs(xd) < abs(yd)
-    if swap:
-        xd, yd = yd, xd
-    c = yd / xd
-    sigma = 1 if xd > 0.0 else -1
-    aux = RadialAuxiliaries.from_slope(c, sigma)
+    x_d, y_d = (yd, xd) if swap else (xd, yd)
+    c = y_d / x_d
+    t = 1.0 + c * c
+    s = math.sqrt(t)
+    r_d = s * abs(x_d)
     r_b, f_max = invertible_radius(model)
-    if not aux.s * abs(xd) < f_max:
+    if not r_d < f_max:
         raise NoRealCandidate(
-            f"model {model.model_id} has no admissible preimage for ({xd!r}, {yd!r})"
+            f"model {model.model_id} has no admissible preimage for ({x_d!r}, {y_d!r})"
         )
-    x = _branch_candidate(model, xd, aux)
-    if x is None or aux.s * abs(x) >= r_b:
-        return undistort_numeric(model, pd)
-    y = c * x
-    if swap:
-        x, y = y, x
-    return np.array([x, y])
+    x = _branch_candidate(model, x_d, s, t, 1 if x_d > 0.0 else -1)
+    if x is not None and (r := s * abs(x)) < r_b:
+        F = r * _profile(model.model_id, model.coefficients, r)
+        if abs(F - r_d) <= _REDISTORT_TOL * max(1.0, r_d):
+            y = c * x
+            return (y, x) if swap else (x, y)
+    return _numeric_pair(model, xd, yd)
 
 
 def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
@@ -403,10 +426,14 @@ def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
     """
     pd = np.asarray(pd, dtype=float)
     if pd.shape != (2,):
-        return _invert_points(model, pd, _numeric_ray, undistort_numeric)
-    xd, yd = float(pd[0]), float(pd[1])
+        return _invert_points(model, pd, _numeric_ray, _numeric_pair)
+    return np.array(_numeric_pair(model, *pd.tolist()))
+
+
+def _numeric_pair(model: DistortionModel, xd: float, yd: float) -> tuple[float, float]:
+    """undistort_numeric for one point, in floats."""
     if xd == 0.0 and yd == 0.0:
-        return np.array([0.0, 0.0])
+        return 0.0, 0.0
     swap = abs(xd) < abs(yd)
     if swap:
         xd, yd = yd, xd
@@ -427,16 +454,22 @@ def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
         lo, hi = (x, hi) if fx < 0.0 else (x, x) if fx == 0.0 else (lo, x)
     x = math.copysign(x, xd)
     y = c * x
-    if swap:
-        x, y = y, x
-    return np.array([x, y])
+    return (y, x) if swap else (x, y)
 
 
 def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     """Inverse of distort_pixel: undistort in the normalized frame.
 
-    Accepts a single (u, v) pair or an (..., 2) array; an array is inverted
-    in one vectorised pass and raises, like undistort_normalized, for its
-    first point without a preimage.
+    Accepts a single (u, v) pair or an (..., 2) array. A pair stays in
+    Python floats from pixel to pixel and builds only its result array. An
+    array is inverted in one vectorised pass and raises, like
+    undistort_normalized, for its first point without a preimage. Both give
+    the same bits, except that the array radicals of the cubic models 2, 3
+    and 9 can differ from the pair's in the last ulp.
     """
-    return denormalize(A, undistort_normalized(model, normalize(A, pd)))
+    pd = np.asarray(pd, dtype=float)
+    if pd.shape != (2,):
+        return denormalize(A, undistort_normalized(model, normalize(A, pd)))
+    pair = _numeric_pair if model.model_id == 0 else _closed_pair
+    x, y = pair(model, *_normalize_pair(A, *pd.tolist()))
+    return np.array(_denormalize_pair(A, x, y))

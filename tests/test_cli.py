@@ -201,6 +201,47 @@ class TestUndistortPoints:
         assert "<stdin>:2: not a decimal number" in res.stderr
 
 
+    def test_stdin_layout_and_output_bytes(self, tmp_path):
+        # Comments, blank lines, tabs, trailing spaces, CRLF line ends and
+        # digit separators parse as float() reads them, and stdout is the
+        # repr of each coordinate of the array result.
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        model = rc.DistortionModel(model_id=3, coefficients=(-0.0215, -0.1566))
+        text = "# u v\r\n400.5\t300.25  \r\n\r\n \t\n1_0 2_0.5\n  # 1 2\n-3e2 +7\n320 240"
+        want = rc.undistort_pixel(
+            DEFAULT_CAMERA, model,
+            np.array([[400.5, 300.25], [10.0, 20.5], [-300.0, 7.0], [320.0, 240.0]]),
+        )
+        res = subprocess.run(
+            [sys.executable, "-m", "radialcal", "undistort-points", "--model", "3",
+             "--coeffs=-0.0215,-0.1566", "--intrinsics", str(cam)],
+            input=text.encode(), capture_output=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist()).encode()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n3 x\n4 5 6\n", "<stdin>:2: not a decimal number"),
+            ("1 2\n4 5 6\n3 x\n", "<stdin>:2: expected 2 values, got 3"),
+            ("# 1\n\n1 2\n\n3 4\n5e 6\n7\n", "<stdin>:6: not a decimal number"),
+            ("1 2\n3 4\n# x y z\n5\n", "<stdin>:4: expected 2 values, got 1"),
+        ],
+    )
+    def test_parse_error_names_the_first_bad_line(self, tmp_path, text, message):
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        res = run_cli(
+            "undistort-points", "--model", "2", "--coeffs", "-0.1",
+            "--intrinsics", str(cam), stdin=text,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+
 class TestRoundtripCheck:
     def test_passes_at_default_tolerance(self):
         res = run_cli("roundtrip-check", "--samples", "200")

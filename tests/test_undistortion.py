@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -408,14 +409,55 @@ class TestDomain:
     def test_tiny_cubic_coefficient_falls_back_to_bisection(self):
         # The pair route's radicals lose the near root to cancellation and
         # return one past the fold at r ~ 8.66; the point is inside the
-        # domain, so the closed form hands it to the numeric route.
+        # domain, so the closed form hands it to the numeric route. The
+        # array route's radicals keep the near root, but only to about 5e-9
+        # in re-distortion, so it goes to the numeric route as well.
         model = rc.DistortionModel(3, (-0.05776733531954746, 3.6168310094323756e-10))
         pd = np.array([0.29116849025818486, 0.17380345475260983])
-        q = rc.undistort_normalized(model, pd)
-        assert np.max(np.abs(rc.distort_normalized(model, q) - pd)) < 1e-15
-        # The array route's radicals keep the near root, to a few digits less.
-        for q in (q, rc.undistort_normalized(model, pd[None])[0]):
+        for q in (rc.undistort_normalized(model, pd), rc.undistort_normalized(model, pd[None])[0]):
+            assert np.max(np.abs(rc.distort_normalized(model, q) - pd)) < 1e-15
             assert np.max(np.abs(q - [0.29711, 0.17735])) < 1e-5
+
+    @pytest.mark.parametrize(
+        "mid, k, pd, want",
+        [
+            # A dropped leading coefficient whose term dominates at the root:
+            # the closed form returned (2.6e9, 5.2e10), 2.6e9 off on
+            # re-distortion.
+            (
+                9,
+                (6.126422211958294e-13, 0.740653974718362, -1.781826961915024e-12),
+                (0.07679507411049581, 1.5431088405697755),
+                (24125.063916967414, 484765.4597743959),
+            ),
+            # The closed form returned (100000.0000005, 0).
+            (7, (0.99999, 1e-13), (1.0, 0.0), (100100.20050144196, 0.0)),
+            # Radicals cancelling at a tiny cubic coefficient: 4.7e-5 off.
+            (
+                3,
+                (0.6155545126300497, 1.0733702268592722e-12),
+                (-0.483522230816755, 1.7578048443439231),
+                (-0.28928910810027897, 1.0516864855947432),
+            ),
+            # The image of (-1.2846, -1.3638): 1.3e-5 off.
+            (
+                9,
+                (-2.02e-8, 0.0709, -0.307),
+                (-23.263904011494695, -24.69820355820992),
+                (-1.2846, -1.3638),
+            ),
+        ],
+    )
+    def test_closed_root_off_the_point_goes_numeric(self, mid, k, pd, want):
+        # A closed-form root is kept only when it re-distorts onto the point
+        # within 1e-12 max(1, r_d); otherwise the point is solved by
+        # bisection, on the pair and the array route alike.
+        model = rc.DistortionModel(mid, k)
+        pd = np.array(pd)
+        numeric = rc.undistort_numeric(model, pd)
+        assert np.allclose(numeric, want, rtol=1e-12, atol=0.0)
+        for q in (rc.undistort_normalized(model, pd), rc.undistort_normalized(model, pd[None])[0]):
+            assert np.array_equal(q, numeric)
 
     def test_preimage_past_radius_two(self):
         # D(r) = 1 - 0.4 r has its pole at r = 2.5, so F rises without bound
@@ -500,6 +542,63 @@ class TestUndistortPixel:
                 pd = rc.distort_pixel(A, model, p)
                 back = rc.undistort_pixel(A, model, pd)
                 assert np.max(np.abs(back - p)) < 1e-8
+
+
+class TestPairRoute:
+    # A pair stays in Python floats from pixel to pixel and runs an array
+    # row's operations in the same order, so it gives the row's bits where
+    # both routes compute the same way.
+
+    def test_pair_matches_array_rows(self):
+        rng = np.random.default_rng(197)
+        for session in rc.reference_sessions():
+            rows = {row.model_id: row for row in rc.reference_report(session).rows}
+            for mid in range(10):
+                A = rows[mid].intrinsics
+                model = rc.DistortionModel(mid, rc.reference_coefficients(session, mid))
+                n = batch_with_special_rows(rng, model, 60)
+                pixels = rc.denormalize(A, n)
+                distorted = rc.distort_pixel(A, model, pixels)
+                # A pair's radius is math.hypot, an array's np.hypot; they
+                # differ in the last ulp for a few points. The cubic models'
+                # array radicals differ from cmath in the last ulp (see
+                # BIT_EXACT).
+                m = rc.normalize(A, pixels)
+                hypot_equal = np.array([math.hypot(*x) for x in m]) == np.hypot(*m.T)
+                for fn, batch, exact in (
+                    (lambda x: rc.normalize(A, x), distorted, True),
+                    (lambda x: rc.denormalize(A, x), n, True),
+                    (lambda x: rc.distort_pixel(A, model, x), pixels, hypot_equal),
+                    (lambda x: rc.undistort_pixel(A, model, x), distorted, mid in BIT_EXACT),
+                ):
+                    got = np.array([fn(x) for x in batch])
+                    want = fn(batch)
+                    exact = np.broadcast_to(exact, len(batch))
+                    assert np.array_equal(got[exact], want[exact]), (session, mid)
+                    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, (session, mid)
+
+    def test_sequence_and_integer_pairs_give_float_arrays(self):
+        A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+        # F rises without a fold for both models, so (1, 0) inverts.
+        for model in (rc.DistortionModel(0, (-0.05, 0.01)), rc.DistortionModel(3, (0.05, 0.02))):
+            calls = (
+                lambda p: rc.normalize(A, p),
+                lambda p: rc.denormalize(A, p),
+                lambda p: rc.distort_pixel(A, model, p),
+                lambda p: rc.undistort_pixel(A, model, p),
+                lambda p: rc.distort_normalized(model, p),
+                lambda p: rc.undistort_normalized(model, p),
+                lambda p: rc.undistort_numeric(model, p),
+            )
+            for fn in calls:
+                want = fn(np.array([0.25, -0.5]))
+                for pair in ([0.25, -0.5], (0.25, -0.5)):
+                    got = fn(pair)
+                    assert got.dtype == np.float64 and got.shape == (2,)
+                    assert np.array_equal(got, want)
+                got = fn((1, 0))
+                assert got.dtype == np.float64 and got.shape == (2,)
+                assert np.array_equal(got, fn(np.array([1.0, 0.0])))
 
 
 def batch_with_special_rows(rng, model, n):
