@@ -136,36 +136,22 @@ def _cmd_fit_distortion(args: argparse.Namespace) -> int:
 def _cmd_undistort_points(args: argparse.Namespace) -> int:
     A = load_intrinsics(args.intrinsics)
     model = _make_model(args.model, args.coeffs)
-    tokens: list[str] = []
-    linenos: list[int] = []
+    points = []
     for lineno, raw in enumerate(sys.stdin, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        text = raw.strip()
+        if not text or text.startswith("#"):
             continue
+        parts = text.split()
         if len(parts) != 2:
-            _parse_numbers(tokens, linenos)  # an earlier bad number comes first
             raise ParseError("<stdin>", lineno, f"expected 2 values, got {len(parts)}")
-        tokens += parts
-        linenos.append(lineno)
+        try:
+            points.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ParseError("<stdin>", lineno, "not a decimal number") from None
     # Every line parses before any point is inverted, in one array call.
-    points = np.array(_parse_numbers(tokens, linenos)).reshape(-1, 2)
-    undistorted = undistort_pixel(A, model, points)
+    undistorted = undistort_pixel(A, model, np.array(points).reshape(-1, 2))
     sys.stdout.write("".join(map("{!r} {!r}\n".format, *undistorted.T.tolist())))
     return 0
-
-
-def _parse_numbers(tokens: list[str], linenos: list[int]) -> list[float]:
-    """The tokens as floats; ParseError names the line of the first bad one,
-    where linenos holds the line of each pair of tokens."""
-    try:
-        return list(map(float, tokens))
-    except ValueError:
-        for i, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError:
-                raise ParseError("<stdin>", linenos[i // 2], "not a decimal number") from None
-        raise
 
 
 # Canned camera poses for the generator: modest tilts, target comfortably in

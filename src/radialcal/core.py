@@ -152,13 +152,9 @@ def rotation_from_matrix(R: Mat) -> Vec:
 def normalize(A: IntrinsicParams, p: Vec) -> Vec:
     """Map pixel coordinates to normalized coordinates by applying A^-1.
 
-    Accepts a single (u, v) pair or an (..., 2) array. A pair is mapped in
-    Python floats, with the same operations in the same order as an array
-    row, so both give the same bits.
+    Accepts a single (u, v) pair or an (..., 2) array.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape == (2,):
-        return np.array(_normalize_pair(A, *p.tolist()))
     u = p[..., 0]
     v = p[..., 1]
     y = (v - A.v0) / A.beta
@@ -167,14 +163,8 @@ def normalize(A: IntrinsicParams, p: Vec) -> Vec:
 
 
 def denormalize(A: IntrinsicParams, n: Vec) -> Vec:
-    """Map normalized coordinates to pixel coordinates by applying A.
-
-    Accepts a single (x, y) pair, mapped in Python floats as normalize maps
-    one, or an (..., 2) array.
-    """
+    """Map normalized coordinates to pixel coordinates by applying A."""
     n = np.asarray(n, dtype=float)
-    if n.shape == (2,):
-        return np.array(_denormalize_pair(A, *n.tolist()))
     x = n[..., 0]
     y = n[..., 1]
     u = A.alpha * x + A.gamma * y + A.u0
@@ -183,7 +173,8 @@ def denormalize(A: IntrinsicParams, n: Vec) -> Vec:
 
 
 def _normalize_pair(A: IntrinsicParams, u: float, v: float) -> tuple[float, float]:
-    """normalize for one pixel given as floats."""
+    """normalize for one pixel given as floats, with an array row's
+    operations in the same order, so both give the same bits."""
     y = (v - A.v0) / A.beta
     return (u - A.u0 - A.gamma * y) / A.alpha, y
 

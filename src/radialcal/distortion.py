@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .core import IntrinsicParams, Vec, _denormalize_pair, _normalize_pair, denormalize, normalize
+from .core import IntrinsicParams, Vec, denormalize, normalize
 from .errors import SingularProfile, UnknownModel
 
 MODEL_IDS = tuple(range(10))
@@ -210,17 +210,13 @@ def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     mid, k = model.model_id, model.coefficients
     p = np.asarray(p, dtype=float)
     if p.shape == (2,):
-        return np.array(_distort_pair(model, *p.tolist()))
+        x, y = float(p[0]), float(p[1])
+        r = math.hypot(x, y)
+        f = _checked(mid, r, _profile(mid, k, r))
+        return np.array([x * f, y * f])
     r = np.hypot(p[..., 0], p[..., 1])
     f = _checked(mid, r, _profile(mid, k, r))
     return p * f[..., None]
-
-
-def _distort_pair(model: DistortionModel, x: float, y: float) -> tuple[float, float]:
-    """distort_normalized for one point given as floats."""
-    r = math.hypot(x, y)
-    f = _checked(model.model_id, r, _profile(model.model_id, model.coefficients, r))
-    return x * f, y * f
 
 
 @functools.lru_cache(maxsize=256)
@@ -248,13 +244,5 @@ def distort_pixel(A: IntrinsicParams, model: DistortionModel, p: Vec) -> Vec:
     The distorted pixel is A applied to the distorted normalized point, which
     coincides with distorting in the pixel frame directly: both orderings
     describe the same map because A is shared by (x, y) and (x_d, y_d).
-    Accepts a single (u, v) pair, which stays in Python floats from pixel to
-    pixel, or an (..., 2) array. A pair takes its radius from math.hypot and
-    an array from np.hypot, which can differ in the last ulp; otherwise both
-    run the same operations in the same order.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape == (2,):
-        x, y = _distort_pair(model, *_normalize_pair(A, *p.tolist()))
-        return np.array(_denormalize_pair(A, x, y))
     return denormalize(A, distort_normalized(model, normalize(A, p)))

@@ -465,7 +465,10 @@ def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     array is inverted in one vectorised pass and raises, like
     undistort_normalized, for its first point without a preimage. Both give
     the same bits, except that the array radicals of the cubic models 2, 3
-    and 9 can differ from the pair's in the last ulp.
+    and 9 can differ from the pair's in the last ulp. When a cubic
+    coefficient is tiny, one route can keep its radical root where the
+    other falls back to bisection; the two then agree only to within the
+    re-distortion bound, not to a few ulp.
     """
     pd = np.asarray(pd, dtype=float)
     if pd.shape != (2,):

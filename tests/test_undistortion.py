@@ -545,9 +545,10 @@ class TestUndistortPixel:
 
 
 class TestPairRoute:
-    # A pair stays in Python floats from pixel to pixel and runs an array
-    # row's operations in the same order, so it gives the row's bits where
-    # both routes compute the same way.
+    # undistort_pixel keeps a pair in Python floats from pixel to pixel,
+    # with an array row's operations in the same order; normalize,
+    # denormalize and distort_pixel run a pair through the array code. A
+    # pair gives the row's bits wherever both routes compute the same way.
 
     def test_pair_matches_array_rows(self):
         rng = np.random.default_rng(197)
