@@ -582,7 +582,9 @@ def refine(
 
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
-    numerically zero gradient, or the iteration/evaluation caps. The caps
+    numerically zero gradient or no lower J where the iteration's first
+    trial predicted a decrease below eps J (both stationary: J is at the
+    optimum to double resolution), or the iteration/evaluation caps. The caps
     and line_search_failure (no damped step lowered J before lambda passed
     its limit) report converged=False carrying the best point reached; the
     accepted-step objective sequence (objective_trace) is decreasing by
@@ -631,8 +633,11 @@ def refine(
         scale = np.diag(N).copy()
         scale[scale <= 0.0] = 1.0
         accepted = False
+        first_predicted = math.inf  # the decrease the first trial predicts
         while lam <= _DAMPING_LIMIT and evals < opts.max_function_evaluations:
             step = np.linalg.solve(N + np.diag(lam * scale), -b)
+            if first_predicted == math.inf:
+                first_predicted = float(step @ (lam * scale * step - b))
             trial = theta + step
             # A far trial may overflow; it reads inf and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -645,11 +650,14 @@ def refine(
             lam *= nu
             nu *= 2.0
         if not accepted:
-            status = (
-                "max_function_evaluations"
-                if evals >= opts.max_function_evaluations
-                else "line_search_failure"
-            )
+            if evals >= opts.max_function_evaluations:
+                status = "max_function_evaluations"
+            elif first_predicted < np.finfo(float).eps * J:
+                # The first trial promised less than J's last bit: J is at
+                # the optimum to double resolution, not stuck on a bad residual.
+                status, converged = "stationary", True
+            else:
+                status = "line_search_failure"
             break
         predicted = float(step @ (lam * scale * step - b))
         rho = min(1.0, (J - J_new) / predicted) if predicted > 0.0 else 1.0

@@ -4,12 +4,14 @@ Subcommands: calibrate, compare, fit-distortion, undistort-points, synth,
 roundtrip-check. Reports go to standard output as complete TSV tables;
 diagnostics go to the error stream. Exit status 0 on success, 1 on domain
 errors (unreadable data, degenerate geometry, tolerance violations), 2 on
-usage errors.
+usage errors. main parses with one parser built once per process, so an
+in-process caller pays for the argparse tree only on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -136,21 +138,22 @@ def _cmd_fit_distortion(args: argparse.Namespace) -> int:
 def _cmd_undistort_points(args: argparse.Namespace) -> int:
     A = load_intrinsics(args.intrinsics)
     model = _make_model(args.model, args.coeffs)
-    points = []
+    flat: list[float] = []
     for lineno, raw in enumerate(sys.stdin, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
+        # split() drops the whitespace strip() would, so the first field
+        # starts with '#' exactly when the stripped line does.
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = text.split()
         if len(parts) != 2:
             raise ParseError("<stdin>", lineno, f"expected 2 values, got {len(parts)}")
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            flat += (float(parts[0]), float(parts[1]))
         except ValueError:
             raise ParseError("<stdin>", lineno, "not a decimal number") from None
     # Every line parses before any point is inverted, in one array call.
-    undistorted = undistort_pixel(A, model, np.array(points).reshape(-1, 2))
-    sys.stdout.write("".join(map("{!r} {!r}\n".format, *undistorted.T.tolist())))
+    undistorted = undistort_pixel(A, model, np.array(flat).reshape(-1, 2))
+    sys.stdout.write(("%r %r\n" * len(undistorted)) % tuple(undistorted.ravel().tolist()))
     return 0
 
 
@@ -310,6 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every main call; build_parser still returns a new one.
+_parser = functools.cache(build_parser)
+
+
 def _attach_coeffs(argv: list[str]) -> list[str]:
     """Rewrite "--coeffs -0.1,-0.2" as "--coeffs=-0.1,-0.2".
 
@@ -330,8 +337,7 @@ def _attach_coeffs(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_coeffs(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_attach_coeffs(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except _UsageError as exc:

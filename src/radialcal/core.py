@@ -42,6 +42,10 @@ class IntrinsicParams:
     v0: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(
+                f"intrinsics must be finite, got (alpha, gamma, u0, beta, v0) = {self.as_tuple()}"
+            )
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(
                 f"focal scales must be positive, got alpha={self.alpha}, beta={self.beta}"

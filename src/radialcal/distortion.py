@@ -74,6 +74,8 @@ class DistortionModel:
             raise ValueError(
                 f"model {self.model_id} takes {arity} coefficient(s), got {len(coeffs)}"
             )
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"model {self.model_id} coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coefficients", coeffs)
 
 
@@ -209,11 +211,6 @@ def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     """
     mid, k = model.model_id, model.coefficients
     p = np.asarray(p, dtype=float)
-    if p.shape == (2,):
-        x, y = float(p[0]), float(p[1])
-        r = math.hypot(x, y)
-        f = _checked(mid, r, _profile(mid, k, r))
-        return np.array([x * f, y * f])
     r = np.hypot(p[..., 0], p[..., 1])
     f = _checked(mid, r, _profile(mid, k, r))
     return p * f[..., None]

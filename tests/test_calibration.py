@@ -403,6 +403,25 @@ class TestRefine:
         assert res.iterations == 0
         assert res.objective_trace == (J0,)
 
+    def test_resolution_limited_stop_is_stationary(self, noisy3):
+        # With both tolerances below double resolution the fit runs until no
+        # damped step lowers J, where the first trial predicts a decrease
+        # below eps J: the optimum, not a failed search.
+        data, _ = noisy3
+        tight = rc.OptimizerOptions(step_tolerance=1e-15, objective_tolerance=1e-15)
+        res = rc.calibrate(data, 3, tight)
+        assert res.status == "stationary"
+        assert res.converged
+        assert res.objective_trace[-1] == res.objective
+        assert res.objective <= rc.calibrate(data, 3).objective
+        # The evaluation cap keeps priority when it is reached on that stop.
+        capped = rc.calibrate(
+            data, 3, replace(tight, max_function_evaluations=res.evaluations)
+        )
+        assert capped.status == "max_function_evaluations"
+        assert not capped.converged
+        assert capped.objective == res.objective
+
     def test_step_across_pole_is_rejected(self, trend):
         # Model 4 is 1 / (1 + k r). From k = 2.5 the undamped step lands at
         # k < 0 with 1 + k r < 0 for some point, where J is not finite; the

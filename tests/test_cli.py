@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import radialcal as rc
+from radialcal import cli
 
 DEFAULT_CAMERA = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
 
@@ -221,6 +223,23 @@ class TestUndistortPoints:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist()).encode()
 
+    def test_formfeed_and_nbsp_separate_fields(self, tmp_path):
+        # Form feeds and no-break spaces are whitespace to str.split as to
+        # str.strip, so they separate fields and blank out lines.
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        text = "\x0c# u v\n400.5\xa0300.25\x0c\n\xa0\x0c\n\xa0320\x0c240\n"
+        res = run_cli(
+            "undistort-points", "--model", "2", "--coeffs=-0.19",
+            "--intrinsics", str(cam), stdin=text,
+        )
+        assert res.returncode == 0, res.stderr
+        want = rc.undistort_pixel(
+            DEFAULT_CAMERA, rc.DistortionModel(2, (-0.19,)),
+            np.array([[400.5, 300.25], [320.0, 240.0]]),
+        )
+        assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist())
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -291,6 +310,29 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "usage error" in res.stderr
 
+    def test_nonfinite_coefficient_is_usage_error(self, tmp_path):
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        for coeffs in ("inf", "nan"):
+            res = run_cli(
+                "undistort-points", "--model", "2", f"--coeffs={coeffs}",
+                "--intrinsics", str(cam), stdin="400.5 300.25\n",
+            )
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert "usage error" in res.stderr and "must be finite" in res.stderr
+
+    def test_nonfinite_intrinsics_file_is_domain_error(self, tmp_path):
+        cam = tmp_path / "cam.txt"
+        cam.write_text("800 0 nan 800 240\n", encoding="utf-8")
+        res = run_cli(
+            "undistort-points", "--model", "2", "--coeffs=-0.19",
+            "--intrinsics", str(cam), stdin="400.5 300.25\n",
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "must be finite" in res.stderr
+
     def test_missing_dataset_is_domain_error(self):
         res = run_cli("calibrate", "--data", "/no/such/dir", "--model", "1")
         assert res.returncode == 1
@@ -302,3 +344,56 @@ class TestExitCodes:
             "calibrate", "--data", str(synth_dir), "--model", "1", "--max-iter", "0"
         )
         assert res.returncode == 2
+
+
+class TestInProcess:
+    """Consecutive cli.main calls in one process share one parser."""
+
+    @staticmethod
+    def main(capsys, monkeypatch, *args, stdin=""):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        return cli.main(list(args)), capsys.readouterr().out
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_consecutive_undistort_points_calls(self, tmp_path, capsys, monkeypatch):
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        stdin = "# u v\n400.5 300.25\n\n100 50\n320 240\n"
+        for argv in (
+            ("undistort-points", "--model", "3", "--coeffs=-0.0215,-0.1566",
+             "--intrinsics", str(cam)),
+            ("undistort-points", "--model", "0", "--coeffs", "-0.05,0.01",
+             "--intrinsics", str(cam)),
+        ):
+            code, out = self.main(capsys, monkeypatch, *argv, stdin=stdin)
+            res = run_cli(*argv, stdin=stdin)
+            assert code == res.returncode == 0
+            assert out == res.stdout
+            assert len(out.splitlines()) == 3
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys, monkeypatch):
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        with pytest.raises(SystemExit) as exc:
+            self.main(capsys, monkeypatch, "undistort-points", "--model", "12",
+                      "--coeffs", "0.1", "--intrinsics", str(cam))
+        assert exc.value.code == 2
+        argv = ("undistort-points", "--model", "2", "--coeffs=-0.19",
+                "--intrinsics", str(cam))
+        code, out = self.main(capsys, monkeypatch, *argv, stdin="400.5 300.25\n")
+        res = run_cli(*argv, stdin="400.5 300.25\n")
+        assert code == res.returncode == 0
+        assert out == res.stdout != ""
+
+    def test_compare_default_models_after_a_model_list(self, synth_dir, capsys, monkeypatch):
+        for argv, models in (
+            (("compare", "--data", str(synth_dir), "--models", "0,3"), [0, 3]),
+            (("compare", "--data", str(synth_dir)), list(range(10))),
+        ):
+            code, out = self.main(capsys, monkeypatch, *argv)
+            res = run_cli(*argv)
+            assert code == res.returncode == 0
+            assert out == res.stdout
+            assert sorted(int(row[0]) for row in parse_table(out)) == models

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ class TestIntrinsicParams:
             rc.IntrinsicParams(alpha=0.0, gamma=0.0, u0=0.0, beta=1.0, v0=0.0)
         with pytest.raises(ValueError):
             rc.IntrinsicParams(alpha=1.0, gamma=0.0, u0=0.0, beta=-2.0, v0=0.0)
+
+    def test_rejects_nonfinite_fields(self):
+        good = dict(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+        for field in good:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="must be finite"):
+                    rc.IntrinsicParams(**{**good, field: bad})
 
     def test_matrix_layout(self):
         A = rc.IntrinsicParams(alpha=2.0, gamma=5.0, u0=10.0, beta=3.0, v0=20.0)

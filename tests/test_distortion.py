@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ class TestProfile:
             rc.DistortionModel(model_id=3, coefficients=(0.1,))
         with pytest.raises(ValueError):
             rc.DistortionModel(model_id=8, coefficients=(0.1, 0.2))
+
+    def test_nonfinite_coefficients_rejected(self):
+        for mid, arity in ARITY.items():
+            for i in range(arity):
+                for bad in (math.inf, -math.inf, math.nan):
+                    k = [0.1] * arity
+                    k[i] = bad
+                    with pytest.raises(ValueError, match="must be finite"):
+                        rc.DistortionModel(model_id=mid, coefficients=tuple(k))
 
     def test_profile_is_one_at_zero(self):
         rng = np.random.default_rng(41)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -560,16 +559,12 @@ class TestPairRoute:
                 n = batch_with_special_rows(rng, model, 60)
                 pixels = rc.denormalize(A, n)
                 distorted = rc.distort_pixel(A, model, pixels)
-                # A pair's radius is math.hypot, an array's np.hypot; they
-                # differ in the last ulp for a few points. The cubic models'
-                # array radicals differ from cmath in the last ulp (see
-                # BIT_EXACT).
-                m = rc.normalize(A, pixels)
-                hypot_equal = np.array([math.hypot(*x) for x in m]) == np.hypot(*m.T)
+                # The cubic models' array radicals differ from cmath in the
+                # last ulp (see BIT_EXACT).
                 for fn, batch, exact in (
                     (lambda x: rc.normalize(A, x), distorted, True),
                     (lambda x: rc.denormalize(A, x), n, True),
-                    (lambda x: rc.distort_pixel(A, model, x), pixels, hypot_equal),
+                    (lambda x: rc.distort_pixel(A, model, x), pixels, True),
                     (lambda x: rc.undistort_pixel(A, model, x), distorted, mid in BIT_EXACT),
                 ):
                     got = np.array([fn(x) for x in batch])
