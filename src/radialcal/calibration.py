@@ -59,6 +59,8 @@ class CalibrationDataset:
         pts = np.asarray(self.model_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("model_points must be an (n, 2) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("model_points must be finite")
         obs = tuple(np.asarray(o, dtype=float) for o in self.observations)
         if not obs:
             raise ValueError("dataset needs at least one view")
@@ -67,6 +69,8 @@ class CalibrationDataset:
                 raise ValueError(
                     f"view {i} has shape {o.shape}, expected {pts.shape}"
                 )
+            if not np.isfinite(o).all():
+                raise ValueError(f"view {i} observations must be finite")
         object.__setattr__(self, "model_points", pts)
         object.__setattr__(self, "observations", obs)
 

@@ -30,6 +30,7 @@ from .calibration import (
 from .core import Extrinsics, IntrinsicParams
 from .dataio import (
     SynthSpec,
+    _parse_rows,
     generate_synthetic,
     load_dataset,
     load_intrinsics,
@@ -44,7 +45,7 @@ from .distortion import (
     coefficient_arity,
     distort_normalized,
 )
-from .errors import ParseError, RadialCalError
+from .errors import RadialCalError
 from .reference import reference_coefficients, reference_sessions
 from .undistortion import undistort_normalized, undistort_pixel
 
@@ -138,21 +139,8 @@ def _cmd_fit_distortion(args: argparse.Namespace) -> int:
 def _cmd_undistort_points(args: argparse.Namespace) -> int:
     A = load_intrinsics(args.intrinsics)
     model = _make_model(args.model, args.coeffs)
-    flat: list[float] = []
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        # split() drops the whitespace strip() would, so the first field
-        # starts with '#' exactly when the stripped line does.
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != 2:
-            raise ParseError("<stdin>", lineno, f"expected 2 values, got {len(parts)}")
-        try:
-            flat += (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ParseError("<stdin>", lineno, "not a decimal number") from None
     # Every line parses before any point is inverted, in one array call.
-    undistorted = undistort_pixel(A, model, np.array(flat).reshape(-1, 2))
+    undistorted = undistort_pixel(A, model, _parse_rows(sys.stdin, 2, "<stdin>"))
     sys.stdout.write(("%r %r\n" * len(undistorted)) % tuple(undistorted.ravel().tolist()))
     return 0
 
@@ -214,6 +202,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_roundtrip_check(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+    if not 0.0 < args.radius < np.inf:
+        raise _UsageError(f"--radius must be finite and positive, got {args.radius}")
+    if not 0.0 <= args.tol < np.inf:
+        raise _UsageError(f"--tol must be finite and nonnegative, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     lines = ["model\tmax_error"]
     failed = False

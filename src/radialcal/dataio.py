@@ -23,25 +23,31 @@ from .errors import CountMismatch, NonPositiveDepth, ParseError
 REPORT_HEADER = "model\tJ\trank\tk1\tk2\tk3\talpha\tgamma\tu0\tbeta\tv0"
 
 
+def _parse_rows(lines, width: int, name: str) -> Mat:
+    """The rows of width numbers in lines of point text, as an (n, width)
+    array; n may be 0. ParseError names name and the line number."""
+    flat: list[float] = []
+    for lineno, raw in enumerate(lines, start=1):
+        # split() drops the whitespace strip() would, so the first field
+        # starts with '#' exactly when the stripped line does.
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) != width:
+            raise ParseError(name, lineno, f"expected {width} values, got {len(parts)}")
+        try:
+            flat += map(float, parts)
+        except ValueError:
+            raise ParseError(name, lineno, "not a decimal number") from None
+    return np.array(flat).reshape(-1, width)
+
+
 def _read_rows(path: Path, width: int, label: str) -> Mat:
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != width:
-                raise ParseError(
-                    str(path), lineno, f"expected {width} values, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(str(path), lineno, "not a decimal number") from None
-    if not rows:
+        rows = _parse_rows(fh, width, str(path))
+    if not len(rows):
         raise ParseError(str(path), 0, f"no {label} lines found")
-    return np.asarray(rows, dtype=float)
+    return rows
 
 
 def load_dataset(path) -> CalibrationDataset:
@@ -90,8 +96,7 @@ def load_intrinsics(path) -> IntrinsicParams:
 
 
 def write_intrinsics(path, A: IntrinsicParams) -> None:
-    values = (A.alpha, A.gamma, A.u0, A.beta, A.v0)
-    Path(path).write_text(" ".join(f"{v:.17g}" for v in values) + "\n", encoding="utf-8")
+    _write_rows(Path(path), [(A.alpha, A.gamma, A.u0, A.beta, A.v0)])
 
 
 def planar_grid(rows: int = 8, cols: int = 8, spacing: float = 1.0) -> Mat:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IntrinsicParams, Vec, _denormalize_pair, _normalize_pair, denormalize, normalize
-from .distortion import DistortionModel, RadialAuxiliaries, _profile, invertible_radius
+from .distortion import _TERMS, DistortionModel, RadialAuxiliaries, _profile, invertible_radius
 from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
@@ -175,9 +175,12 @@ def branch_reduce(
 ) -> tuple[float, ...]:
     """Polynomial whose admissible real roots are the inversion candidates.
 
-    Returns ascending coefficients (a0, a1, ...) of the polynomial in x
-    obtained by substituting r = aux.s * sigma * x into x_d = x f(r), for the
-    sign assumption sigma = aux.sigma. Model 0 has no such reduction.
+    Returns ascending coefficients (a0, a1, ...) of x N(r) - x_d D(r), with
+    f = N/D, after substituting r = aux.s * sigma * x for the sign assumption
+    sigma = aux.sigma. Models 5 and 7 were formerly returned negated: same
+    roots, and the same inversion bits unless model 7's a1 is exactly 0,
+    where the quadratic formula's branch on its sign can move a root by an
+    ulp. Model 0 (a quintic) raises UnsupportedModel.
     """
     return _branch_coefficients(
         model.model_id, model.coefficients, x_d, aux.s, aux.t, aux.sigma
@@ -185,27 +188,23 @@ def branch_reduce(
 
 
 def _branch_coefficients(mid: int, k: tuple[float, ...], x_d, s, t, sg) -> tuple:
-    """branch_reduce's table for floats, or for arrays holding one point per
-    entry (constant coefficients then stay floats)."""
-    if mid == 1:
-        return (-x_d, 1.0, k[0] * sg * s)
-    if mid == 2:
-        return (-x_d, 1.0, 0.0, k[0] * t)
-    if mid == 3:
-        return (-x_d, 1.0, k[0] * sg * s, k[1] * t)
-    if mid == 4:
-        return (-x_d, 1.0 - x_d * k[0] * sg * s)
-    if mid == 5:
-        return (x_d, -1.0, x_d * k[0] * t)
-    if mid == 6:
-        return (-x_d, 1.0, k[0] * sg * s - x_d * k[1] * t)
-    if mid == 7:
-        return (x_d, x_d * k[0] * sg * s - 1.0, x_d * k[1] * t)
-    if mid == 8:
-        return (-x_d, 1.0 - x_d * k[1] * sg * s, k[0] * sg * s - x_d * k[2] * t)
-    if mid == 9:
-        return (-x_d, 1.0 - x_d * k[1] * sg * s, -x_d * k[2] * t, k[0] * t)
-    raise UnsupportedModel(f"model {mid} has no polynomial branch reduction")
+    """branch_reduce's coefficients for floats, or for arrays holding one
+    point per entry (constant coefficients then stay floats). With
+    w = (1, sg s, t), N's term k r^p adds k w_p to x^(p+1) and D's term
+    subtracts x_d k w_p from x^p."""
+    num, den = _TERMS[mid]
+    if max(num + den) > 2:
+        raise UnsupportedModel(f"model {mid} has no polynomial branch reduction")
+    w, k, nx = (1.0, sg * s, t), iter(k), -x_d
+    a = [nx, 1.0, None, None]  # the constant 1s of D and N; None: no term yet
+    for p in num:
+        a[p + 1] = next(k) * w[p]
+    for p in den:
+        v = nx * next(k) * w[p]
+        a[p] = v if a[p] is None else a[p] + v
+    while a[-1] is None:
+        a.pop()
+    return tuple([0.0 if v is None else v for v in a])
 
 
 def _branch_candidate(

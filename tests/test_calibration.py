@@ -825,6 +825,18 @@ class TestTypes:
                 model_points=good, observations=(np.zeros((9, 2)), np.zeros((8, 2)))
             )
 
+    def test_dataset_rejects_non_finite_values(self):
+        good = rc.planar_grid(3, 3)
+        for bad in (np.nan, np.inf, float("1e400")):
+            obs = good * 10.0
+            obs[4, 1] = bad
+            with pytest.raises(ValueError, match="view 1 observations must be finite"):
+                rc.CalibrationDataset(model_points=good, observations=(good, obs))
+            pts = good.copy()
+            pts[0, 0] = bad
+            with pytest.raises(ValueError, match="model_points must be finite"):
+                rc.CalibrationDataset(model_points=pts, observations=(good,))
+
     def test_dataset_world_points(self):
         grid = rc.planar_grid(3, 2, 2.0)
         data = rc.CalibrationDataset(model_points=grid, observations=(np.zeros((6, 2)),))

@@ -282,6 +282,19 @@ class TestRoundtripCheck:
         ]
         assert len(data_lines) == 9
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--samples", "0"), ("--samples", "-1"), ("--radius", "0"), ("--radius", "-0.5"),
+         ("--radius", "nan"), ("--radius", "inf"), ("--tol", "nan"), ("--tol", "-0.5"),
+         ("--tol", "inf")],
+    )
+    def test_out_of_range_option_is_usage_error(self, option, value, capsys):
+        code = cli.main(["roundtrip-check", "--samples", "5", option, value])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {option} must be ")
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -332,6 +345,19 @@ class TestExitCodes:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and "must be finite" in res.stderr
+
+    def test_nonfinite_dataset_value_is_domain_error(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in synth_dir.glob("*.txt"):
+            (data / f.name).write_text(f.read_text())
+        lines = (data / "image002.txt").read_text().splitlines()
+        lines[3] = "nan 1"
+        (data / "image002.txt").write_text("\n".join(lines) + "\n")
+        res = run_cli("calibrate", "--data", str(data), "--model", "1")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: view 1 observations must be finite\n"
 
     def test_missing_dataset_is_domain_error(self):
         res = run_cli("calibrate", "--data", "/no/such/dir", "--model", "1")

@@ -200,6 +200,43 @@ class TestBranchReduce:
         for mid in (1, 5, 6, 7, 8):
             assert degree[mid] <= 2
 
+    def test_matches_the_hand_transcribed_table(self):
+        """Each model's polynomial, written out by hand from its profile,
+        equals branch_reduce's exactly, up to an overall sign."""
+
+        def table(mid, k, x_d, s, t, sg):
+            if mid == 1:
+                return (-x_d, 1.0, k[0] * sg * s)
+            if mid == 2:
+                return (-x_d, 1.0, 0.0, k[0] * t)
+            if mid == 3:
+                return (-x_d, 1.0, k[0] * sg * s, k[1] * t)
+            if mid == 4:
+                return (-x_d, 1.0 - x_d * k[0] * sg * s)
+            if mid == 5:
+                return (x_d, -1.0, x_d * k[0] * t)
+            if mid == 6:
+                return (-x_d, 1.0, k[0] * sg * s - x_d * k[1] * t)
+            if mid == 7:
+                return (x_d, x_d * k[0] * sg * s - 1.0, x_d * k[1] * t)
+            if mid == 8:
+                return (-x_d, 1.0 - x_d * k[1] * sg * s, k[0] * sg * s - x_d * k[2] * t)
+            return (-x_d, 1.0 - x_d * k[1] * sg * s, -x_d * k[2] * t, k[0] * t)
+
+        rng = np.random.default_rng(1009)
+        for mid, arity in ARITY.items():
+            for _ in range(300):
+                k = rng.uniform(-2.0, 2.0, arity)
+                k[rng.uniform(size=arity) < 0.3] = 0.0
+                model = rc.DistortionModel(model_id=mid, coefficients=tuple(k))
+                x_d = float(rng.uniform(-1.5, 1.5))
+                aux = rc.RadialAuxiliaries.from_slope(
+                    float(rng.uniform(-1.0, 1.0)), sigma=1 if rng.uniform() < 0.5 else -1
+                )
+                got = rc.branch_reduce(model, x_d, aux)
+                want = table(mid, model.coefficients, x_d, aux.s, aux.t, aux.sigma)
+                assert got in (want, tuple(-a for a in want)), (mid, k, x_d, aux)
+
     def test_model0_unsupported(self):
         model = rc.DistortionModel(model_id=0, coefficients=(-0.2, 0.1))
         aux = rc.RadialAuxiliaries.from_slope(0.0, sigma=1)
