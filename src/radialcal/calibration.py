@@ -358,10 +358,26 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     points keep theirs. With strict=True, for one row and one view, such a
     point raises NonPositiveDepth (naming the first point) or SingularProfile
     instead.
+
+    The camera-frame stage (rotation, R P + t, the depth test, x, y and r)
+    runs only for row 0 and for the rows whose pose block is not bit for bit
+    row 0's (0.0 and -0.0 differ); every other row takes row 0's x, y and r,
+    the values its own computation would give, so a row's values still never
+    depend on its batch. Most of _jacobian's probe rows move an intrinsic or
+    a coefficient and keep the pose, so they share the stage.
     """
     arity = coefficient_arity(model_id)
     head = params[:, : 5 + arity]
-    pose = params[:, 5 + arity :].reshape(len(params), -1, 6)
+    poses = params[:, 5 + arity :]
+    take = None
+    if len(params) > 1:
+        bits = poses.view(np.int64)
+        moved = (bits != bits[0]).any(axis=1)
+        moved[0] = True
+        if not moved.all():
+            take = np.where(moved, np.cumsum(moved) - 1, 0)
+            poses = poses[moved]
+    pose = poses.reshape(len(poses), -1, 6)
     # Intrinsics and coefficients broadcast over (B, V, P) as (B, 1, 1) columns.
     alpha, gamma, u0, beta, v0, *k = head.T[:, :, None, None]
     R = rotation_to_matrix(pose[..., :3])
@@ -380,6 +396,8 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     x = Pc[..., 0, :] / z
     y = Pc[..., 1, :] / z
     r = np.hypot(x, y)
+    if take is not None:
+        x, y, r = x[take], y[take], r[take]
     f = _profile(model_id, k, r)
     if strict:
         _checked(model_id, r, f)

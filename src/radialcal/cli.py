@@ -311,27 +311,40 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _attach_coeffs(argv: list[str]) -> list[str]:
-    """Rewrite "--coeffs -0.1,-0.2" as "--coeffs=-0.1,-0.2".
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--tol -1e-9" as "--tol=-1e-9", "--coeffs -0.1,-0.2" likewise.
 
-    argparse takes a separate value starting with '-' for an option unless
-    it reads as one negative number, which a comma-separated list does not.
-    Abbreviations of --coeffs ("--coef") are rewritten the same way and left
-    to argparse to resolve.
+    argparse takes a separate value starting with '-' for an option only when
+    it matches argparse's negative-number pattern, which neither an exponent
+    nor a comma-separated list does. A token that starts with '-' and reads as
+    a number, or as a comma list of numbers, is attached to the long option
+    before it; every long option but --help takes a value. Abbreviations
+    ("--coef") are attached the same way and left to argparse to resolve.
     """
     out: list[str] = []
     for tok in argv:
-        negative = len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789."
         prev = out[-1] if out else ""
-        if negative and len(prev) > 2 and "--coeffs".startswith(prev):
-            out[-1] = f"--coeffs={tok}"
+        takes_value = len(prev) > 2 and prev.startswith("--") and "=" not in prev
+        if takes_value and not "--help".startswith(prev) and _is_negative_number_list(tok):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
 
 
+def _is_negative_number_list(tok: str) -> bool:
+    if not tok.startswith("-"):
+        return False
+    try:
+        _parse_coeff_list(tok)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(_attach_coeffs(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except _UsageError as exc:

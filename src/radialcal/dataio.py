@@ -51,20 +51,27 @@ def _read_rows(path: Path, width: int, label: str) -> Mat:
 
 
 def load_dataset(path) -> CalibrationDataset:
-    """Read model.txt plus every image*.txt from a dataset directory."""
+    """Read model.txt plus every image*.txt from a dataset directory.
+
+    A file with a value that is not finite raises ValueError naming it.
+    """
     d = Path(path)
     model_file = d / "model.txt"
     if not model_file.is_file():
         raise FileNotFoundError(f"missing {model_file}")
     model_points = _read_rows(model_file, 2, "point")
+    if not np.isfinite(model_points).all():
+        raise ValueError(f"{model_file}: model_points must be finite")
     image_files = sorted(d.glob("image*.txt"))
     if not image_files:
         raise FileNotFoundError(f"no image*.txt files in {d}")
     observations = []
-    for f in image_files:
+    for i, f in enumerate(image_files):
         pts = _read_rows(f, 2, "point")
         if len(pts) != len(model_points):
             raise CountMismatch(str(f), len(model_points), len(pts))
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{f}: view {i} observations must be finite")
         observations.append(pts)
     return CalibrationDataset(
         model_points=model_points, observations=tuple(observations)

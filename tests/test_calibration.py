@@ -652,6 +652,60 @@ class TestObjectiveKernel:
             assert calib_mod._total(terms) == math.inf
         assert np.isinf(kernel([behind])).all()
 
+    def test_batch_rows_match_their_single_row_calls(self, trend):
+        # Rows whose pose block equals row 0's bit for bit share its camera
+        # frame inside _project. Each row is the base row with one group of
+        # entries moved (intrinsics, coefficients, one view's rotation or
+        # translation, nothing, a zero's sign, or a non-finite pose entry),
+        # drawn independently, so that row 0 is sometimes a moved row.
+        data, spec = trend
+        rng = np.random.default_rng(20240817)
+        planar = data.world_points
+        lifted = planar.copy()
+        lifted[:, 2] = rng.uniform(-0.5, 0.5, len(planar))
+        n_views = data.n_views
+
+        # Bit patterns, with every nan made the same nan.
+        bits = lambda x: np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+        for mid in range(10):
+            arity = rc.coefficient_arity(mid)
+            m = 5 + arity
+            k = tuple(rng.uniform(-0.05, 0.05, arity))
+            model = rc.DistortionModel(mid, k)
+            base = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+            zero = m + 2  # view 0's rotation z
+            base[zero] = 0.0
+            # The first three groups keep the base pose.
+            groups = [np.arange(5), np.arange(5, m), np.arange(0)]
+            groups += [m + 6 * v + np.arange(3) for v in range(n_views)]
+            groups += [m + 6 * v + 3 + np.arange(3) for v in range(n_views)]
+
+            def moved_row():
+                row = base.copy()
+                keep = rng.random() < 0.5
+                kind = rng.integers(3) if keep else rng.integers(3, len(groups) + 2)
+                if kind == len(groups):
+                    row[zero] = -0.0
+                elif kind > len(groups):
+                    bad = rng.choice([np.nan, np.inf, -np.inf])
+                    row[m + rng.integers(6 * n_views)] = bad
+                elif len(g := groups[kind]):
+                    # Some entries of the group, at least one.
+                    g = rng.choice(g, rng.integers(1, len(g) + 1), replace=False)
+                    row[g] += rng.normal(0.0, 1e-3, len(g)) * np.maximum(1.0, np.abs(row[g]))
+                return row
+
+            for pts3 in (planar, lifted):
+                for _ in range(4):
+                    rows = np.array([moved_row() for _ in range(8)])
+                    with np.errstate(all="ignore"):
+                        u, v = calib_mod._project(mid, rows, pts3)
+                        for i, row in enumerate(rows):
+                            u1, v1 = calib_mod._project(mid, row[None], pts3)
+                            assert np.array_equal(bits(u[i]), bits(u1[0])), (mid, i)
+                            assert np.array_equal(bits(v[i]), bits(v1[0])), (mid, i)
+
     def test_point_behind_camera_voids_only_its_view(self, trend):
         data, spec = trend
         pts3 = data.world_points

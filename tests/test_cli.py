@@ -74,6 +74,23 @@ class TestSynth:
         J = rc.compute_objective(DEFAULT_CAMERA, ext, model, data)
         assert J < 1e-20
 
+    @pytest.mark.parametrize(
+        "coeffs, want", [("-0.1,-0.2", [-0.1, -0.2]), ("-1e-3,-0.2", [-1e-3, -0.2])]
+    )
+    def test_negative_coefficient_list_as_separate_value(self, coeffs, want, tmp_path):
+        out = tmp_path / "d"
+        code = cli.main(["synth", "--out", str(out), "--model", "3", "--coeffs", coeffs])
+        assert code == 0
+        assert json.loads((out / "truth.json").read_text())["coefficients"] == want
+
+    def test_negative_sigma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = cli.main(["synth", "--out", str(out), "--model", "1", "--sigma", "-1e-3"])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == "usage error: sigma must be finite and >= 0\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_single_model_table(self, synth_dir):
@@ -286,7 +303,7 @@ class TestRoundtripCheck:
         "option, value",
         [("--samples", "0"), ("--samples", "-1"), ("--radius", "0"), ("--radius", "-0.5"),
          ("--radius", "nan"), ("--radius", "inf"), ("--tol", "nan"), ("--tol", "-0.5"),
-         ("--tol", "inf")],
+         ("--tol", "inf"), ("--tol", "-1e-9")],
     )
     def test_out_of_range_option_is_usage_error(self, option, value, capsys):
         code = cli.main(["roundtrip-check", "--samples", "5", option, value])
@@ -357,7 +374,7 @@ class TestExitCodes:
         res = run_cli("calibrate", "--data", str(data), "--model", "1")
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr == "error: view 1 observations must be finite\n"
+        assert res.stderr == f"error: {data / 'image002.txt'}: view 1 observations must be finite\n"
 
     def test_missing_dataset_is_domain_error(self):
         res = run_cli("calibrate", "--data", "/no/such/dir", "--model", "1")

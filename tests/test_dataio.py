@@ -64,6 +64,20 @@ class TestDatasetFiles:
         assert err.value.expected == 2
         assert err.value.got == 3
 
+    def test_non_finite_value_names_its_file(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "model.txt").write_text("0 0\n1 1\n")
+        (d / "image001.txt").write_text("0 0\n1 1\n")
+        (d / "image002.txt").write_text("0 0\n1e400 1\n")
+        with pytest.raises(ValueError) as err:
+            rc.load_dataset(d)
+        assert str(err.value) == f"{d / 'image002.txt'}: view 1 observations must be finite"
+        (d / "model.txt").write_text("0 nan\n1 1\n")
+        with pytest.raises(ValueError) as err:
+            rc.load_dataset(d)
+        assert str(err.value) == f"{d / 'model.txt'}: model_points must be finite"
+
     def test_missing_model_file(self, tmp_path):
         d = tmp_path / "d"
         d.mkdir()
