@@ -132,7 +132,7 @@ class OptimizerOptions:
             "max_iterations",
             "max_function_evaluations",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -335,16 +335,17 @@ def _pack(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
 
 
 def _unpack(theta: np.ndarray, model_id: int, n_views: int):
-    arity = coefficient_arity(model_id)
-    intr = tuple(float(v) for v in theta[:5])
-    k = tuple(float(v) for v in theta[5 : 5 + arity])
-    rotations = []
-    translations = []
-    base = 5 + arity
-    for i in range(n_views):
-        rotations.append(theta[base + 6 * i : base + 6 * i + 3].copy())
-        translations.append(theta[base + 6 * i + 3 : base + 6 * i + 6].copy())
-    return intr, k, rotations, translations
+    """The inverse of _pack: (intrinsics, model, extrinsics) of a packed theta.
+
+    The pose vectors are copies, so no result aliases theta.
+    """
+    base = 5 + coefficient_arity(model_id)
+    poses = theta[base:].reshape(n_views, 6)
+    return (
+        IntrinsicParams.from_tuple(theta[:5]),
+        DistortionModel(model_id=model_id, coefficients=tuple(theta[5:base])),
+        tuple(Extrinsics(rotation=p[:3].copy(), translation=p[3:].copy()) for p in poses),
+    )
 
 
 def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False):
@@ -391,7 +392,7 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     if low.any():
         if strict:
             _, _, j = np.argwhere(low)[0]
-            raise NonPositiveDepth(f"point {j}: Z^c = {z[0, 0, j]!r}")
+            raise NonPositiveDepth(f"point {j}: Z^c = {float(z[0, 0, j])!r}")
         z = np.where(low, np.nan, z)
     x = Pc[..., 0, :] / z
     y = Pc[..., 1, :] / z
@@ -698,18 +699,11 @@ def refine(
             status, converged = "objective_tolerance", True
             break
 
-    intr, k, rotations, translations = _unpack(
-        np.concatenate([frozen, theta]), model_id, n_views
-    )
+    A, model, extrinsics = _unpack(np.concatenate([frozen, theta]), model_id, n_views)
     return CalibrationResult(
-        intrinsics=IntrinsicParams(
-            alpha=intr[0], gamma=intr[1], u0=intr[2], beta=intr[3], v0=intr[4]
-        ),
-        extrinsics=tuple(
-            Extrinsics(rotation=w, translation=t)
-            for w, t in zip(rotations, translations)
-        ),
-        model=DistortionModel(model_id=model_id, coefficients=k),
+        intrinsics=A,
+        extrinsics=extrinsics,
+        model=model,
         objective=J,
         iterations=iterations,
         converged=converged,
@@ -720,26 +714,20 @@ def refine(
 
 
 def _start(
-    data: CalibrationDataset,
-    model_id: int,
-    A: IntrinsicParams | None = None,
-    extrinsics=None,
+    data: CalibrationDataset, model_id: int, A: IntrinsicParams | None = None
 ) -> CalibrationResult:
     """A refinement start for model_id with k = 0 and its objective J0.
 
-    Without extrinsics, one homography per view gives the poses under A, and
-    without A, the intrinsics come from the homographies first.
+    One homography per view gives the poses under A, and without A, the
+    intrinsics come from the homographies first.
     """
-    if extrinsics is None:
-        homographies = [
-            estimate_homography(data.model_points, obs) for obs in data.observations
-        ]
-        if A is None:
-            A = estimate_intrinsics_linear(homographies)
-        extrinsics = tuple(estimate_extrinsics(A, H) for H in homographies)
-    model = DistortionModel(
-        model_id=model_id, coefficients=(0.0,) * coefficient_arity(model_id)
-    )
+    homographies = [
+        estimate_homography(data.model_points, obs) for obs in data.observations
+    ]
+    if A is None:
+        A = estimate_intrinsics_linear(homographies)
+    extrinsics = tuple(estimate_extrinsics(A, H) for H in homographies)
+    model = DistortionModel(model_id, (0.0,) * coefficient_arity(model_id))
     J0 = compute_objective(A, extrinsics, model, data)
     return CalibrationResult(
         intrinsics=A,
@@ -799,16 +787,19 @@ def compare_models(
 ) -> ModelFitReport:
     """Fit every requested model from one shared linear initialization.
 
-    The linear stage runs once; each model is refined from the identical
-    intrinsics/extrinsics with its coefficients at zero, so every row's
-    initial objective is the same number. A model whose refinement fails is
-    recorded with converged=False instead of aborting the report.
+    The linear stage and its objective J0 run once; each model is refined
+    from the identical intrinsics/extrinsics with its coefficients at zero,
+    where every profile is exactly 1, so J0 is every row's initial objective.
+    A model whose refinement fails is recorded with converged=False instead
+    of aborting the report. An empty model_ids raises ValueError.
     """
     model_ids = sorted(set(int(m) for m in model_ids))
+    if not model_ids:
+        raise ValueError("compare_models needs at least one model id")
     base = linear_initialize(data, model_ids[0])
     results: dict[int, CalibrationResult] = {}
     for mid in model_ids:
-        start = _start(data, mid, base.intrinsics, base.extrinsics)
+        start = replace(base, model=DistortionModel(mid, (0.0,) * coefficient_arity(mid)))
         try:
             results[mid] = refine(start, data, opts)
         except RadialCalError:

@@ -77,6 +77,12 @@ class IntrinsicParams:
         """Parameters in report column order (alpha, gamma, u0, beta, v0)."""
         return (self.alpha, self.gamma, self.u0, self.beta, self.v0)
 
+    @classmethod
+    def from_tuple(cls, values) -> IntrinsicParams:
+        """The inverse of as_tuple: five numbers in that order, as floats."""
+        alpha, gamma, u0, beta, v0 = map(float, values)
+        return cls(alpha=alpha, gamma=gamma, u0=u0, beta=beta, v0=v0)
+
 
 @dataclass(frozen=True, slots=True)
 class Extrinsics:
@@ -159,32 +165,27 @@ def normalize(A: IntrinsicParams, p: Vec) -> Vec:
     Accepts a single (u, v) pair or an (..., 2) array.
     """
     p = np.asarray(p, dtype=float)
-    u = p[..., 0]
-    v = p[..., 1]
-    y = (v - A.v0) / A.beta
-    x = (u - A.u0 - A.gamma * y) / A.alpha
-    return np.stack([x, y], axis=-1)
+    return np.stack(_normalize_pair(A, p[..., 0], p[..., 1]), axis=-1)
 
 
 def denormalize(A: IntrinsicParams, n: Vec) -> Vec:
     """Map normalized coordinates to pixel coordinates by applying A."""
     n = np.asarray(n, dtype=float)
-    x = n[..., 0]
-    y = n[..., 1]
-    u = A.alpha * x + A.gamma * y + A.u0
-    v = A.beta * y + A.v0
-    return np.stack([u, v], axis=-1)
+    return np.stack(_denormalize_pair(A, n[..., 0], n[..., 1]), axis=-1)
 
 
-def _normalize_pair(A: IntrinsicParams, u: float, v: float) -> tuple[float, float]:
-    """normalize for one pixel given as floats, with an array row's
-    operations in the same order, so both give the same bits."""
+def _normalize_pair(A: IntrinsicParams, u, v):
+    """A^-1 on coordinates u and v given apart, as floats or as arrays.
+
+    The one formula of normalize, so a pixel's pair of floats and its array
+    row give the same bits.
+    """
     y = (v - A.v0) / A.beta
     return (u - A.u0 - A.gamma * y) / A.alpha, y
 
 
-def _denormalize_pair(A: IntrinsicParams, x: float, y: float) -> tuple[float, float]:
-    """denormalize for one point given as floats."""
+def _denormalize_pair(A: IntrinsicParams, x, y):
+    """A on coordinates x and y given apart, as floats or as arrays."""
     return A.alpha * x + A.gamma * y + A.u0, A.beta * y + A.v0
 
 

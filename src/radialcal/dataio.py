@@ -94,22 +94,27 @@ def write_dataset(path, data: CalibrationDataset) -> None:
 
 
 def load_intrinsics(path) -> IntrinsicParams:
-    """Read one "alpha gamma u0 beta v0" line."""
+    """Read one "alpha gamma u0 beta v0" line.
+
+    Values IntrinsicParams rejects raise ValueError naming the file.
+    """
     rows = _read_rows(Path(path), 5, "intrinsics")
     if len(rows) != 1:
         raise ParseError(str(path), 0, f"expected 1 intrinsics line, got {len(rows)}")
-    alpha, gamma, u0, beta, v0 = rows[0]
-    return IntrinsicParams(alpha=alpha, gamma=gamma, u0=u0, beta=beta, v0=v0)
+    try:
+        return IntrinsicParams.from_tuple(rows[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_intrinsics(path, A: IntrinsicParams) -> None:
-    _write_rows(Path(path), [(A.alpha, A.gamma, A.u0, A.beta, A.v0)])
+    _write_rows(Path(path), [A.as_tuple()])
 
 
 def planar_grid(rows: int = 8, cols: int = 8, spacing: float = 1.0) -> Mat:
     """Centered rows x cols target grid in world units, shape (rows*cols, 2)."""
-    if rows < 1 or cols < 1 or spacing <= 0:
-        raise ValueError("grid needs positive dimensions and spacing")
+    if rows < 1 or cols < 1 or not 0 < spacing < math.inf:
+        raise ValueError("grid needs positive dimensions and a finite positive spacing")
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     X, Y = np.meshgrid(xs, ys)
@@ -199,17 +204,12 @@ def render_report(report: ModelFitReport) -> str:
     for row in report.rows:
         k = list(row.coefficients)[:3]
         k += [None] * (3 - len(k))
-        A = row.intrinsics
         cells = [
             str(row.model_id),
             f"{row.objective:.4f}",
             str(row.rank),
             *("" if v is None else f"{v:.4f}" for v in k),
-            f"{A.alpha:.4f}",
-            f"{A.gamma:.4f}",
-            f"{A.u0:.4f}",
-            f"{A.beta:.4f}",
-            f"{A.v0:.4f}",
+            *(f"{v:.4f}" for v in row.intrinsics.as_tuple()),
         ]
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

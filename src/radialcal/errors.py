@@ -36,10 +36,10 @@ class ZeroPolynomial(RadialCalError):
 
 
 class NoRealCandidate(RadialCalError):
-    """The principal sign branch has no admissible real root during inversion."""
+    """Inversion got a point outside the model's invertible domain."""
 
 
-class BracketNotFound(RadialCalError):
+class BracketNotFound(NoRealCandidate):
     """Numeric inversion got a point outside the model's invertible domain."""
 
 

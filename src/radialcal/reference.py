@@ -77,9 +77,7 @@ def reference_report(session: str) -> ModelFitReport:
                 objective=obj,
                 rank=rank,
                 coefficients=k,
-                intrinsics=IntrinsicParams(
-                    alpha=intr[0], gamma=intr[1], u0=intr[2], beta=intr[3], v0=intr[4]
-                ),
+                intrinsics=IntrinsicParams.from_tuple(intr),
             )
             for mid, obj, rank, k, intr in rows
         )

@@ -368,10 +368,11 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     Accepts a single (x, y) pair or an (..., 2) array and returns the same
     shape. Returns the principal-branch preimage (steps 2-4 of the module
     docstring), or undistort_numeric's where the closed form has no root
-    below r_b that re-distorts onto pd. Raises NoRealCandidate when pd lies
-    outside the model's invertible domain (see invertible_radius); for an
-    array, the error names the first such point in array order, as the pair
-    call on that point would.
+    below r_b that re-distorts onto pd. Raises NoRealCandidate (for model 0
+    its subclass BracketNotFound) when pd lies outside the model's
+    invertible domain (see invertible_radius); for an array, the error names
+    the first such point in array order, as the pair call on that point
+    would.
     """
     if model.model_id == 0:
         return undistort_numeric(model, pd)

@@ -296,6 +296,14 @@ class TestProjectDistorted:
         with pytest.raises(rc.NonPositiveDepth, match=r"point 1"):
             rc.project_distorted(A, ext, model, world)
 
+    @pytest.mark.parametrize("tz, shown", [(-5.0, "-5.0"), (-np.inf, "-inf")])
+    def test_depth_error_prints_a_plain_float(self, tz, shown):
+        ext = rc.Extrinsics(rotation=(0.0, 0.0, 0.0), translation=(0.0, 0.0, tz))
+        model = rc.DistortionModel(model_id=1, coefficients=(-0.1,))
+        with pytest.raises(rc.NonPositiveDepth) as exc:
+            rc.project_distorted(camera_830(), ext, model, np.zeros((2, 3)))
+        assert str(exc.value) == f"point 0: Z^c = {shown}"
+
 
 class TestRefine:
     def test_exact_optimum_returns_unchanged(self, exact3):
@@ -503,19 +511,25 @@ class TestRefine:
         assert again == res.objective
 
 
-def unpack_at(theta_full, model_id, data):
-    """Intrinsics, extrinsics and model of a packed parameter vector."""
-    intr, k, rotations, translations = calib_mod._unpack(theta_full, model_id, data.n_views)
-    A = rc.IntrinsicParams(alpha=intr[0], gamma=intr[1], u0=intr[2], beta=intr[3], v0=intr[4])
-    extrinsics = tuple(
-        rc.Extrinsics(rotation=w, translation=t) for w, t in zip(rotations, translations)
-    )
-    return A, extrinsics, rc.DistortionModel(model_id=model_id, coefficients=k)
+def test_unpack_inverts_pack(noisy3):
+    _, spec = noisy3
+    for mid in range(10):
+        k = tuple(0.1 * (i + 1) for i in range(rc.coefficient_arity(mid)))
+        model = rc.DistortionModel(mid, k)
+        theta = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        A, got, extrinsics = calib_mod._unpack(theta, mid, len(spec.extrinsics))
+        assert A == spec.intrinsics and got == model
+        assert all(type(v) is float for v in A.as_tuple() + got.coefficients)
+        assert np.array_equal(calib_mod._pack(A, got, extrinsics), theta)
+        theta[:] = 0.0  # the poses are copies, not views of theta
+        for e, want in zip(extrinsics, spec.extrinsics, strict=True):
+            assert np.array_equal(e.rotation, want.rotation)
+            assert np.array_equal(e.translation, want.translation)
 
 
 def residuals_at(theta_full, model_id, data):
     """Residuals (V, P, 2) at a packed vector, recomputed view by view in full."""
-    A, extrinsics, model = unpack_at(theta_full, model_id, data)
+    A, model, extrinsics = calib_mod._unpack(theta_full, model_id, data.n_views)
     return np.stack(
         [
             rc.project_distorted(A, ext, model, data.world_points) - obs
@@ -771,7 +785,8 @@ class TestLeastSquaresOracle:
         data, _ = trend
         base = rc.linear_initialize(data, 0)
         for mid in range(10):
-            self.assert_matches(calib_mod._start(data, mid, base.intrinsics, base.extrinsics), data)
+            zero = rc.DistortionModel(mid, (0.0,) * rc.coefficient_arity(mid))
+            self.assert_matches(replace(base, model=zero), data)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_wide_set(self, seed):
@@ -836,6 +851,25 @@ class TestCompareModels:
         assert rows[5].rank == 2
         assert rows[3].objective < rows[5].objective
         assert rows[7].objective < rows[5].objective
+
+    def test_empty_model_list(self, noisy3):
+        data, _ = noisy3
+        with pytest.raises(ValueError, match="at least one model id"):
+            rc.compare_models(data, [])
+
+    def test_start_objective_computed_once(self, noisy3, monkeypatch):
+        data, _ = noisy3
+        calls = []
+        real = calib_mod.compute_objective
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(calib_mod, "compute_objective", counted)
+        report = rc.compare_models(data, range(10), self.CHEAP)
+        assert len(calls) == 1
+        assert {r.initial_objective for r in report.rows} == {real(*calls[0])}
 
     def test_duplicate_ids_collapse(self, noisy3):
         data, _ = noisy3
@@ -904,8 +938,12 @@ class TestTypes:
             dict(objective_tolerance=-1e-3),
             dict(max_iterations=0),
             dict(max_function_evaluations=-5),
+            dict(step_tolerance=math.nan),
+            dict(objective_tolerance=math.nan),
+            dict(max_iterations=math.nan),
+            dict(max_function_evaluations=math.nan),
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="must be positive"):
                 rc.OptimizerOptions(**bad)
 
     def test_report_ordering_enforced(self):

@@ -91,6 +91,17 @@ class TestSynth:
         assert err == "usage error: sigma must be finite and >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("spacing", ["nan", "inf"])
+    def test_non_finite_spacing_is_usage_error(self, spacing, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = cli.main(["synth", "--out", str(out), "--model", "1", "--spacing", spacing])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == (
+            "usage error: grid needs positive dimensions and a finite positive spacing\n"
+        )
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_single_model_table(self, synth_dir):
@@ -361,7 +372,10 @@ class TestExitCodes:
         )
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr.startswith("error: ") and "must be finite" in res.stderr
+        assert res.stderr == (
+            f"error: {cam}: intrinsics must be finite, got (alpha, gamma, u0, beta, v0) = "
+            "(800.0, 0.0, nan, 800.0, 240.0)\n"
+        )
 
     def test_nonfinite_dataset_value_is_domain_error(self, synth_dir, tmp_path):
         data = tmp_path / "data"
@@ -381,6 +395,26 @@ class TestExitCodes:
         assert res.returncode == 1
         assert res.stdout == ""
         assert "error:" in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, option, name",
+        [("calibrate", "--tol-x", "step_tolerance"),
+         ("compare", "--tol-fun", "objective_tolerance"),
+         ("fit-distortion", "--tol-x", "step_tolerance")],
+    )
+    def test_nan_optimizer_tolerance_is_usage_error(
+        self, synth_dir, tmp_path, capsys, command, option, name
+    ):
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        argv = [command, "--data", str(synth_dir), option, "nan"]
+        argv += ["--models", "1"] if command == "compare" else ["--model", "1"]
+        argv += ["--intrinsics", str(cam)] if command == "fit-distortion" else []
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {name} must be positive\n"
 
     def test_bad_optimizer_option(self, synth_dir):
         res = run_cli(

@@ -56,6 +56,13 @@ class TestIntrinsicParams:
         A = rc.IntrinsicParams(alpha=1.0, gamma=2.0, u0=3.0, beta=4.0, v0=5.0)
         assert A.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0)
 
+    def test_from_tuple_inverts_as_tuple(self):
+        A = rc.IntrinsicParams(alpha=1.0, gamma=2.0, u0=3.0, beta=4.0, v0=5.0)
+        assert rc.IntrinsicParams.from_tuple(A.as_tuple()) == A
+        back = rc.IntrinsicParams.from_tuple(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert back == A
+        assert all(type(v) is float for v in back.as_tuple())
+
 
 class TestRotation:
     def test_zero_vector_gives_identity(self):
@@ -98,6 +105,21 @@ class TestRotation:
             R = rc.rotation_to_matrix(w)
             R2 = rc.rotation_to_matrix(rc.rotation_from_matrix(R))
             assert np.max(np.abs(R2 - R)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "axis",
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (-1, 0, 1), (1, -2, 2), (-1, 1, 1),
+         (2, -3, -6)],
+    )
+    def test_exact_half_turn(self, axis):
+        # R = 2 a a^T - I is symmetric, so its antisymmetric part is exactly
+        # zero and the axis has to come from (R + I) / 2.
+        a = np.array(axis, dtype=float) / np.linalg.norm(axis)
+        R = 2.0 * np.outer(a, a) - np.eye(3)
+        w = rc.rotation_from_matrix(R)
+        assert abs(np.linalg.norm(w) - np.pi) < 1e-15
+        assert abs(abs(w @ a) - np.pi) < 1e-14
+        assert np.max(np.abs(rc.rotation_to_matrix(w) - R)) < 1e-14
 
     def test_stack_matches_single_vectors_exactly(self):
         rng = np.random.default_rng(23)

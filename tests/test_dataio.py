@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestIntrinsicsFile:
         with pytest.raises(rc.ParseError):
             rc.load_intrinsics(tmp_path / "cam.txt")
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("800 0 nan 800 240",
+             "intrinsics must be finite, got (alpha, gamma, u0, beta, v0) = "
+             "(800.0, 0.0, nan, 800.0, 240.0)"),
+            ("800 0 320 -800 240", "focal scales must be positive, got alpha=800.0, beta=-800.0"),
+        ],
+    )
+    def test_rejected_values_name_the_file(self, tmp_path, line, reason):
+        cam = tmp_path / "cam.txt"
+        cam.write_text(line + "\n")
+        with pytest.raises(ValueError) as exc:
+            rc.load_intrinsics(cam)
+        assert str(exc.value) == f"{cam}: {reason}"
+
     def test_two_lines_rejected(self, tmp_path):
         (tmp_path / "cam.txt").write_text("830 0.1 304 830.5 207\n1 0 0 1 0\n")
         with pytest.raises(rc.ParseError):
@@ -127,8 +144,9 @@ class TestPlanarGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             rc.planar_grid(0, 4)
-        with pytest.raises(ValueError):
-            rc.planar_grid(4, 4, 0.0)
+        for spacing in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rc.planar_grid(4, 4, spacing)
 
 
 class TestSynthetic:

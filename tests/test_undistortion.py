@@ -520,6 +520,19 @@ class TestDomain:
         with pytest.raises(rc.BracketNotFound):
             rc.undistort_numeric(model, np.array([0.0, 2.0]))
 
+    def test_model0_outside_its_domain_raises_no_real_candidate(self):
+        # Model 0 inverts numerically, so its domain error is BracketNotFound,
+        # which undistort_normalized promises as a NoRealCandidate.
+        assert issubclass(rc.BracketNotFound, rc.NoRealCandidate)
+        model = rc.DistortionModel(0, (-0.35, -0.1))
+        for pd in (np.array([5.0, 0.0]), np.array([[0.1, 0.0], [5.0, 0.0]])):
+            with pytest.raises(rc.NoRealCandidate, match=r"model 0: no preimage for x_d=5\.0"):
+                rc.undistort_normalized(model, pd)
+        A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+        for pd in (np.array([4320.0, 240.0]), np.array([[400.0, 240.0], [4320.0, 240.0]])):
+            with pytest.raises(rc.NoRealCandidate):
+                rc.undistort_pixel(A, model, pd)
+
     def test_far_pole_is_capped(self):
         # A tiny k2 puts the pole of D = 1 + 0.5 r - 6.1e-195 r^2 at 8.2e193.
         # F approaches 2 long before; it climbs past 2 only beyond 1e100,
