@@ -26,10 +26,11 @@ from .core import (
     IntrinsicParams,
     Mat,
     Vec,
+    _left_jacobian,
     rotation_from_matrix,
     rotation_to_matrix,
 )
-from .distortion import DistortionModel, _checked, _profile, coefficient_arity
+from .distortion import _TERMS, DistortionModel, _checked, _profile, coefficient_arity
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -116,8 +117,7 @@ class OptimizerOptions:
     step_tolerance bounds the largest accepted step relative to
     max(1, |theta_i|), and objective_tolerance the relative fall of J over
     two consecutive accepted steps. max_function_evaluations counts residual
-    evaluations: the start, each Jacobian (one batched kernel call, or two
-    when a forward probe is not finite) and each trial step count one each.
+    evaluations: the start, each Jacobian and each trial step count one each.
     """
 
     step_tolerance: float = 1e-5
@@ -348,6 +348,19 @@ def _unpack(theta: np.ndarray, model_id: int, n_views: int):
     )
 
 
+def _camera_frame(pose: np.ndarray, pts3: Mat) -> np.ndarray:
+    """P^c = R P + t of pts3 (P, 3) under (..., V, 6) pose blocks, shape (..., V, 3, P).
+
+    Column j of R times coordinate j, elementwise; a planar target (Z = 0)
+    skips the third column.
+    """
+    R = rotation_to_matrix(pose[..., :3])
+    Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[..., 3:, None]
+    if pts3[:, 2].any():
+        Pc += R[..., 2, None] * pts3[:, 2]
+    return Pc
+
+
 def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False):
     """Distorted pixels of pts3 under a batch of packed parameter rows.
 
@@ -359,34 +372,11 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     points keep theirs. With strict=True, for one row and one view, such a
     point raises NonPositiveDepth (naming the first point) or SingularProfile
     instead.
-
-    The camera-frame stage (rotation, R P + t, the depth test, x, y and r)
-    runs only for row 0 and for the rows whose pose block is not bit for bit
-    row 0's (0.0 and -0.0 differ); every other row takes row 0's x, y and r,
-    the values its own computation would give, so a row's values still never
-    depend on its batch. Most of _jacobian's probe rows move an intrinsic or
-    a coefficient and keep the pose, so they share the stage.
     """
     arity = coefficient_arity(model_id)
-    head = params[:, : 5 + arity]
-    poses = params[:, 5 + arity :]
-    take = None
-    if len(params) > 1:
-        bits = poses.view(np.int64)
-        moved = (bits != bits[0]).any(axis=1)
-        moved[0] = True
-        if not moved.all():
-            take = np.where(moved, np.cumsum(moved) - 1, 0)
-            poses = poses[moved]
-    pose = poses.reshape(len(poses), -1, 6)
     # Intrinsics and coefficients broadcast over (B, V, P) as (B, 1, 1) columns.
-    alpha, gamma, u0, beta, v0, *k = head.T[:, :, None, None]
-    R = rotation_to_matrix(pose[..., :3])
-    # Camera frame, shape (B, V, 3, P): column j of R times coordinate j. A
-    # planar target (Z = 0) skips the third column.
-    Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[..., 3:, None]
-    if pts3[:, 2].any():
-        Pc += R[..., 2, None] * pts3[:, 2]
+    alpha, gamma, u0, beta, v0, *k = params[:, : 5 + arity].T[:, :, None, None]
+    Pc = _camera_frame(params[:, 5 + arity :].reshape(len(params), -1, 6), pts3)
     z = Pc[..., 2, :]
     low = z < DEPTH_EPS
     if low.any():
@@ -397,8 +387,6 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     x = Pc[..., 0, :] / z
     y = Pc[..., 1, :] / z
     r = np.hypot(x, y)
-    if take is not None:
-        x, y, r = x[take], y[take], r[take]
     f = _profile(model_id, k, r)
     if strict:
         _checked(model_id, r, f)
@@ -499,9 +487,6 @@ def compute_objective(
     return float(_total(terms))
 
 
-# Relative forward-difference step of the Jacobian: the square root of the
-# float64 epsilon balances truncation against rounding error.
-_FD_STEP = math.sqrt(np.finfo(float).eps)
 # Levenberg-Marquardt damping at the first step, and the damping past which
 # refine reports line_search_failure: a step there is about 1e-16 of the
 # scaled gradient step -b_i / N_ii, the relative resolution of a double.
@@ -509,51 +494,102 @@ _DAMPING_START = 1e-3
 _DAMPING_LIMIT = 1e16
 
 
-def _jacobian(residuals, theta: np.ndarray, r0: np.ndarray, m: int):
-    """Forward-difference Jacobian blocks of the residuals at theta.
+def _jacobian(model_id: int, params: np.ndarray, pts3: Mat, m: int):
+    """Analytic Jacobian blocks of the residuals at one packed row params.
 
-    residuals maps (B, n) parameter rows to (B, V, P, 2) residuals, r0 is the
-    residual at theta, and theta holds m global entries (free intrinsics and
-    coefficients) before the 6V pose entries. Returns Jg of shape
-    (m, V, P, 2), the derivatives along the global entries, and Jp of shape
-    (6, V, P, 2), where Jp[q, v] is the derivative along view v's pose
-    coordinate q; the other views do not depend on that coordinate.
+    params is laid out as theta above; its last m entries before the 6V pose
+    entries are the free globals (the coefficients, after the intrinsics
+    unless these are frozen). Returns Jg of shape (m, V, P, 2), the
+    derivatives along the global entries, and Jp of shape (6, V, P, 2), where
+    Jp[q, v] is the derivative along view v's pose coordinate q (rotation,
+    then translation); the other views do not depend on that coordinate.
 
-    One kernel call of m + 6 rows probes every entry: a row per global entry,
-    and a row per pose coordinate q that moves q in every view at once, since
-    a view's pose moves only that view's residuals. With the step h_i =
-    sqrt(eps) max(1, |theta_i|), rounded so that theta_i + h_i - theta_i is
-    h_i, each derivative is (r(theta + h_i e_i) - r(theta)) / h_i, bit for
-    bit what a full recompute at the perturbed vector gives. Where that
-    forward probe leaves a residual non-finite (a pole of the profile, or a
-    point behind the camera), the backward difference from a second call of
-    the same shape takes its place, and a derivative non-finite both ways
-    reads 0.
+    With f = N / D, (x_d, y_d) = f (x, y) and (u, v) = (alpha x_d + gamma
+    y_d + u0, beta y_d + v0), the chain runs:
+
+    * intrinsics: d(u, v)/d(alpha, gamma, u0, beta, v0) is (x_d, 0),
+      (y_d, 0), (1, 0), (0, y_d), (0, 1);
+    * coefficients, from distortion._TERMS: df/dk = r^p / D for a term of N
+      and -f r^p / D for a term of D;
+    * distortion map: d(x_d, y_d)/d(x, y) = f I + f' (x, y)^T (x, y) / r
+      with f' = (N' - f D') / D, which is f I at r = 0;
+    * projection: (x, y) = (X / Z, Y / Z) of P^c;
+    * pose: dP^c/dt = I, and dP^c/dw_j = (J_l(w) e_j) x R P with the left
+      Jacobian J_l of SO(3) (core._left_jacobian).
+
+    At an accepted theta every depth is at least DEPTH_EPS and every |D| at
+    least DENOM_EPS, so every entry is finite.
     """
-    n_views = len(r0)
-    h = _FD_STEP * np.maximum(1.0, np.abs(theta))
-    h = (theta + h) - theta
-    glob = np.arange(m)
-    pose = m + 6 * np.arange(n_views)[:, None] + np.arange(6)
-    # The step of probe row i in view v, shaped (m + 6, V, 1, 1).
-    steps = np.concatenate([np.repeat(h[:m, None], n_views, axis=1), h[pose].T])
-    steps = steps[..., None, None]
+    arity = coefficient_arity(model_id)
+    alpha, gamma, u0, beta, v0 = params[:5]
+    pose = params[5 + arity :].reshape(-1, 6)
+    Pc = _camera_frame(pose, pts3)
+    z = Pc[:, 2]
+    x = Pc[:, 0] / z
+    y = Pc[:, 1] / z
+    r = np.hypot(x, y)
 
-    def probe(sign: float):
-        rows = np.repeat(theta[None], m + 6, axis=0)
-        rows[glob, glob] += sign * h[glob]
-        rows[m + np.arange(6), pose] += sign * h[pose]
-        r = residuals(rows)
-        ok = np.isfinite(r).all(axis=(2, 3))
-        ok[:m] = ok[:m].all(axis=1, keepdims=True)
-        return r, ok[..., None, None]
+    # N, D and their slopes in r, term by term from the model table.
+    num_terms, den_terms = _TERMS[model_id]
+    powers = [1.0, r]
+    while len(powers) <= max(num_terms + den_terms):
+        powers.append(powers[-1] * r)
 
-    r_fwd, ok_fwd = probe(1.0)
-    D = (r_fwd - r0) / steps
-    if not ok_fwd.all():
-        r_bwd, ok_bwd = probe(-1.0)
-        D = np.where(ok_fwd, D, np.where(ok_bwd, (r0 - r_bwd) / steps, 0.0))
-    return D[:m], D[m:]
+    def value_and_slope(coefficients, terms):
+        value, slope = 1.0, 0.0
+        for c, p in zip(coefficients, terms):
+            value, slope = value + c * powers[p], slope + p * c * powers[p - 1]
+        return value, slope
+
+    k = params[5 : 5 + arity]
+    N, dN = value_and_slope(k[: len(num_terms)], num_terms)
+    D, dD = value_and_slope(k[len(num_terms) :], den_terms)
+    f = N / D
+    df = (dN - f * dD) / D
+
+    # Column i's u and v derivatives go to J[i, 0] and J[i, 1], each (V, P),
+    # so that no product broadcasts along a trailing axis of 2.
+    n_views, n_points = z.shape
+    J = np.zeros((m + 6, 2, n_views, n_points))
+    Jg, Jp = J[:m], J[m:]
+    if m > arity:
+        xd = x * f
+        yd = y * f
+        Jg[0, 0] = xd
+        Jg[1, 0] = yd
+        Jg[2, 0] = 1.0
+        Jg[3, 1] = yd
+        Jg[4, 1] = 1.0
+    # (alpha x + gamma y, beta y), the pixel offset from (u0, v0) per unit f,
+    # times df/dk: r^p / D along a term of N, -f r^p / D along a term of D.
+    ray = np.stack([alpha * x + gamma * y, beta * y])
+    dfk = [powers[p] / D for p in num_terms] + [-f * powers[p] / D for p in den_terms]
+    for i, d in enumerate(dfk, start=m - arity):
+        np.multiply(ray, d, out=Jg[i])
+
+    # d(x_d, y_d)/d(x, y), with unit (x, y) / r zero at r = 0.
+    safe = r + (r == 0.0)
+    ex, ey = x / safe, y / safe
+    dxx = f + df * x * ex
+    dxy = df * x * ey
+    dyy = f + df * y * ey
+    # The pixel derivatives along x and along y, divided by Z, are those along
+    # X and Y of P^c, and -(x, y) weighs them into the one along Z; dP^c/dt = I.
+    inv_z = 1.0 / z
+    np.multiply(np.stack([alpha * dxx + gamma * dxy, beta * dxy]), inv_z, out=Jp[3])
+    np.multiply(np.stack([alpha * dxy + gamma * dyy, beta * dyy]), inv_z, out=Jp[4])
+    np.negative(x * Jp[3] + y * Jp[4], out=Jp[5])
+
+    # d/dw_j of g . P^c is (J_l e_j) . (R P x g): J_l^T applied to R P x g.
+    X, Y, Z = (Pc - pose[:, 3:, None]).transpose(1, 0, 2)
+    g0, g1, g2 = Jp[3:]
+    cross = np.stack([Y * g2 - Z * g1, Z * g0 - X * g2, X * g1 - Y * g0])
+    np.einsum("vij,icvp->jcvp", _left_jacobian(pose[:, :3]), cross, out=Jp[:3])
+
+    out = np.empty((m + 6, n_views, n_points, 2))
+    out[..., 0] = J[:, 0]
+    out[..., 1] = J[:, 1]
+    return out[:m], out[m:]
 
 
 def _normal_equations(Jg: np.ndarray, Jp: np.ndarray, r: np.ndarray):
@@ -594,9 +630,9 @@ def refine(
     the one projection kernel, and J = ||r||^2 is its per-view sums added in
     view order, so J of the result recomputes to its objective bit for bit.
 
-    Each iteration takes the forward-difference Jacobian in one batched
-    kernel call (see _jacobian), assembles J^T J and J^T r block by block,
-    and solves (J^T J + lambda diag(J^T J)) delta = -J^T r densely. A trial
+    Each iteration takes the analytic Jacobian in one vectorised pass (see
+    _jacobian), assembles J^T J and J^T r block by block, and solves
+    (J^T J + lambda diag(J^T J)) delta = -J^T r densely. A trial
     point whose J is lower is accepted and lambda is rescaled by the gain
     ratio (Madsen, Nielsen and Tingleff 2004, section 3.2); otherwise, also
     where J is not finite, lambda rises and the step is solved again. The
@@ -626,14 +662,11 @@ def refine(
     pts3 = data.world_points
     observations = np.stack(data.observations)
 
-    def residuals(rows: np.ndarray) -> np.ndarray:
-        if len(frozen):
-            rows = np.concatenate(
-                [np.broadcast_to(frozen, (len(rows), len(frozen))), rows], axis=1
-            )
-        return _residuals(model_id, rows, pts3, observations)
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        row = np.concatenate([frozen, theta])[None]
+        return _residuals(model_id, row, pts3, observations)[0]
 
-    r = residuals(theta[None])[0]
+    r = residuals(theta)
     J = float(_total(_squared_terms(r)))
     evals = 1
     if not math.isfinite(J):
@@ -648,7 +681,8 @@ def refine(
         if evals >= opts.max_function_evaluations:
             status = "max_function_evaluations"
             break
-        N, b = _normal_equations(*_jacobian(residuals, theta, r, m), r)
+        Jg, Jp = _jacobian(model_id, np.concatenate([frozen, theta]), pts3, m)
+        N, b = _normal_equations(Jg, Jp, r)
         evals += 1
         if 2.0 * float(np.max(np.abs(b))) <= 1e-9 * max(1.0, J):
             status, converged = "stationary", True
@@ -664,7 +698,7 @@ def refine(
             trial = theta + step
             # A far trial may overflow; it reads inf and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
-                r_new = residuals(trial[None])[0]
+                r_new = residuals(trial)
                 J_new = float(_total(_squared_terms(r_new)))
             evals += 1
             if J_new < J:

@@ -96,6 +96,11 @@ class Extrinsics:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
         if self.rotation.shape != (3,) or self.translation.shape != (3,):
             raise ValueError("rotation and translation must be 3-vectors")
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ValueError(
+                f"extrinsics must be finite, got rotation {self.rotation.tolist()}, "
+                f"translation {self.translation.tolist()}"
+            )
 
     @property
     def matrix(self) -> Mat:
@@ -128,6 +133,36 @@ def rotation_to_matrix(rotation: Vec) -> Mat:
     R += s[..., None, None] * (w[..., _SKEW_INDEX] * _SKEW_SIGN)
     R += c[..., None, None] * _IDENTITY
     return R
+
+
+# Below this angle _left_jacobian takes the series of its two coefficients,
+# through theta^4: the first term dropped is below 2^-52 of the sum there.
+_SERIES_ANGLE = 1e-2
+
+
+def _left_jacobian(rotation: Vec) -> Mat:
+    """The left Jacobian J_l(w) of SO(3) for a (..., 3) stack of axis-angle vectors.
+
+    R(w + dw) = exp([J_l(w) dw]x) R(w) to first order in dw, so the
+    derivative of R(w) P along w_j is (J_l(w) e_j) x R(w) P (Gallego and
+    Yezzi, "A compact formula for the derivative of a 3-D rotation in
+    exponential coordinates", JMIV 2015). J_l = I + a [w]x + b [w]x^2 with
+    a = (1 - cos t)/t^2 and b = (t - sin t)/t^3; below _SERIES_ANGLE both
+    come from their series, so the zero vector gives the identity exactly.
+    Returns (..., 3, 3).
+    """
+    w = np.asarray(rotation, dtype=float)
+    t2 = w[..., 0] ** 2 + w[..., 1] ** 2 + w[..., 2] ** 2
+    theta = np.sqrt(t2)
+    series = theta < _SERIES_ANGLE
+    safe = np.where(series, 1.0, theta)
+    a = np.where(series, 1 / 2 - t2 / 24 + t2 * t2 / 720, (1.0 - np.cos(safe)) / safe**2)
+    b = np.where(series, 1 / 6 - t2 / 120 + t2 * t2 / 5040, (safe - np.sin(safe)) / safe**3)
+    # [w]x^2 = w w^T - t^2 I.
+    Jl = (b[..., None] * w)[..., :, None] * w[..., None, :]
+    Jl += a[..., None, None] * (w[..., _SKEW_INDEX] * _SKEW_SIGN)
+    Jl += (1.0 - b * t2)[..., None, None] * _IDENTITY
+    return Jl
 
 
 def rotation_from_matrix(R: Mat) -> Vec:

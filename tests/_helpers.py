@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 
 import radialcal as rc
+import radialcal.calibration as calibration
 
 
 def camera_830() -> rc.IntrinsicParams:
@@ -118,3 +121,63 @@ def random_intrinsics(rng) -> rc.IntrinsicParams:
         beta=rng.uniform(100.0, 1000.0),
         v0=rng.uniform(80.0, 400.0),
     )
+
+
+def difference_jacobian(model_id, params, pts3, m, central=False):
+    """Reference Jacobian of calibration._residuals by finite differences.
+
+    params is one packed row (see calibration._pack) whose last m + 6V
+    entries are free, as in calibration._jacobian. Returns one column per
+    free entry, shape (m + 6V, V, P, 2); each is a full recompute of
+    _residuals on a single row, forward or central.
+
+    Column i's step moves the pixels by about eps^(1/2) (forward) or
+    eps^(1/3) (central) of the largest pixel coordinate, which balances
+    rounding against truncation whatever the parameter's units; a pilot
+    forward difference with the step sqrt(eps) max(1, |theta_i|) sizes it.
+    """
+    n_views = (len(params) - 5 - rc.coefficient_arity(model_id)) // 6
+    zero = np.zeros((n_views, len(pts3), 2))  # residuals are then the pixels
+
+    def pixels(i, h):
+        row = params.copy()
+        row[i] += h
+        return calibration._residuals(model_id, row[None], pts3, zero)[0]
+
+    base = pixels(0, 0.0)
+
+    def column(i, h, central):
+        h = (params[i] + h) - params[i]
+        if central:
+            return (pixels(i, h) - pixels(i, -h)) / (2.0 * h)
+        return (pixels(i, h) - base) / h
+
+    eps = np.finfo(float).eps
+    size = np.abs(base).max() * eps ** (1.0 / 3.0 if central else 0.5)
+    columns = []
+    for i in range(len(params) - m - 6 * n_views, len(params)):
+        pilot = column(i, math.sqrt(eps) * max(1.0, abs(params[i])), False)
+        slope = np.abs(pilot).max()
+        columns.append(column(i, size / slope, central) if slope > 0.0 else pilot)
+    return np.array(columns)
+
+
+def jacobian_columns(Jg, Jp):
+    """calibration._jacobian's blocks as one column per free entry, as difference_jacobian."""
+    n_views = Jp.shape[1]
+    poses = np.zeros((n_views, 6, *Jp.shape[1:]))
+    for v in range(n_views):
+        poses[v, :, v] = Jp[:, v]
+    return np.concatenate([Jg, poses.reshape(6 * n_views, *Jp.shape[1:])])
+
+
+def assert_jacobian_close(model_id, params, pts3, m, central=False, bound=1e-6):
+    """calibration._jacobian at params, within bound of each reference column's largest."""
+    got = jacobian_columns(*calibration._jacobian(model_id, params, pts3, m))
+    want = difference_jacobian(model_id, params, pts3, m, central)
+    assert np.isfinite(got).all()
+    flat = lambda a: a.reshape(len(a), -1)
+    err = np.abs(flat(got) - flat(want)).max(axis=1)
+    scale = np.abs(flat(want)).max(axis=1)
+    bad = np.flatnonzero(err > bound * scale)
+    assert not len(bad), (model_id, bad, err[bad] / np.maximum(scale[bad], 1e-300))

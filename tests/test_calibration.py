@@ -7,7 +7,10 @@ import pytest
 
 import radialcal as rc
 import radialcal.calibration as calib_mod
+import radialcal.core as core_mod
+import radialcal.distortion as distortion_mod
 from _helpers import (
+    assert_jacobian_close,
     camera_830,
     camera_small,
     poses_five_close,
@@ -296,12 +299,20 @@ class TestProjectDistorted:
         with pytest.raises(rc.NonPositiveDepth, match=r"point 1"):
             rc.project_distorted(A, ext, model, world)
 
-    @pytest.mark.parametrize("tz, shown", [(-5.0, "-5.0"), (-np.inf, "-inf")])
-    def test_depth_error_prints_a_plain_float(self, tz, shown):
-        ext = rc.Extrinsics(rotation=(0.0, 0.0, 0.0), translation=(0.0, 0.0, tz))
+    # A pose is finite, so Z^c = -inf comes from a world point at Z = -inf.
+    # That pose tilts, so that no entry of R's third column is 0 (0 * inf is nan).
+    @pytest.mark.parametrize(
+        "rotation, tz, Z, shown",
+        [((0.0, 0.0, 0.0), -5.0, 0.0, "-5.0"), ((0.1, 0.1, 0.0), 5.0, -np.inf, "-inf")],
+        ids=["-5.0--5.0", "-inf--inf"],
+    )
+    def test_depth_error_prints_a_plain_float(self, rotation, tz, Z, shown):
+        ext = rc.Extrinsics(rotation=rotation, translation=(0.0, 0.0, tz))
         model = rc.DistortionModel(model_id=1, coefficients=(-0.1,))
+        world = np.zeros((2, 3))
+        world[0, 2] = Z
         with pytest.raises(rc.NonPositiveDepth) as exc:
-            rc.project_distorted(camera_830(), ext, model, np.zeros((2, 3)))
+            rc.project_distorted(camera_830(), ext, model, world)
         assert str(exc.value) == f"point 0: Z^c = {shown}"
 
 
@@ -388,8 +399,8 @@ class TestRefine:
 
         def ramp(model_id, params, pts3, observations):
             # J = J0 + (1 + s if s > 0 else -s) in one residual of view 0: the
-            # forward-difference Jacobian sees a steep descent towards s < 0
-            # that no actual trial point can realize.
+            # model's Jacobian predicts a descent that no actual trial point
+            # can realize.
             s = params[:, 0] - 830.0
             r = np.zeros((len(params), *observations.shape))
             r[:, 0, 0, 0] = np.sqrt(J0 + np.where(s > 0.0, 1.0 + s, -s))
@@ -443,7 +454,9 @@ class TestRefine:
         )
         r0 = kernel(theta[None])[0]
         J0 = calib_mod._total(calib_mod._squared_terms(r0))
-        N, b = calib_mod._normal_equations(*calib_mod._jacobian(kernel, theta, r0, 6), r0)
+        N, b = calib_mod._normal_equations(
+            *calib_mod._jacobian(4, theta, data.world_points, 6), r0
+        )
         undamped = theta + np.linalg.solve(N, -b)
         with np.errstate(over="ignore", invalid="ignore"):
             J_undamped = calib_mod._total(calib_mod._squared_terms(kernel(undamped[None])[0]))
@@ -527,114 +540,136 @@ def test_unpack_inverts_pack(noisy3):
             assert np.array_equal(e.translation, want.translation)
 
 
-def residuals_at(theta_full, model_id, data):
-    """Residuals (V, P, 2) at a packed vector, recomputed view by view in full."""
-    A, model, extrinsics = calib_mod._unpack(theta_full, model_id, data.n_views)
-    return np.stack(
-        [
-            rc.project_distorted(A, ext, model, data.world_points) - obs
-            for ext, obs in zip(extrinsics, data.observations)
-        ]
-    )
+@pytest.fixture(scope="module")
+def jacobian_points():
+    """Per set name: its data, its linear start and its points lifted off the plane."""
+    rng = np.random.default_rng(5)
+    out = {}
+    for name, (data, _) in (("trend", trend_dataset()), ("wide", wide_dataset(1))):
+        lifted = data.world_points.copy()
+        lifted[:, 2] = rng.uniform(-0.5, 0.5, len(lifted))
+        out[name] = (data, rc.linear_initialize(data, 0), lifted)
+    return out
+
+
+class TestJacobian:
+    """calibration._jacobian against the finite-difference reference in _helpers."""
+
+    @staticmethod
+    def free(model_id, frozen):
+        """m, the count of free globals, with or without the intrinsics."""
+        return rc.coefficient_arity(model_id) + (0 if frozen else 5)
+
+    @pytest.mark.parametrize("model_id", range(10))
+    @pytest.mark.parametrize("name", ["trend", "wide"])
+    def test_matches_forward_difference(self, jacobian_points, name, model_id):
+        # At the linear start and 3 iterations on, on the planar points and
+        # on the same poses with the points lifted off the plane, with the
+        # intrinsics free and frozen.
+        data, base, lifted = jacobian_points[name]
+        zero = rc.DistortionModel(model_id, (0.0,) * rc.coefficient_arity(model_id))
+        start = replace(base, model=zero)
+        later = rc.refine(start, data, rc.OptimizerOptions(max_iterations=3))
+        assert later.iterations == 3 and any(later.model.coefficients)
+        for fit in (start, later):
+            params = calib_mod._pack(fit.intrinsics, fit.model, fit.extrinsics)
+            for pts3 in (data.world_points, lifted):
+                for frozen in (False, True):
+                    assert_jacobian_close(model_id, params, pts3, self.free(model_id, frozen))
+
+    def test_rotation_at_and_below_the_series_angle(self, trend):
+        # View 0 at w = 0 exactly, view 1 below the series cut-off, view 2 just
+        # above it; the other views keep their poses. The target sits at Z = 0
+        # and at Z = 0.3, which moves R's third column too.
+        data, spec = trend
+        model = rc.DistortionModel(9, (0.1, -0.05, 0.08))
+        params = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        small = np.array([4e-3, -3e-3, 2e-3])
+        cut = core_mod._SERIES_ANGLE
+        norm = np.linalg.norm
+        for v, w in enumerate([np.zeros(3), small, small / norm(small) * 1.5 * cut]):
+            params[8 + 6 * v : 8 + 6 * v + 3] = w
+        assert norm(small) < cut
+        for pts3 in (data.world_points, data.world_points + [0.0, 0.0, 0.3]):
+            assert_jacobian_close(9, params, pts3, 8)
+        assert np.array_equal(core_mod._left_jacobian(np.zeros(3)), np.eye(3))
+        # The series and the closed form meet at the cut-off.
+        sides = np.array([1.0 - 1e-13, 1.0 + 1e-13])[:, None] * (cut * small / norm(small))
+        angle = norm(sides, axis=1)
+        assert angle[0] < cut < angle[1]
+        below, above = core_mod._left_jacobian(sides)
+        assert np.abs(below - above).max() < 1e-13
+
+    @pytest.mark.parametrize("model_id", [1, 3, 4, 6, 7, 8])
+    def test_point_on_the_optical_axis(self, model_id):
+        # Models with odd powers of r have a kink in f at r = 0; the map
+        # (x, y) -> f (x, y) still has the derivative f(0) I = I there.
+        A = camera_830()
+        grid = np.linspace(-1.0, 1.0, 5)
+        pts3 = np.array([(X, Y, 0.0) for X in grid for Y in grid])
+        axis = rc.Extrinsics(rotation=np.zeros(3), translation=(0.0, 0.0, 5.0))
+        tilted = rc.Extrinsics(rotation=(0.1, -0.2, 0.05), translation=(0.2, 0.1, 6.0))
+        k = (0.2, -0.1, 0.05)[: rc.coefficient_arity(model_id)]
+        params = calib_mod._pack(A, rc.DistortionModel(model_id, k), (axis, tilted))
+        m = self.free(model_id, False)
+        assert_jacobian_close(model_id, params, pts3, m)
+        Jg, Jp = calib_mod._jacobian(model_id, params, pts3, m)
+        on_axis = 12  # the world origin
+        want = np.array([[A.alpha, 0.0], [A.gamma, A.beta]]) / 5.0
+        assert np.allclose(Jp[3:5, 0, on_axis], want, rtol=1e-15, atol=0.0)
+
+    def test_model4_near_its_pole(self, trend):
+        # 1 + k r falls to 0.01 at the farthest point: f = 100 there. The
+        # forward difference's truncation error grows as 1 / D (1.2e-6 of the
+        # column here), so the reference is the central difference.
+        data, _ = trend
+        start = rc.linear_initialize(data, 4)
+        params = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        pc = calib_mod._camera_frame(params[6:].reshape(-1, 6), data.world_points)
+        r_max = np.hypot(pc[:, 0] / pc[:, 2], pc[:, 1] / pc[:, 2]).max()
+        params[5] = -(1.0 - 0.01) / r_max
+        assert_jacobian_close(4, params, data.world_points, 6, central=True)
+        # Closer in, down to just above DENOM_EPS, every entry stays finite.
+        params[5] = -(1.0 - 1e-11) / r_max
+        for block in calib_mod._jacobian(4, params, data.world_points, 6):
+            assert np.isfinite(block).all()
+
+    def test_random_models_and_poses(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        unit = st.floats(-1.0, 1.0)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            model_id=st.integers(0, 9),
+            k=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+            w=st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3),
+            t=st.tuples(unit, unit, st.floats(3.0, 10.0)),
+            seed=st.integers(0, 2**32 - 1),
+            lift=st.booleans(),
+            frozen=st.booleans(),
+        )
+        def check(model_id, k, w, t, seed, lift, frozen):
+            rng = np.random.default_rng(seed)
+            pts3 = np.column_stack([rng.uniform(-1.5, 1.5, (12, 2)), np.zeros(12)])
+            if lift:
+                pts3[:, 2] = rng.uniform(-1.0, 1.0, 12)
+            model = rc.DistortionModel(model_id, k[: rc.coefficient_arity(model_id)])
+            ext = rc.Extrinsics(rotation=w, translation=t)
+            pc = rc.world_to_camera(ext, pts3)
+            hypothesis.assume((pc[:, 2] > 1.0).all())
+            r = np.hypot(pc[:, 0] / pc[:, 2], pc[:, 1] / pc[:, 2])
+            # Away from a pole, where central differences stay accurate.
+            _, den = distortion_mod._rational(model_id, model.coefficients)
+            hypothesis.assume((np.abs(np.polynomial.polynomial.polyval(r, den)) > 0.1).all())
+            params = calib_mod._pack(camera_830(), model, (ext,))
+            m = self.free(model_id, frozen)
+            assert_jacobian_close(model_id, params, pts3, m, central=True)
+
+        check()
 
 
 class TestObjectiveKernel:
-    def jacobian(self, data, start, freeze_intrinsics=False, hole=None):
-        """_jacobian at start's packed vector, with what a check needs.
-
-        hole, if given, post-processes the kernel's (rows, residuals) to
-        knock out probes.
-        """
-        model_id = start.model.model_id
-        theta_full = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
-        frozen = theta_full[:5] if freeze_intrinsics else theta_full[:0]
-        theta = theta_full[len(frozen) :]
-        obs = np.stack(data.observations)
-
-        def kernel(rows):
-            full = np.concatenate([np.broadcast_to(frozen, (len(rows), len(frozen))), rows], 1)
-            r = calib_mod._residuals(model_id, full, data.world_points, obs)
-            return r if hole is None else hole(rows, r)
-
-        r0 = residuals_at(theta_full, model_id, data)
-        m = len(theta) - 6 * data.n_views
-        Jg, Jp = calib_mod._jacobian(kernel, theta, r0, m)
-        h = calib_mod._FD_STEP * np.maximum(1.0, np.abs(theta))
-        h = (theta + h) - theta
-        return theta, frozen, r0, m, Jg, Jp, h
-
-    def column(self, Jg, Jp, m, i):
-        """Column i of the full Jacobian, shape (V, P, 2)."""
-        if i < m:
-            return Jg[i]
-        v, q = divmod(i - m, 6)
-        col = np.zeros_like(Jp[0])
-        col[v] = Jp[q, v]
-        return col
-
-    def assert_jacobian_exact(self, data, start, freeze_intrinsics=False):
-        # Every column the one batched call assembles must be the forward
-        # difference a full recompute at the perturbed vector gives.
-        model_id = start.model.model_id
-        theta, frozen, r0, m, Jg, Jp, h = self.jacobian(data, start, freeze_intrinsics)
-        assert Jg.shape == (m, *r0.shape) and Jp.shape == (6, *r0.shape)
-        for i in range(len(theta)):
-            plus = theta.copy()
-            plus[i] += h[i]
-            want = (residuals_at(np.concatenate([frozen, plus]), model_id, data) - r0) / h[i]
-            assert np.array_equal(self.column(Jg, Jp, m, i), want)
-
-    def test_jacobian_matches_full_recompute(self, trend):
-        data, _ = trend
-        base = rc.linear_initialize(data, 0)
-        few = rc.OptimizerOptions(max_iterations=3)
-        for mid in range(10):
-            start = replace(
-                base,
-                model=rc.DistortionModel(
-                    model_id=mid, coefficients=(0.0,) * rc.coefficient_arity(mid)
-                ),
-            )
-            self.assert_jacobian_exact(data, start)
-            # A few iterations in, the coefficients are no longer zero.
-            self.assert_jacobian_exact(data, rc.refine(start, data, few))
-
-    def test_jacobian_matches_with_frozen_intrinsics(self, trend):
-        data, spec = trend
-        start = rc.fit_distortion(data, spec.intrinsics, 9, rc.OptimizerOptions(max_iterations=3))
-        self.assert_jacobian_exact(data, start, freeze_intrinsics=True)
-
-    def test_nonfinite_forward_probe_takes_backward_difference(self, trend):
-        # Knock out the forward probe of coefficient k1 everywhere, that of
-        # view 2's pose coordinate 1 in view 2 only, and both probes of alpha.
-        data, _ = trend
-        start = rc.refine(rc.linear_initialize(data, 3), data, rc.OptimizerOptions(max_iterations=3))
-        theta0 = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
-        m = 5 + rc.coefficient_arity(3)
-        pose = m + 6 * 2 + 1
-
-        def hole(rows, r):
-            r = r.copy()
-            r[rows[:, 5] > theta0[5]] = np.nan
-            r[rows[:, pose] > theta0[pose], 2, 0, 1] = np.nan
-            r[rows[:, 0] != theta0[0], 0, 3] = np.nan
-            return r
-
-        theta, _, r0, _, Jg, Jp, h = self.jacobian(data, start, hole=hole)
-        for i in range(len(theta)):
-            got = self.column(Jg, Jp, m, i)
-            if i == 0:
-                assert not got.any()
-                continue
-            moved = theta.copy()
-            if i in (5, pose):
-                moved[i] -= h[i]
-                want = (r0 - residuals_at(moved, 3, data)) / h[i]
-            else:
-                moved[i] += h[i]
-                want = (residuals_at(moved, 3, data) - r0) / h[i]
-            assert np.array_equal(got, want), i
-
     def test_rows_do_not_depend_on_their_batch(self, trend):
         data, spec = trend
         pts3 = data.world_points

@@ -142,6 +142,16 @@ class TestRotation:
         ext = rc.Extrinsics(rotation=w, translation=np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(ext.matrix, rc.rotation_to_matrix(w))
 
+    def test_extrinsics_reject_nonfinite_entries(self):
+        # Z^c = inf would put every point at the principal point, silently.
+        for field in ("rotation", "translation"):
+            for i in range(3):
+                for bad in (math.inf, -math.inf, math.nan):
+                    good = {"rotation": [0.1, -0.2, 0.3], "translation": [0.0, 0.0, 5.0]}
+                    good[field][i] = bad
+                    with pytest.raises(ValueError, match="extrinsics must be finite"):
+                        rc.Extrinsics(**good)
+
 
 class TestProjection:
     def test_optical_axis(self):
