@@ -362,30 +362,28 @@ def _camera_frame(pose: np.ndarray, pts3: Mat) -> np.ndarray:
 
 
 def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False):
-    """Distorted pixels of pts3 under a batch of packed parameter rows.
+    """Distorted pixels of pts3 under one packed parameter row.
 
-    params is (B, 5 + arity + 6V), each row laid out as theta above, and
-    pts3 is (P, 3). Every step is elementwise numpy over (B, V, P) arrays, so
-    a row's values never depend on the rows beside it. Returns u and v, each
-    (B, V, P). A point below DEPTH_EPS, or one where the profile denominator
-    is below DENOM_EPS, has no pixel: its u and v are nan, and the other
-    points keep theirs. With strict=True, for one row and one view, such a
+    params has length 5 + arity + 6V, laid out as theta above, and pts3 is
+    (P, 3). Every step is elementwise numpy over (V, P) arrays. Returns u and
+    v, each (V, P). A point below DEPTH_EPS, or one where the profile
+    denominator is below DENOM_EPS, has no pixel: its u and v are nan, and
+    the other points keep theirs. With strict=True, for one view, such a
     point raises NonPositiveDepth (naming the first point) or SingularProfile
     instead.
     """
     arity = coefficient_arity(model_id)
-    # Intrinsics and coefficients broadcast over (B, V, P) as (B, 1, 1) columns.
-    alpha, gamma, u0, beta, v0, *k = params[:, : 5 + arity].T[:, :, None, None]
-    Pc = _camera_frame(params[:, 5 + arity :].reshape(len(params), -1, 6), pts3)
-    z = Pc[..., 2, :]
+    alpha, gamma, u0, beta, v0, *k = params[: 5 + arity]
+    Pc = _camera_frame(params[5 + arity :].reshape(-1, 6), pts3)
+    z = Pc[:, 2]
     low = z < DEPTH_EPS
     if low.any():
         if strict:
-            _, _, j = np.argwhere(low)[0]
-            raise NonPositiveDepth(f"point {j}: Z^c = {float(z[0, 0, j])!r}")
+            v, j = np.argwhere(low)[0]
+            raise NonPositiveDepth(f"point {j}: Z^c = {float(z[v, j])!r}")
         z = np.where(low, np.nan, z)
-    x = Pc[..., 0, :] / z
-    y = Pc[..., 1, :] / z
+    x = Pc[:, 0] / z
+    y = Pc[:, 1] / z
     r = np.hypot(x, y)
     f = _profile(model_id, k, r)
     if strict:
@@ -396,47 +394,32 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
 
 
 def _residuals(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
-    """The residual kernel: predicted minus observed pixels, shape (B, V, P, 2).
+    """The residual kernel: predicted minus observed pixels, shape (V, P, 2).
 
-    observations is the (V, P, 2) stack of pixel observations. A point that
-    _project leaves without a pixel, and every point of a row whose focal
-    scale alpha or beta is <= 0, has nan residuals.
+    params is one packed row and observations the (V, P, 2) stack of pixel
+    observations. A point that _project leaves without a pixel has nan
+    residuals, and so has every point when the focal scale alpha or beta is
+    <= 0.
     """
+    if params[0] <= 0.0 or params[3] <= 0.0:
+        return np.full(observations.shape, np.nan)
     u, v = _project(model_id, params, pts3)
-    r = np.stack([u - observations[..., 0], v - observations[..., 1]], axis=-1)
-    r[(params[:, 0] <= 0.0) | (params[:, 3] <= 0.0)] = np.nan
-    return r
+    return np.stack([u - observations[..., 0], v - observations[..., 1]], axis=-1)
 
 
-def _squared_terms(r: np.ndarray) -> np.ndarray:
-    """Per-view sums of squared residuals, shape (..., V); a nan view reads inf."""
+def _objective(r: np.ndarray) -> float:
+    """J of the (V, P, 2) residuals: per-view sums of squares added in view order.
+
+    A view with a nan residual reads inf, so J is inf. The fixed order makes
+    J a function of the per-view sums alone, so refine's J of a result and
+    compute_objective's agree bit for bit.
+    """
     du = r[..., 0]
     dv = r[..., 1]
-    terms = np.sum(du * du + dv * dv, axis=-1)
-    terms[np.isnan(terms)] = np.inf
-    return terms
-
-
-def _view_terms(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
-    """The objective kernel: per-view squared pixel error sums, shape (B, V).
-
-    A view with a point that _project leaves without a pixel, and every view
-    of a row whose focal scale alpha or beta is <= 0, reads inf.
-    """
-    return _squared_terms(_residuals(model_id, params, pts3, observations))
-
-
-def _total(terms: np.ndarray):
-    """J from per-view terms, summed view by view in order along the last axis.
-
-    A fixed order makes J a function of the per-view terms alone, so a J
-    assembled from terms evaluated in different batches equals a full
-    recompute bit for bit.
-    """
-    J = terms[..., 0]
-    for i in range(1, terms.shape[-1]):
-        J = J + terms[..., i]
-    return J
+    J = 0.0
+    for term in np.sum(du * du + dv * dv, axis=-1).tolist():
+        J += term
+    return math.inf if math.isnan(J) else J
 
 
 def project_distorted(
@@ -448,8 +431,8 @@ def project_distorted(
     SingularProfile when a profile denominator vanishes.
     """
     pts = np.asarray(world_points, dtype=float)
-    u, v = _project(model.model_id, _pack(A, model, (ext,))[None], pts, strict=True)
-    return np.column_stack([u[0, 0], v[0, 0]])
+    u, v = _project(model.model_id, _pack(A, model, (ext,)), pts, strict=True)
+    return np.column_stack([u[0], v[0]])
 
 
 def compute_objective(
@@ -460,11 +443,10 @@ def compute_objective(
 ) -> float:
     """Sum of squared pixel distances between observations and predictions.
 
-    One call of the objective kernel that refine uses, with the per-view
-    sums added in view order, so J of a refined result recomputes to its
-    objective bit for bit. A view with a point below DEPTH_EPS or a
-    vanishing profile denominator raises NonPositiveDepth or SingularProfile
-    naming the first such view.
+    The residual and objective kernels that refine uses, so J of a refined
+    result recomputes to its objective bit for bit. A view with a point below
+    DEPTH_EPS or a vanishing profile denominator raises NonPositiveDepth or
+    SingularProfile naming the first such view.
     """
     extrinsics = tuple(extrinsics)
     if len(extrinsics) != data.n_views:
@@ -472,19 +454,15 @@ def compute_objective(
             f"got {len(extrinsics)} extrinsics for {data.n_views} views"
         )
     pts3 = data.world_points
-    terms = _view_terms(
-        model.model_id,
-        _pack(A, model, extrinsics)[None],
-        pts3,
-        np.stack(data.observations),
-    )[0]
-    if not np.isfinite(terms).all():
+    theta = _pack(A, model, extrinsics)
+    J = _objective(_residuals(model.model_id, theta, pts3, np.stack(data.observations)))
+    if not math.isfinite(J):
         for i, ext in enumerate(extrinsics):
             try:
                 project_distorted(A, ext, model, pts3)
             except RadialCalError as exc:
                 raise type(exc)(f"view {i}, {exc}") from None
-    return float(_total(terms))
+    return J
 
 
 # Levenberg-Marquardt damping at the first step, and the damping past which
@@ -627,8 +605,8 @@ def refine(
     Parameters are the 5 intrinsics, the model's coefficients and all 6N
     pose entries; freeze_intrinsics pins the first five. The residual
     r(theta), predicted minus observed pixels of shape (V, P, 2), comes from
-    the one projection kernel, and J = ||r||^2 is its per-view sums added in
-    view order, so J of the result recomputes to its objective bit for bit.
+    _residuals, and J = ||r||^2 from _objective, so compute_objective of the
+    result recomputes its objective bit for bit.
 
     Each iteration takes the analytic Jacobian in one vectorised pass (see
     _jacobian), assembles J^T J and J^T r block by block, and solves
@@ -642,8 +620,9 @@ def refine(
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
     numerically zero gradient or no lower J where the iteration's first
-    trial predicted a decrease below eps J (both stationary: J is at the
-    optimum to double resolution), or the iteration/evaluation caps. The caps
+    trial predicted a decrease below J's rounding floor eps (J + 2 sum |r|
+    |m|), m the observed pixels (both stationary: J is at the optimum to
+    double resolution), or the iteration/evaluation caps. The caps
     and line_search_failure (no damped step lowered J before lambda passed
     its limit) report converged=False carrying the best point reached; the
     accepted-step objective sequence (objective_trace) is decreasing by
@@ -663,11 +642,10 @@ def refine(
     observations = np.stack(data.observations)
 
     def residuals(theta: np.ndarray) -> np.ndarray:
-        row = np.concatenate([frozen, theta])[None]
-        return _residuals(model_id, row, pts3, observations)[0]
+        return _residuals(model_id, np.concatenate([frozen, theta]), pts3, observations)
 
     r = residuals(theta)
-    J = float(_total(_squared_terms(r)))
+    J = _objective(r)
     evals = 1
     if not math.isfinite(J):
         raise ValueError("initial parameters do not give a finite objective")
@@ -699,7 +677,7 @@ def refine(
             # A far trial may overflow; it reads inf and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
                 r_new = residuals(trial)
-                J_new = float(_total(_squared_terms(r_new)))
+                J_new = _objective(r_new)
             evals += 1
             if J_new < J:
                 accepted = True
@@ -707,11 +685,14 @@ def refine(
             lam *= nu
             nu *= 2.0
         if not accepted:
+            # J's rounding floor: a residual p - m carries the rounding of the
+            # pixel p, about eps |m|, which moves J by 2 eps |r| |m|.
+            floor = np.finfo(float).eps * (J + 2.0 * float(np.abs(r * observations).sum()))
             if evals >= opts.max_function_evaluations:
                 status = "max_function_evaluations"
-            elif first_predicted < np.finfo(float).eps * J:
-                # The first trial promised less than J's last bit: J is at
-                # the optimum to double resolution, not stuck on a bad residual.
+            elif first_predicted < floor:
+                # The first trial promised less than that floor: J is at the
+                # optimum to double resolution, not stuck on a bad residual.
                 status, converged = "stationary", True
             else:
                 status = "line_search_failure"

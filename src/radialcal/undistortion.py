@@ -177,10 +177,7 @@ def branch_reduce(
 
     Returns ascending coefficients (a0, a1, ...) of x N(r) - x_d D(r), with
     f = N/D, after substituting r = aux.s * sigma * x for the sign assumption
-    sigma = aux.sigma. Models 5 and 7 were formerly returned negated: same
-    roots, and the same inversion bits unless model 7's a1 is exactly 0,
-    where the quadratic formula's branch on its sign can move a root by an
-    ulp. Model 0 (a quintic) raises UnsupportedModel.
+    sigma = aux.sigma. Model 0 (a quintic) raises UnsupportedModel.
     """
     return _branch_coefficients(
         model.model_id, model.coefficients, x_d, aux.s, aux.t, aux.sigma

@@ -142,7 +142,7 @@ def difference_jacobian(model_id, params, pts3, m, central=False):
     def pixels(i, h):
         row = params.copy()
         row[i] += h
-        return calibration._residuals(model_id, row[None], pts3, zero)[0]
+        return calibration._residuals(model_id, row, pts3, zero)
 
     base = pixels(0, 0.0)
 
