@@ -348,43 +348,45 @@ def _unpack(theta: np.ndarray, model_id: int, n_views: int):
     )
 
 
-def _camera_frame(pose: np.ndarray, pts3: Mat) -> np.ndarray:
-    """P^c = R P + t of pts3 (P, 3) under (..., V, 6) pose blocks, shape (..., V, 3, P).
+def _frame(model_id: int, params: np.ndarray, pts3: Mat):
+    """One packed row's forward pass over pts3 (P, 3): P^c (V, 3, P) and x, y, r (V, P).
 
-    Column j of R times coordinate j, elementwise; a planar target (Z = 0)
-    skips the third column.
+    P^c = R P + t, column j of R times coordinate j (a planar target skips
+    the third), and (x, y) = (X, Y) / Z, r = hypot(x, y). A point below
+    DEPTH_EPS has nan x, y and r. _project, _residuals and _jacobian take
+    this frame, so refine passes an accepted trial's on to its Jacobian.
     """
-    R = rotation_to_matrix(pose[..., :3])
-    Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[..., 3:, None]
+    pose = params[5 + coefficient_arity(model_id) :].reshape(-1, 6)
+    R = rotation_to_matrix(pose[:, :3])
+    Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[:, 3:, None]
     if pts3[:, 2].any():
         Pc += R[..., 2, None] * pts3[:, 2]
-    return Pc
-
-
-def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False):
-    """Distorted pixels of pts3 under one packed parameter row.
-
-    params has length 5 + arity + 6V, laid out as theta above, and pts3 is
-    (P, 3). Every step is elementwise numpy over (V, P) arrays. Returns u and
-    v, each (V, P). A point below DEPTH_EPS, or one where the profile
-    denominator is below DENOM_EPS, has no pixel: its u and v are nan, and
-    the other points keep theirs. With strict=True, for one view, such a
-    point raises NonPositiveDepth (naming the first point) or SingularProfile
-    instead.
-    """
-    arity = coefficient_arity(model_id)
-    alpha, gamma, u0, beta, v0, *k = params[: 5 + arity]
-    Pc = _camera_frame(params[5 + arity :].reshape(-1, 6), pts3)
     z = Pc[:, 2]
     low = z < DEPTH_EPS
     if low.any():
-        if strict:
-            v, j = np.argwhere(low)[0]
-            raise NonPositiveDepth(f"point {j}: Z^c = {float(z[v, j])!r}")
         z = np.where(low, np.nan, z)
     x = Pc[:, 0] / z
     y = Pc[:, 1] / z
-    r = np.hypot(x, y)
+    return Pc, x, y, np.hypot(x, y)
+
+
+def _project(model_id: int, params: np.ndarray, frame, strict: bool = False):
+    """Distorted pixels of one packed parameter row over its _frame.
+
+    params has length 5 + arity + 6V, laid out as theta above, and frame is
+    _frame of the same row. Every step is elementwise numpy over (V, P)
+    arrays. Returns u and v, each (V, P). A point below DEPTH_EPS, or one
+    where the profile denominator is below DENOM_EPS, has no pixel: its u
+    and v are nan, and the other points keep theirs. With strict=True, for
+    one view, such a point raises NonPositiveDepth (naming the first point)
+    or SingularProfile instead.
+    """
+    arity = coefficient_arity(model_id)
+    alpha, gamma, u0, beta, v0, *k = params[: 5 + arity]
+    Pc, x, y, r = frame
+    if strict and (Pc[:, 2] < DEPTH_EPS).any():
+        v, j = np.argwhere(Pc[:, 2] < DEPTH_EPS)[0]
+        raise NonPositiveDepth(f"point {j}: Z^c = {float(Pc[v, 2, j])!r}")
     f = _profile(model_id, k, r)
     if strict:
         _checked(model_id, r, f)
@@ -393,17 +395,17 @@ def _project(model_id: int, params: np.ndarray, pts3: Mat, strict: bool = False)
     return alpha * xd + gamma * yd + u0, beta * yd + v0
 
 
-def _residuals(model_id: int, params: np.ndarray, pts3: Mat, observations) -> np.ndarray:
+def _residuals(model_id: int, params: np.ndarray, frame, observations) -> np.ndarray:
     """The residual kernel: predicted minus observed pixels, shape (V, P, 2).
 
-    params is one packed row and observations the (V, P, 2) stack of pixel
-    observations. A point that _project leaves without a pixel has nan
-    residuals, and so has every point when the focal scale alpha or beta is
-    <= 0.
+    params is one packed row, frame its _frame and observations the (V, P,
+    2) stack of pixel observations. A point that _project leaves without a
+    pixel has nan residuals, and so has every point when the focal scale
+    alpha or beta is <= 0.
     """
     if params[0] <= 0.0 or params[3] <= 0.0:
         return np.full(observations.shape, np.nan)
-    u, v = _project(model_id, params, pts3)
+    u, v = _project(model_id, params, frame)
     return np.stack([u - observations[..., 0], v - observations[..., 1]], axis=-1)
 
 
@@ -430,8 +432,9 @@ def project_distorted(
     Raises NonPositiveDepth naming the first point below DEPTH_EPS and
     SingularProfile when a profile denominator vanishes.
     """
-    pts = np.asarray(world_points, dtype=float)
-    u, v = _project(model.model_id, _pack(A, model, (ext,)), pts, strict=True)
+    params = _pack(A, model, (ext,))
+    frame = _frame(model.model_id, params, np.asarray(world_points, dtype=float))
+    u, v = _project(model.model_id, params, frame, strict=True)
     return np.column_stack([u[0], v[0]])
 
 
@@ -455,7 +458,8 @@ def compute_objective(
         )
     pts3 = data.world_points
     theta = _pack(A, model, extrinsics)
-    J = _objective(_residuals(model.model_id, theta, pts3, np.stack(data.observations)))
+    frame = _frame(model.model_id, theta, pts3)
+    J = _objective(_residuals(model.model_id, theta, frame, np.stack(data.observations)))
     if not math.isfinite(J):
         for i, ext in enumerate(extrinsics):
             try:
@@ -472,15 +476,16 @@ _DAMPING_START = 1e-3
 _DAMPING_LIMIT = 1e16
 
 
-def _jacobian(model_id: int, params: np.ndarray, pts3: Mat, m: int):
-    """Analytic Jacobian blocks of the residuals at one packed row params.
+def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
+    """Analytic Jacobian of the residuals at one packed row params, per view.
 
-    params is laid out as theta above; its last m entries before the 6V pose
-    entries are the free globals (the coefficients, after the intrinsics
-    unless these are frozen). Returns Jg of shape (m, V, P, 2), the
-    derivatives along the global entries, and Jp of shape (6, V, P, 2), where
-    Jp[q, v] is the derivative along view v's pose coordinate q (rotation,
-    then translation); the other views do not depend on that coordinate.
+    params is laid out as theta above and frame is its _frame; the last m
+    entries before the 6V pose entries are the free globals (the
+    coefficients, after the intrinsics unless these are frozen). Returns J
+    of shape (V, m + 6, 2, P): J[v, i, c] is the derivative of view v's
+    pixel coordinate c (u, then v) along global i < m, then along view v's
+    pose coordinate i - m (rotation, then translation), which no other view
+    depends on.
 
     With f = N / D, (x_d, y_d) = f (x, y) and (u, v) = (alpha x_d + gamma
     y_d + u0, beta y_d + v0), the chain runs:
@@ -501,11 +506,7 @@ def _jacobian(model_id: int, params: np.ndarray, pts3: Mat, m: int):
     arity = coefficient_arity(model_id)
     alpha, gamma, u0, beta, v0 = params[:5]
     pose = params[5 + arity :].reshape(-1, 6)
-    Pc = _camera_frame(pose, pts3)
-    z = Pc[:, 2]
-    x = Pc[:, 0] / z
-    y = Pc[:, 1] / z
-    r = np.hypot(x, y)
+    Pc, x, y, r = frame
 
     # N, D and their slopes in r, term by term from the model table.
     num_terms, den_terms = _TERMS[model_id]
@@ -525,25 +526,24 @@ def _jacobian(model_id: int, params: np.ndarray, pts3: Mat, m: int):
     f = N / D
     df = (dN - f * dD) / D
 
-    # Column i's u and v derivatives go to J[i, 0] and J[i, 1], each (V, P),
-    # so that no product broadcasts along a trailing axis of 2.
-    n_views, n_points = z.shape
-    J = np.zeros((m + 6, 2, n_views, n_points))
-    Jg, Jp = J[:m], J[m:]
+    # Column i's u and v derivatives go to J[:, i, 0] and J[:, i, 1], each
+    # (V, P), so that no product broadcasts along a trailing axis of 2.
+    n_views, n_points = x.shape
+    J = np.zeros((n_views, m + 6, 2, n_points))
     if m > arity:
         xd = x * f
         yd = y * f
-        Jg[0, 0] = xd
-        Jg[1, 0] = yd
-        Jg[2, 0] = 1.0
-        Jg[3, 1] = yd
-        Jg[4, 1] = 1.0
+        J[:, 0, 0] = xd
+        J[:, 1, 0] = yd
+        J[:, 2, 0] = 1.0
+        J[:, 3, 1] = yd
+        J[:, 4, 1] = 1.0
     # (alpha x + gamma y, beta y), the pixel offset from (u0, v0) per unit f,
     # times df/dk: r^p / D along a term of N, -f r^p / D along a term of D.
-    ray = np.stack([alpha * x + gamma * y, beta * y])
+    ray = np.stack([alpha * x + gamma * y, beta * y], axis=1)
     dfk = [powers[p] / D for p in num_terms] + [-f * powers[p] / D for p in den_terms]
     for i, d in enumerate(dfk, start=m - arity):
-        np.multiply(ray, d, out=Jg[i])
+        np.multiply(ray, d[:, None], out=J[:, i])
 
     # d(x_d, y_d)/d(x, y), with unit (x, y) / r zero at r = 0.
     safe = r + (r == 0.0)
@@ -553,45 +553,44 @@ def _jacobian(model_id: int, params: np.ndarray, pts3: Mat, m: int):
     dyy = f + df * y * ey
     # The pixel derivatives along x and along y, divided by Z, are those along
     # X and Y of P^c, and -(x, y) weighs them into the one along Z; dP^c/dt = I.
-    inv_z = 1.0 / z
-    np.multiply(np.stack([alpha * dxx + gamma * dxy, beta * dxy]), inv_z, out=Jp[3])
-    np.multiply(np.stack([alpha * dxy + gamma * dyy, beta * dyy]), inv_z, out=Jp[4])
-    np.negative(x * Jp[3] + y * Jp[4], out=Jp[5])
+    inv_z = (1.0 / Pc[:, 2])[:, None]
+    g0, g1, g2 = J[:, m + 3], J[:, m + 4], J[:, m + 5]
+    np.multiply(np.stack([alpha * dxx + gamma * dxy, beta * dxy], axis=1), inv_z, out=g0)
+    np.multiply(np.stack([alpha * dxy + gamma * dyy, beta * dyy], axis=1), inv_z, out=g1)
+    np.negative(x[:, None] * g0 + y[:, None] * g1, out=g2)
 
-    # d/dw_j of g . P^c is (J_l e_j) . (R P x g): J_l^T applied to R P x g.
-    X, Y, Z = (Pc - pose[:, 3:, None]).transpose(1, 0, 2)
-    g0, g1, g2 = Jp[3:]
-    cross = np.stack([Y * g2 - Z * g1, Z * g0 - X * g2, X * g1 - Y * g0])
-    np.einsum("vij,icvp->jcvp", _left_jacobian(pose[:, :3]), cross, out=Jp[:3])
-
-    out = np.empty((m + 6, n_views, n_points, 2))
-    out[..., 0] = J[:, 0]
-    out[..., 1] = J[:, 1]
-    return out[:m], out[m:]
+    # d/dw_j of g . P^c is (J_l e_j) . (R P x g): J_l^T applied to R P x g,
+    # one 3 x 3 by 3 x 2P product per view.
+    X, Y, Z = (Pc - pose[:, 3:, None])[:, :, None].transpose(1, 0, 2, 3)
+    cross = np.stack([Y * g2 - Z * g1, Z * g0 - X * g2, X * g1 - Y * g0], axis=1)
+    rotation = J.reshape(n_views, m + 6, -1)[:, m : m + 3]
+    Jl = _left_jacobian(pose[:, :3])
+    np.matmul(Jl.transpose(0, 2, 1), cross.reshape(n_views, 3, -1), out=rotation)
+    return J
 
 
-def _normal_equations(Jg: np.ndarray, Jp: np.ndarray, r: np.ndarray):
-    """J^T J and J^T r of the full Jacobian, assembled from _jacobian's blocks.
+def _normal_equations(J: np.ndarray, r: np.ndarray):
+    """J^T J and J^T r from _jacobian's (V, m + 6, 2, P) blocks and the (V, P, 2) r.
 
-    J^T J is block-arrowhead: the global-global block, one global-pose block
-    per view, and one 6 x 6 block per view; pose blocks of different views
-    are zero.
+    Two batched products give every view's Gram block G_v = J_v J_v^T and
+    g_v = J_v r_v. J^T J is block-arrowhead (Triggs et al. 2000, "Bundle
+    adjustment - a modern synthesis"): the global block sums the G_v's m x
+    m corners, and each view adds its global-pose and 6 x 6 pose blocks;
+    pose blocks of different views are zero.
     """
-    m, n_views = len(Jg), len(r)
-    n = m + 6 * n_views
-    N = np.zeros((n, n))
-    N[:m, :m] = np.einsum("ivpc,jvpc->ij", Jg, Jg)
-    cross = np.einsum("ivpc,qvpc->ivq", Jg, Jp).reshape(m, -1)
+    n_views, width = J.shape[:2]
+    m = width - 6
+    blocks = J.reshape(n_views, width, -1)
+    G = blocks @ blocks.transpose(0, 2, 1)
+    g = (blocks @ r.transpose(0, 2, 1).reshape(n_views, -1, 1))[..., 0]
+    N = np.zeros((m + 6 * n_views,) * 2)
+    N[:m, :m] = G[:, :m, :m].sum(axis=0)
+    cross = G[:, :m, m:].transpose(1, 0, 2).reshape(m, -1)
     N[:m, m:] = cross
     N[m:, :m] = cross.T
     views = np.arange(n_views)
-    poses = np.zeros((n_views, 6, n_views, 6))
-    poses[views, :, views, :] = np.einsum("qvpc,svpc->vqs", Jp, Jp)
-    N[m:, m:] = poses.reshape(6 * n_views, 6 * n_views)
-    b = np.concatenate(
-        [np.einsum("ivpc,vpc->i", Jg, r), np.einsum("qvpc,vpc->vq", Jp, r).ravel()]
-    )
-    return N, b
+    N[m:, m:].reshape(n_views, 6, n_views, 6)[views, :, views, :] = G[:, m:, m:]
+    return N, np.concatenate([g[:, :m].sum(axis=0), g[:, m:].ravel()])
 
 
 def refine(
@@ -608,25 +607,25 @@ def refine(
     _residuals, and J = ||r||^2 from _objective, so compute_objective of the
     result recomputes its objective bit for bit.
 
-    Each iteration takes the analytic Jacobian in one vectorised pass (see
-    _jacobian), assembles J^T J and J^T r block by block, and solves
-    (J^T J + lambda diag(J^T J)) delta = -J^T r densely. A trial
-    point whose J is lower is accepted and lambda is rescaled by the gain
-    ratio (Madsen, Nielsen and Tingleff 2004, section 3.2); otherwise, also
-    where J is not finite, lambda rises and the step is solved again. The
-    residual at the start, each Jacobian and each trial count as one
-    function evaluation.
+    Each iteration takes the analytic Jacobian (see _jacobian) from the
+    camera frame its point's residuals were computed from, forms J^T J and
+    J^T r from per-view Gram blocks (_normal_equations), and solves (J^T J
+    + lambda diag(J^T J)) delta = -J^T r densely. A trial whose J falls by
+    more than J's rounding floor eps (J + 2 sum |r| |m|), m the observed
+    pixels, is accepted and lambda rescaled by the gain ratio (Madsen,
+    Nielsen and Tingleff 2004, section 3.2); otherwise, also where J is not
+    finite, lambda rises and the step is solved again. The residual at the
+    start, each Jacobian and each trial count as one function evaluation.
 
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
-    numerically zero gradient or no lower J where the iteration's first
-    trial predicted a decrease below J's rounding floor eps (J + 2 sum |r|
-    |m|), m the observed pixels (both stationary: J is at the optimum to
-    double resolution), or the iteration/evaluation caps. The caps
-    and line_search_failure (no damped step lowered J before lambda passed
-    its limit) report converged=False carrying the best point reached; the
-    accepted-step objective sequence (objective_trace) is decreasing by
-    construction.
+    numerically zero gradient or no accepted trial where the iteration's
+    first trial predicted a decrease below that floor (both stationary: J
+    is at the optimum to double resolution), or the iteration/evaluation
+    caps. The caps and line_search_failure (no damped step lowered J by
+    more than the floor before lambda passed its limit) report
+    converged=False carrying the best point reached; the accepted-step
+    objective sequence (objective_trace) is decreasing by construction.
     """
     opts = opts or OptimizerOptions()
     model_id = initial.model.model_id
@@ -641,10 +640,12 @@ def refine(
     pts3 = data.world_points
     observations = np.stack(data.observations)
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        return _residuals(model_id, np.concatenate([frozen, theta]), pts3, observations)
+    def evaluate(theta: np.ndarray):  # the packed row, its _frame and its residuals
+        row = np.concatenate([frozen, theta])
+        frame = _frame(model_id, row, pts3)
+        return row, frame, _residuals(model_id, row, frame, observations)
 
-    r = residuals(theta)
+    row, frame, r = evaluate(theta)
     J = _objective(r)
     evals = 1
     if not math.isfinite(J):
@@ -659,12 +660,14 @@ def refine(
         if evals >= opts.max_function_evaluations:
             status = "max_function_evaluations"
             break
-        Jg, Jp = _jacobian(model_id, np.concatenate([frozen, theta]), pts3, m)
-        N, b = _normal_equations(Jg, Jp, r)
+        N, b = _normal_equations(_jacobian(model_id, row, frame, m), r)
         evals += 1
         if 2.0 * float(np.max(np.abs(b))) <= 1e-9 * max(1.0, J):
             status, converged = "stationary", True
             break
+        # J's rounding floor: a residual p - m carries the rounding of the pixel
+        # p, about eps |m|, which moves J by 2 eps |r| |m|. No smaller fall counts.
+        floor = np.finfo(float).eps * (J + 2.0 * float(np.abs(r * observations).sum()))
         scale = np.diag(N).copy()
         scale[scale <= 0.0] = 1.0
         accepted = False
@@ -676,18 +679,15 @@ def refine(
             trial = theta + step
             # A far trial may overflow; it reads inf and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
-                r_new = residuals(trial)
+                trial_row, trial_frame, r_new = evaluate(trial)
                 J_new = _objective(r_new)
             evals += 1
-            if J_new < J:
+            if J - J_new > floor:
                 accepted = True
                 break
             lam *= nu
             nu *= 2.0
         if not accepted:
-            # J's rounding floor: a residual p - m carries the rounding of the
-            # pixel p, about eps |m|, which moves J by 2 eps |r| |m|.
-            floor = np.finfo(float).eps * (J + 2.0 * float(np.abs(r * observations).sum()))
             if evals >= opts.max_function_evaluations:
                 status = "max_function_evaluations"
             elif first_predicted < floor:
@@ -705,7 +705,7 @@ def refine(
         trace.append(J_new)
         rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(theta))))
         rel_dJ = (J - J_new) / max(1.0, J_new)
-        theta, r, J = trial, r_new, J_new
+        theta, row, frame, r, J = trial, trial_row, trial_frame, r_new, J_new
         if rel_step < opts.step_tolerance:
             status, converged = "step_tolerance", True
             break
@@ -714,7 +714,7 @@ def refine(
             status, converged = "objective_tolerance", True
             break
 
-    A, model, extrinsics = _unpack(np.concatenate([frozen, theta]), model_id, n_views)
+    A, model, extrinsics = _unpack(row, model_id, n_views)
     return CalibrationResult(
         intrinsics=A,
         extrinsics=extrinsics,

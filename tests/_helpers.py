@@ -123,6 +123,18 @@ def random_intrinsics(rng) -> rc.IntrinsicParams:
     )
 
 
+def residuals(model_id, params, pts3, observations):
+    """calibration._residuals of one packed row over (P, 3) points, from the row's frame."""
+    frame = calibration._frame(model_id, params, pts3)
+    return calibration._residuals(model_id, params, frame, observations)
+
+
+def jacobian(model_id, params, pts3, m):
+    """calibration._jacobian of one packed row over (P, 3) points, from the row's frame."""
+    frame = calibration._frame(model_id, params, pts3)
+    return calibration._jacobian(model_id, params, frame, m)
+
+
 def difference_jacobian(model_id, params, pts3, m, central=False):
     """Reference Jacobian of calibration._residuals by finite differences.
 
@@ -142,7 +154,7 @@ def difference_jacobian(model_id, params, pts3, m, central=False):
     def pixels(i, h):
         row = params.copy()
         row[i] += h
-        return calibration._residuals(model_id, row, pts3, zero)
+        return residuals(model_id, row, pts3, zero)
 
     base = pixels(0, 0.0)
 
@@ -162,18 +174,20 @@ def difference_jacobian(model_id, params, pts3, m, central=False):
     return np.array(columns)
 
 
-def jacobian_columns(Jg, Jp):
-    """calibration._jacobian's blocks as one column per free entry, as difference_jacobian."""
-    n_views = Jp.shape[1]
-    poses = np.zeros((n_views, 6, *Jp.shape[1:]))
+def jacobian_columns(J):
+    """calibration._jacobian's (V, m + 6, 2, P) blocks as difference_jacobian's columns."""
+    n_views, width, _, n_points = J.shape
+    m = width - 6
+    columns = J.transpose(1, 0, 3, 2)  # (m + 6, V, P, 2)
+    poses = np.zeros((n_views, 6, n_views, n_points, 2))
     for v in range(n_views):
-        poses[v, :, v] = Jp[:, v]
-    return np.concatenate([Jg, poses.reshape(6 * n_views, *Jp.shape[1:])])
+        poses[v, :, v] = columns[m:, v]
+    return np.concatenate([columns[:m], poses.reshape(6 * n_views, n_views, n_points, 2)])
 
 
 def assert_jacobian_close(model_id, params, pts3, m, central=False, bound=1e-6):
     """calibration._jacobian at params, within bound of each reference column's largest."""
-    got = jacobian_columns(*calibration._jacobian(model_id, params, pts3, m))
+    got = jacobian_columns(jacobian(model_id, params, pts3, m))
     want = difference_jacobian(model_id, params, pts3, m, central)
     assert np.isfinite(got).all()
     flat = lambda a: a.reshape(len(a), -1)

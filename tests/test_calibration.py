@@ -13,8 +13,11 @@ from _helpers import (
     assert_jacobian_close,
     camera_830,
     camera_small,
+    jacobian,
+    jacobian_columns,
     poses_five_close,
     poses_three,
+    residuals,
     session_models,
     synth_dataset,
     trend_dataset,
@@ -399,7 +402,7 @@ class TestRefine:
         data, spec = exact3
         J0 = 4.0
 
-        def ramp(model_id, params, pts3, observations):
+        def ramp(model_id, params, frame, observations):
             # J = J0 + (1 + s if s > 0 else -s) in one residual of view 0: the
             # model's Jacobian predicts a descent that no actual trial point
             # can realize.
@@ -436,8 +439,8 @@ class TestRefine:
         # gradient 2 J^T r stays far above that test's floor of 1e-9 J.
         theta = calib_mod._pack(res.intrinsics, res.model, res.extrinsics)
         pts3 = data.world_points
-        r = calib_mod._residuals(3, theta, pts3, np.stack(data.observations))
-        _, b = calib_mod._normal_equations(*calib_mod._jacobian(3, theta, pts3, 7), r)
+        r = residuals(3, theta, pts3, np.stack(data.observations))
+        _, b = calib_mod._normal_equations(jacobian(3, theta, pts3, 7), r)
         assert 2.0 * np.abs(b).max() >= 100.0 * 1e-9 * max(1.0, res.objective)
         assert res.objective_trace[-1] == res.objective
         assert res.objective <= rc.calibrate(data, 3).objective
@@ -454,16 +457,18 @@ class TestRefine:
         # At low noise J is small against the pixels, and its rounding floor,
         # eps (J + 2 sum |r| |m|), lies orders of magnitude above eps J; the
         # last trial's promise falls between the two. A restart from the
-        # result lowers J by less than that floor.
+        # result finds no step that lowers J by more than that floor, so it
+        # stops where it starts.
         data, _ = synth_dataset(sigma=sigma, seed=seed)
         res = rc.calibrate(data, 3, self.TIGHT)
         assert res.status == "stationary" and res.converged
         obs = np.stack(data.observations)
         theta = calib_mod._pack(res.intrinsics, res.model, res.extrinsics)
-        r = calib_mod._residuals(3, theta, data.world_points, obs)
+        r = residuals(3, theta, data.world_points, obs)
         floor = np.finfo(float).eps * (res.objective + 2.0 * np.abs(r * obs).sum())
         again = rc.refine(res, data, self.TIGHT)
         assert 0.0 <= res.objective - again.objective < floor
+        assert again.iterations == 0 and again.status == "stationary"
 
     def test_step_across_pole_is_rejected(self, trend):
         # Model 4 is 1 / (1 + k r). From k = 2.5 the undamped step lands at
@@ -473,14 +478,10 @@ class TestRefine:
         start = rc.linear_initialize(data, 4)
         start = replace(start, model=rc.DistortionModel(model_id=4, coefficients=(2.5,)))
         theta = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
-        kernel = lambda row: calib_mod._residuals(
-            4, row, data.world_points, np.stack(data.observations)
-        )
+        kernel = lambda row: residuals(4, row, data.world_points, np.stack(data.observations))
         r0 = kernel(theta)
         J0 = calib_mod._objective(r0)
-        N, b = calib_mod._normal_equations(
-            *calib_mod._jacobian(4, theta, data.world_points, 6), r0
-        )
+        N, b = calib_mod._normal_equations(jacobian(4, theta, data.world_points, 6), r0)
         undamped = theta + np.linalg.solve(N, -b)
         with np.errstate(over="ignore", invalid="ignore"):
             J_undamped = calib_mod._objective(kernel(undamped))
@@ -601,6 +602,25 @@ class TestJacobian:
                 for frozen in (False, True):
                     assert_jacobian_close(model_id, params, pts3, self.free(model_id, frozen))
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("name", ["trend", "wide"])
+    def test_normal_equations_match_dense_products(self, jacobian_points, name, frozen):
+        # The per-view assembly against J^T J and J^T r of the dense Jacobian,
+        # with the intrinsics free and frozen (m = arity).
+        data, base, _ = jacobian_points[name]
+        model = rc.DistortionModel(9, (0.1, -0.05, 0.08))
+        params = calib_mod._pack(base.intrinsics, model, base.extrinsics)
+        m = self.free(9, frozen)
+        J = jacobian(9, params, data.world_points, m)
+        r = residuals(9, params, data.world_points, np.stack(data.observations))
+        N, b = calib_mod._normal_equations(J, r)
+        dense = jacobian_columns(J).reshape(len(N), -1)
+        scale = np.abs(N).max()
+        assert np.abs(N - dense @ dense.T).max() <= 1e-12 * scale
+        assert np.abs(b - dense @ r.ravel()).max() <= 1e-12 * np.abs(b).max()
+        for v, w in itertools.permutations(range(data.n_views), 2):
+            assert not N[m + 6 * v : m + 6 * v + 6, m + 6 * w : m + 6 * w + 6].any()
+
     def test_rotation_at_and_below_the_series_angle(self, trend):
         # View 0 at w = 0 exactly, view 1 below the series cut-off, view 2 just
         # above it; the other views keep their poses. The target sits at Z = 0
@@ -637,10 +657,10 @@ class TestJacobian:
         params = calib_mod._pack(A, rc.DistortionModel(model_id, k), (axis, tilted))
         m = self.free(model_id, False)
         assert_jacobian_close(model_id, params, pts3, m)
-        Jg, Jp = calib_mod._jacobian(model_id, params, pts3, m)
+        J = jacobian(model_id, params, pts3, m)
         on_axis = 12  # the world origin
         want = np.array([[A.alpha, 0.0], [A.gamma, A.beta]]) / 5.0
-        assert np.allclose(Jp[3:5, 0, on_axis], want, rtol=1e-15, atol=0.0)
+        assert np.allclose(J[0, m + 3 : m + 5, :, on_axis], want, rtol=1e-15, atol=0.0)
 
     def test_model4_near_its_pole(self, trend):
         # 1 + k r falls to 0.01 at the farthest point: f = 100 there. The
@@ -649,14 +669,12 @@ class TestJacobian:
         data, _ = trend
         start = rc.linear_initialize(data, 4)
         params = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
-        pc = calib_mod._camera_frame(params[6:].reshape(-1, 6), data.world_points)
-        r_max = np.hypot(pc[:, 0] / pc[:, 2], pc[:, 1] / pc[:, 2]).max()
+        r_max = calib_mod._frame(4, params, data.world_points)[3].max()
         params[5] = -(1.0 - 0.01) / r_max
         assert_jacobian_close(4, params, data.world_points, 6, central=True)
         # Closer in, down to just above DENOM_EPS, every entry stays finite.
         params[5] = -(1.0 - 1e-11) / r_max
-        for block in calib_mod._jacobian(4, params, data.world_points, 6):
-            assert np.isfinite(block).all()
+        assert np.isfinite(jacobian(4, params, data.world_points, 6)).all()
 
     def test_random_models_and_poses(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -697,7 +715,7 @@ class TestObjectiveKernel:
     @staticmethod
     def residuals(model_id, params, data):
         obs = np.stack(data.observations)
-        return calib_mod._residuals(model_id, params, data.world_points, obs)
+        return residuals(model_id, params, data.world_points, obs)
 
     def test_invalid_rows_read_inf(self, trend):
         data, spec = trend
@@ -740,8 +758,8 @@ class TestObjectiveKernel:
         assert np.isfinite(np.delete(r[2], j, axis=0)).all()
         assert calib_mod._objective(r) == math.inf
 
-        u, v = calib_mod._project(5, behind, pts3)
-        u0, v0 = calib_mod._project(5, valid, pts3)
+        u, v = calib_mod._project(5, behind, calib_mod._frame(5, behind, pts3))
+        u0, v0 = calib_mod._project(5, valid, calib_mod._frame(5, valid, pts3))
         assert np.array_equal(u[others], u0[others])
         assert np.array_equal(v[others], v0[others])
         assert not np.isfinite(u[2, j]) and not np.isfinite(v[2, j])
@@ -767,12 +785,12 @@ class TestLeastSquaresOracle:
         model_id = start.model.model_id
         obs = np.stack(data.observations)
 
-        def residuals(theta):
-            return calib_mod._residuals(model_id, theta, data.world_points, obs).ravel()
+        def kernel(theta):
+            return residuals(model_id, theta, data.world_points, obs).ravel()
 
         theta0 = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
         sol = optimize.least_squares(
-            residuals, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+            kernel, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
         )
         return float(sol.fun @ sol.fun)
 
