@@ -26,7 +26,7 @@ from .core import (
     IntrinsicParams,
     Mat,
     Vec,
-    _left_jacobian,
+    _compose_rotation,
     rotation_from_matrix,
     rotation_to_matrix,
 )
@@ -115,7 +115,8 @@ class OptimizerOptions:
     """Termination settings for refine (defaults match the library's tests).
 
     step_tolerance bounds the largest accepted step relative to
-    max(1, |theta_i|), and objective_tolerance the relative fall of J over
+    max(1, |theta_i|), a rotation's step delta_i against max(1, |w_i|) of its
+    axis-angle entry, and objective_tolerance the relative fall of J over
     two consecutive accepted steps. max_function_evaluations counts residual
     evaluations: the start, each Jacobian and each trial step count one each.
     """
@@ -497,8 +498,9 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     * distortion map: d(x_d, y_d)/d(x, y) = f I + f' (x, y)^T (x, y) / r
       with f' = (N' - f D') / D, which is f I at r = 0;
     * projection: (x, y) = (X / Z, Y / Z) of P^c;
-    * pose: dP^c/dt = I, and dP^c/dw_j = (J_l(w) e_j) x R P with the left
-      Jacobian J_l of SO(3) (core._left_jacobian).
+    * pose: dP^c/dt = I, and the rotation is stepped in local coordinates,
+      R <- exp([delta]x) R as refine takes it, so dP^c/d(delta_j) at delta
+      = 0 is e_j x R P.
 
     At an accepted theta every depth is at least DEPTH_EPS and every |D| at
     least DENOM_EPS, so every entry is finite.
@@ -559,13 +561,9 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     np.multiply(np.stack([alpha * dxy + gamma * dyy, beta * dyy], axis=1), inv_z, out=g1)
     np.negative(x[:, None] * g0 + y[:, None] * g1, out=g2)
 
-    # d/dw_j of g . P^c is (J_l e_j) . (R P x g): J_l^T applied to R P x g,
-    # one 3 x 3 by 3 x 2P product per view.
+    # d/d(delta_j) of g . P^c is e_j . (R P x g).
     X, Y, Z = (Pc - pose[:, 3:, None])[:, :, None].transpose(1, 0, 2, 3)
-    cross = np.stack([Y * g2 - Z * g1, Z * g0 - X * g2, X * g1 - Y * g0], axis=1)
-    rotation = J.reshape(n_views, m + 6, -1)[:, m : m + 3]
-    Jl = _left_jacobian(pose[:, :3])
-    np.matmul(Jl.transpose(0, 2, 1), cross.reshape(n_views, 3, -1), out=rotation)
+    J[:, m : m + 3] = np.stack([Y * g2 - Z * g1, Z * g0 - X * g2, X * g1 - Y * g0], axis=1)
     return J
 
 
@@ -610,12 +608,16 @@ def refine(
     Each iteration takes the analytic Jacobian (see _jacobian) from the
     camera frame its point's residuals were computed from, forms J^T J and
     J^T r from per-view Gram blocks (_normal_equations), and solves (J^T J
-    + lambda diag(J^T J)) delta = -J^T r densely. A trial whose J falls by
-    more than J's rounding floor eps (J + 2 sum |r| |m|), m the observed
-    pixels, is accepted and lambda rescaled by the gain ratio (Madsen,
-    Nielsen and Tingleff 2004, section 3.2); otherwise, also where J is not
-    finite, lambda rises and the step is solved again. The residual at the
-    start, each Jacobian and each trial count as one function evaluation.
+    + lambda diag(J^T J)) delta = -J^T r densely. A trial is theta + delta,
+    except that each view's rotation steps locally, R <- exp([delta_v]x) R,
+    and is stored as that product's axis-angle w in [0, pi]
+    (core._compose_rotation), the w each trial is evaluated from. A trial
+    whose J falls by more than J's rounding floor eps (J + 2 sum |r| |m|), m
+    the observed pixels, is accepted and lambda rescaled by the gain ratio
+    (Madsen, Nielsen and Tingleff 2004, section 3.2); otherwise, also where
+    J is not finite, lambda rises and the step is solved again. The residual
+    at the start, each Jacobian and each trial count as one function
+    evaluation.
 
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
@@ -677,6 +679,8 @@ def refine(
             if first_predicted == math.inf:
                 first_predicted = float(step @ (lam * scale * step - b))
             trial = theta + step
+            turns = [v[m:].reshape(n_views, 6)[:, :3].tolist() for v in (step, theta)]
+            trial[m:].reshape(n_views, 6)[:, :3] = list(map(_compose_rotation, *turns))
             # A far trial may overflow; it reads inf and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
                 trial_row, trial_frame, r_new = evaluate(trial)

@@ -135,34 +135,28 @@ def rotation_to_matrix(rotation: Vec) -> Mat:
     return R
 
 
-# Below this angle _left_jacobian takes the series of its two coefficients,
-# through theta^4: the first term dropped is below 2^-52 of the sum there.
-_SERIES_ANGLE = 1e-2
+def _compose_rotation(delta, rotation) -> tuple[float, float, float]:
+    """The axis-angle vector of exp([delta]x) exp([rotation]x), in floats.
 
-
-def _left_jacobian(rotation: Vec) -> Mat:
-    """The left Jacobian J_l(w) of SO(3) for a (..., 3) stack of axis-angle vectors.
-
-    R(w + dw) = exp([J_l(w) dw]x) R(w) to first order in dw, so the
-    derivative of R(w) P along w_j is (J_l(w) e_j) x R(w) P (Gallego and
-    Yezzi, "A compact formula for the derivative of a 3-D rotation in
-    exponential coordinates", JMIV 2015). J_l = I + a [w]x + b [w]x^2 with
-    a = (1 - cos t)/t^2 and b = (t - sin t)/t^3; below _SERIES_ANGLE both
-    come from their series, so the zero vector gives the identity exactly.
-    Returns (..., 3, 3).
+    delta and rotation are 3-sequences of floats, each taken as the unit
+    quaternion (cos(t/2), sin(t/2) w/t); the product's sign puts the angle in
+    [0, pi], to rounding. A non-finite entry gives a row of nan.
     """
-    w = np.asarray(rotation, dtype=float)
-    t2 = w[..., 0] ** 2 + w[..., 1] ** 2 + w[..., 2] ** 2
-    theta = np.sqrt(t2)
-    series = theta < _SERIES_ANGLE
-    safe = np.where(series, 1.0, theta)
-    a = np.where(series, 1 / 2 - t2 / 24 + t2 * t2 / 720, (1.0 - np.cos(safe)) / safe**2)
-    b = np.where(series, 1 / 6 - t2 / 120 + t2 * t2 / 5040, (safe - np.sin(safe)) / safe**3)
-    # [w]x^2 = w w^T - t^2 I.
-    Jl = (b[..., None] * w)[..., :, None] * w[..., None, :]
-    Jl += a[..., None, None] * (w[..., _SKEW_INDEX] * _SKEW_SIGN)
-    Jl += (1.0 - b * t2)[..., None, None] * _IDENTITY
-    return Jl
+    quaternions = []
+    for x, y, z in (delta, rotation):
+        t = math.hypot(x, y, z)
+        if not math.isfinite(t):
+            return (math.nan,) * 3
+        s = math.sin(0.5 * t) / t if t > 0.0 else 0.5
+        quaternions.append((math.cos(0.5 * t), s * x, s * y, s * z))
+    (dw, dx, dy, dz), (qw, qx, qy, qz) = quaternions
+    w = dw * qw - dx * qx - dy * qy - dz * qz
+    x = dw * qx + qw * dx + dy * qz - dz * qy
+    y = dw * qy + qw * dy + dz * qx - dx * qz
+    z = dw * qz + qw * dz + dx * qy - dy * qx
+    n = math.hypot(x, y, z)
+    scale = 2.0 * math.atan2(n, abs(w)) / math.copysign(n, w) if n > 0.0 else 0.0
+    return x * scale, y * scale, z * scale
 
 
 def rotation_from_matrix(R: Mat) -> Vec:
@@ -180,18 +174,14 @@ def rotation_from_matrix(R: Mat) -> Vec:
     theta = math.atan2(sin_theta, cos_theta)
     if theta < 1e-12:
         return v / 2.0
-    if sin_theta >= 1e-10:
+    if cos_theta >= 0.0:
         return (theta / (2.0 * sin_theta)) * v
-    # Within rounding distance of a half turn the antisymmetric part carries
-    # no signal; take the axis from the structure (R + I)/2 = axis axis^T.
-    M = (R + np.eye(3)) / 2.0
-    axis = np.sqrt(np.maximum(np.diag(M), 0.0))
-    lead = int(np.argmax(axis))
-    for i in range(3):
-        if i != lead and M[lead, i] < 0.0:
-            axis[i] = -axis[i]
-    axis /= np.linalg.norm(axis)
-    return theta * axis
+    # Past a quarter turn v loses its digits as sin(theta) falls; the axis
+    # comes from the symmetric part, (R + R^T)/2 - cos(theta) I = (1 -
+    # cos(theta)) axis axis^T, through its largest column, and v's sign.
+    M = (R + R.T) / 2.0 - cos_theta * np.eye(3)
+    axis = M[:, int(np.argmax(np.diag(M)))]
+    return theta / math.copysign(float(np.linalg.norm(axis)), float(axis @ v)) * axis
 
 
 def normalize(A: IntrinsicParams, p: Vec) -> Vec:

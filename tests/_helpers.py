@@ -27,6 +27,19 @@ def poses_three() -> tuple[rc.Extrinsics, ...]:
     )
 
 
+def poses_upside_down() -> tuple[rc.Extrinsics, ...]:
+    """Three cameras turned by exactly pi about axes tilted 0.1-0.25 rad off Z."""
+    raw = [
+        ((0.15, -0.1, 1.0), (0.3, -0.2, 14.0)),
+        ((-0.2, 0.1, 1.0), (-0.4, 0.3, 13.0)),
+        ((0.05, 0.25, 1.0), (0.2, 0.4, 15.0)),
+    ]
+    return tuple(
+        rc.Extrinsics(rotation=math.pi / np.linalg.norm(a) * np.array(a), translation=np.array(t))
+        for a, t in raw
+    )
+
+
 def poses_five_close() -> tuple[rc.Extrinsics, ...]:
     """Five poses with the target filling more of the frame (stronger rays)."""
     raw = [
@@ -141,7 +154,11 @@ def difference_jacobian(model_id, params, pts3, m, central=False):
     params is one packed row (see calibration._pack) whose last m + 6V
     entries are free, as in calibration._jacobian. Returns one column per
     free entry, shape (m + 6V, V, P, 2); each is a full recompute of
-    _residuals on a single row, forward or central.
+    _residuals on a single row, forward or central. A step h along a
+    view's rotation entry j is the local step refine takes, R(w) <- R(h e_j)
+    R(w), formed here through the rotation matrices with
+    rotation_to_matrix and rotation_from_matrix; every other entry steps by
+    adding h.
 
     Column i's step moves the pixels by about eps^(1/2) (forward) or
     eps^(1/3) (central) of the largest pixel coordinate, which balances
@@ -149,17 +166,29 @@ def difference_jacobian(model_id, params, pts3, m, central=False):
     forward difference with the step sqrt(eps) max(1, |theta_i|) sizes it.
     """
     n_views = (len(params) - 5 - rc.coefficient_arity(model_id)) // 6
+    first_pose = len(params) - 6 * n_views
     zero = np.zeros((n_views, len(pts3), 2))  # residuals are then the pixels
+
+    def rotation_entry(i):  # (start of the view's rotation, j), or None
+        offset = i - first_pose
+        return (i - offset % 6, offset % 6) if offset >= 0 and offset % 6 < 3 else None
 
     def pixels(i, h):
         row = params.copy()
-        row[i] += h
+        if (entry := rotation_entry(i)) is None:
+            row[i] += h
+        else:
+            w = row[entry[0] : entry[0] + 3]
+            step = np.zeros(3)
+            step[entry[1]] = h
+            w[:] = rc.rotation_from_matrix(rc.rotation_to_matrix(step) @ rc.rotation_to_matrix(w))
         return residuals(model_id, row, pts3, zero)
 
     base = pixels(0, 0.0)
 
     def column(i, h, central):
-        h = (params[i] + h) - params[i]
+        if rotation_entry(i) is None:
+            h = (params[i] + h) - params[i]
         if central:
             return (pixels(i, h) - pixels(i, -h)) / (2.0 * h)
         return (pixels(i, h) - base) / h

@@ -7,7 +7,6 @@ import pytest
 
 import radialcal as rc
 import radialcal.calibration as calib_mod
-import radialcal.core as core_mod
 import radialcal.distortion as distortion_mod
 from _helpers import (
     assert_jacobian_close,
@@ -17,6 +16,7 @@ from _helpers import (
     jacobian_columns,
     poses_five_close,
     poses_three,
+    poses_upside_down,
     residuals,
     session_models,
     synth_dataset,
@@ -497,6 +497,39 @@ class TestRefine:
         for e in res.extrinsics:
             assert np.isfinite(e.rotation).all() and np.isfinite(e.translation).all()
 
+    @pytest.mark.parametrize("angle", [1e100, math.inf, math.nan])
+    def test_far_rotation_step_is_rejected(self, noisy3, monkeypatch, angle):
+        # The first solved step turns view 0 about x by a far or non-finite
+        # angle. The trial reads as rejected, with J = inf where the angle is
+        # not finite, and the damping rises as after any other rejection.
+        data, _ = noisy3
+        start = rc.linear_initialize(data, 3)
+        m = 5 + 2
+        solve, objective = np.linalg.solve, calib_mod._objective
+        seen = []
+
+        def first_step_far(a, b):
+            step = solve(a, b)
+            if len(seen) == 1:
+                step[m] = angle
+            return step
+
+        def spy(r):
+            seen.append(objective(r))
+            return seen[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", first_step_far)
+        monkeypatch.setattr(calib_mod, "_objective", spy)
+        res = rc.refine(start, data)
+        J0, first_trial = seen[:2]
+        assert first_trial > J0
+        if not math.isfinite(angle):
+            assert first_trial == math.inf
+        assert res.objective_trace[0] == J0 and first_trial not in res.objective_trace
+        assert res.converged and res.objective < J0
+        for e in res.extrinsics:
+            assert np.isfinite(e.rotation).all() and np.linalg.norm(e.rotation) <= math.pi
+
     def test_recovers_ground_truth(self, exact3):
         data, spec = exact3
         res = rc.calibrate(data, 3)
@@ -621,28 +654,20 @@ class TestJacobian:
         for v, w in itertools.permutations(range(data.n_views), 2):
             assert not N[m + 6 * v : m + 6 * v + 6, m + 6 * w : m + 6 * w + 6].any()
 
-    def test_rotation_at_and_below_the_series_angle(self, trend):
-        # View 0 at w = 0 exactly, view 1 below the series cut-off, view 2 just
-        # above it; the other views keep their poses. The target sits at Z = 0
-        # and at Z = 0.3, which moves R's third column too.
+    def test_rotation_at_zero_tiny_and_half_turn(self, trend):
+        # View 0 at w = 0 exactly, view 1 at a tiny w and view 2 at |w| = pi
+        # exactly, an upside-down camera; the other views keep their poses.
+        # The target sits at Z = 0 and at Z = 0.3, which moves R's third
+        # column too.
         data, spec = trend
         model = rc.DistortionModel(9, (0.1, -0.05, 0.08))
         params = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
-        small = np.array([4e-3, -3e-3, 2e-3])
-        cut = core_mod._SERIES_ANGLE
-        norm = np.linalg.norm
-        for v, w in enumerate([np.zeros(3), small, small / norm(small) * 1.5 * cut]):
+        half_turn = np.array([0.1, -0.1, 1.0])
+        half_turn *= math.pi / np.linalg.norm(half_turn)
+        for v, w in enumerate([np.zeros(3), np.array([4e-9, -3e-9, 2e-9]), half_turn]):
             params[8 + 6 * v : 8 + 6 * v + 3] = w
-        assert norm(small) < cut
         for pts3 in (data.world_points, data.world_points + [0.0, 0.0, 0.3]):
             assert_jacobian_close(9, params, pts3, 8)
-        assert np.array_equal(core_mod._left_jacobian(np.zeros(3)), np.eye(3))
-        # The series and the closed form meet at the cut-off.
-        sides = np.array([1.0 - 1e-13, 1.0 + 1e-13])[:, None] * (cut * small / norm(small))
-        angle = norm(sides, axis=1)
-        assert angle[0] < cut < angle[1]
-        below, above = core_mod._left_jacobian(sides)
-        assert np.abs(below - above).max() < 1e-13
 
     @pytest.mark.parametrize("model_id", [1, 3, 4, 6, 7, 8])
     def test_point_on_the_optical_axis(self, model_id):
@@ -798,6 +823,7 @@ class TestLeastSquaresOracle:
         want = self.oracle_objective(start, data)
         got = rc.refine(start, data)
         assert abs(got.objective - want) <= 1e-6 * want, (start.model.model_id, got, want)
+        return got
 
     def test_trend_models(self, trend):
         data, _ = trend
@@ -810,6 +836,14 @@ class TestLeastSquaresOracle:
     def test_wide_set(self, seed):
         data, _ = wide_dataset(seed)
         self.assert_matches(rc.linear_initialize(data, 9), data)
+
+    def test_upside_down_poses(self):
+        # Every camera is turned by pi, where the refined rotations keep
+        # crossing the half turn; each result still has its angle in [0, pi].
+        data, _ = synth_dataset(sigma=0.3, seed=2, poses=poses_upside_down())
+        got = self.assert_matches(rc.linear_initialize(data, 3), data)
+        for e in got.extrinsics:
+            assert np.linalg.norm(e.rotation) <= math.pi
 
 
 class TestCompareModels:

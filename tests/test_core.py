@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import radialcal as rc
+import radialcal.core as core_mod
 from _helpers import random_intrinsics
+
+EPS = np.finfo(float).eps
 
 
 def quaternion_rotation(w):
@@ -113,13 +116,25 @@ class TestRotation:
     )
     def test_exact_half_turn(self, axis):
         # R = 2 a a^T - I is symmetric, so its antisymmetric part is exactly
-        # zero and the axis has to come from (R + I) / 2.
+        # zero and the axis has to come from the symmetric part.
         a = np.array(axis, dtype=float) / np.linalg.norm(axis)
         R = 2.0 * np.outer(a, a) - np.eye(3)
         w = rc.rotation_from_matrix(R)
         assert abs(np.linalg.norm(w) - np.pi) < 1e-15
         assert abs(abs(w @ a) - np.pi) < 1e-14
         assert np.max(np.abs(rc.rotation_to_matrix(w) - R)) < 1e-14
+
+    @pytest.mark.parametrize("h", [1e-14, 1e-10, 1e-8, 1e-6, 1e-4])
+    def test_round_trip_a_small_turn_from_a_half_turn(self, h):
+        # Within h of a half turn the antisymmetric part holds only about h
+        # of the axis; the round trip must still keep R to rounding.
+        a = np.array([0.1, -0.1, 1.0])
+        w = math.pi / np.linalg.norm(a) * a
+        for j in range(3):
+            R = rc.rotation_to_matrix(h * np.eye(3)[j]) @ rc.rotation_to_matrix(w)
+            back = rc.rotation_from_matrix(R)
+            assert np.linalg.norm(back) <= math.pi
+            assert np.max(np.abs(rc.rotation_to_matrix(back) - R)) <= 8 * EPS
 
     def test_stack_matches_single_vectors_exactly(self):
         rng = np.random.default_rng(23)
@@ -151,6 +166,79 @@ class TestRotation:
                     good[field][i] = bad
                     with pytest.raises(ValueError, match="extrinsics must be finite"):
                         rc.Extrinsics(**good)
+
+
+class TestComposeRotation:
+    """core._compose_rotation against the product of the two rotation matrices."""
+
+    @staticmethod
+    def assert_composes(delta, rotation):
+        got = core_mod._compose_rotation(delta, rotation)
+        assert all(type(v) is float for v in got)
+        assert math.hypot(*got) <= math.pi * (1.0 + 4 * EPS)
+        want = rc.rotation_to_matrix(delta) @ rc.rotation_to_matrix(rotation)
+        # rotation_to_matrix rounds its angle, so the bound grows with both.
+        bound = 4 * EPS * (1.0 + math.hypot(*delta) + math.hypot(*rotation))
+        assert np.max(np.abs(rc.rotation_to_matrix(np.array(got)) - want)) <= bound
+        return got
+
+    def test_random_pairs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        vector = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(delta=vector, rotation=vector)
+        def check(delta, rotation):
+            self.assert_composes(delta, rotation)
+
+        check()
+
+    def test_zero(self):
+        assert core_mod._compose_rotation([0.0] * 3, [0.0] * 3) == (0.0, 0.0, 0.0)
+        w = [0.3, -0.2, 0.1]
+        assert np.allclose(self.assert_composes([0.0] * 3, w), w, rtol=4 * EPS, atol=0.0)
+        assert np.allclose(self.assert_composes(w, [0.0] * 3), w, rtol=4 * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("axis", [(0, 0, 1), (1, -2, 2), (0.1, -0.1, 1.0)])
+    def test_at_and_past_a_half_turn(self, axis):
+        a = np.array(axis, dtype=float) / np.linalg.norm(axis)
+        for angle in (math.pi, 1.5 * math.pi, 2.0 * math.pi - 0.1, 3.0 * math.pi):
+            w = (angle * a).tolist()
+            for delta in ([0.0] * 3, [1e-9, -2e-9, 3e-9], [0.2, 0.1, -0.3]):
+                self.assert_composes(delta, w)
+        # No step on a turn past pi gives the same rotation the short way round.
+        got = self.assert_composes([0.0] * 3, (1.5 * math.pi * a).tolist())
+        assert np.allclose(got, -0.5 * math.pi * a, rtol=0.0, atol=8 * EPS)
+
+    @pytest.mark.parametrize(
+        "delta, rotation",
+        [([0.0, 0.0, 0.3], [0.0, 0.0, 3.0]), ([0.5, -0.4, 0.2], [1.0, -1.5, 2.0])],
+    )
+    def test_crossing_a_half_turn(self, delta, rotation):
+        # The quaternion product's scalar is negative, cos(|d|/2) cos(|w|/2) -
+        # sin(|d|/2) sin(|w|/2) d.w/(|d| |w|) < 0, so the result turns the short way.
+        d, w = np.array(delta), np.array(rotation)
+        nd, nw = np.linalg.norm(d), np.linalg.norm(w)
+        scalar = math.cos(nd / 2) * math.cos(nw / 2) - math.sin(nd / 2) * math.sin(nw / 2) * (
+            d @ w / (nd * nw)
+        )
+        assert scalar < 0.0
+        got = self.assert_composes(delta, rotation)
+        assert math.isclose(math.hypot(*got), 2.0 * math.acos(-scalar), rel_tol=1e-14)
+
+    def test_non_finite_step(self):
+        # A far step still composes to a rotation in [0, pi]; a non-finite one
+        # gives a row of nan instead of raising in math.cos or math.sin.
+        w = [0.3, -0.2, 0.1]
+        far = core_mod._compose_rotation([1e200, -1e200, 1e200], w)
+        assert math.hypot(*far) <= math.pi * (1.0 + 4 * EPS)
+        R = rc.rotation_to_matrix(np.array(far))
+        assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-14
+        for bad in (math.inf, -math.inf, math.nan):
+            for delta, rotation in (([bad, 0.0, 0.0], w), (w, [0.0, bad, 0.0])):
+                got = core_mod._compose_rotation(delta, rotation)
+                assert len(got) == 3 and all(math.isnan(v) for v in got)
 
 
 class TestProjection:
