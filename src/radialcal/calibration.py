@@ -622,8 +622,8 @@ def refine(
     Termination: relative step below step_tolerance, relative objective
     improvement below objective_tolerance on two consecutive iterations, a
     numerically zero gradient or no accepted trial where the iteration's
-    first trial predicted a decrease below that floor (both stationary: J
-    is at the optimum to double resolution), or the iteration/evaluation
+    first finite predicted decrease is below that floor (both stationary:
+    J is at the optimum to double resolution), or the iteration/evaluation
     caps. The caps and line_search_failure (no damped step lowered J by
     more than the floor before lambda passed its limit) report
     converged=False carrying the best point reached; the accepted-step
@@ -673,19 +673,20 @@ def refine(
         scale = np.diag(N).copy()
         scale[scale <= 0.0] = 1.0
         accepted = False
-        first_predicted = math.inf  # the decrease the first trial predicts
+        first_predicted = math.inf  # the first finite decrease a trial predicts
         while lam <= _DAMPING_LIMIT and evals < opts.max_function_evaluations:
             step = np.linalg.solve(N + np.diag(lam * scale), -b)
-            if first_predicted == math.inf:
-                first_predicted = float(step @ (lam * scale * step - b))
             trial = theta + step
             turns = [v[m:].reshape(n_views, 6)[:, :3].tolist() for v in (step, theta)]
             trial[m:].reshape(n_views, 6)[:, :3] = list(map(_compose_rotation, *turns))
-            # A far trial may overflow; it reads inf and is rejected.
+            # A far trial may overflow; J then reads inf or nan and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
+                predicted = float(step @ (lam * scale * step - b))
                 trial_row, trial_frame, r_new = evaluate(trial)
                 J_new = _objective(r_new)
             evals += 1
+            if first_predicted == math.inf and math.isfinite(predicted):
+                first_predicted = predicted
             if J - J_new > floor:
                 accepted = True
                 break
@@ -701,7 +702,6 @@ def refine(
             else:
                 status = "line_search_failure"
             break
-        predicted = float(step @ (lam * scale * step - b))
         rho = min(1.0, (J - J_new) / predicted) if predicted > 0.0 else 1.0
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         nu = 2.0

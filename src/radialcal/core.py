@@ -187,10 +187,12 @@ def rotation_from_matrix(R: Mat) -> Vec:
 def normalize(A: IntrinsicParams, p: Vec) -> Vec:
     """Map pixel coordinates to normalized coordinates by applying A^-1.
 
-    Accepts a single (u, v) pair or an (..., 2) array.
+    Accepts a single (u, v) pair or an (..., 2) array. As in Python floats,
+    an infinite coordinate may give nan (inf - inf) without a warning.
     """
     p = np.asarray(p, dtype=float)
-    return np.stack(_normalize_pair(A, p[..., 0], p[..., 1]), axis=-1)
+    with np.errstate(invalid="ignore"):
+        return np.stack(_normalize_pair(A, p[..., 0], p[..., 1]), axis=-1)
 
 
 def denormalize(A: IntrinsicParams, n: Vec) -> Vec:

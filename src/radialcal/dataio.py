@@ -85,12 +85,23 @@ def _write_rows(path: Path, rows: Mat) -> None:
 
 
 def write_dataset(path, data: CalibrationDataset) -> None:
-    """Write a dataset directory in the model.txt / imageNNN.txt layout."""
+    """Write a dataset directory in the model.txt / imageNNN.txt layout.
+
+    load_dataset reads every image*.txt in the directory, so one this write
+    would not overwrite would join the dataset as a view: before writing
+    anything, FileExistsError names each such file.
+    """
     d = Path(path)
+    names = [f"image{i:03d}.txt" for i in range(1, data.n_views + 1)]
+    stale = sorted(f.name for f in d.glob("image*.txt") if f.name not in names)
+    if stale:
+        raise FileExistsError(
+            f"{d} holds views this dataset would not overwrite: {', '.join(stale)}"
+        )
     d.mkdir(parents=True, exist_ok=True)
     _write_rows(d / "model.txt", data.model_points)
-    for i, obs in enumerate(data.observations, start=1):
-        _write_rows(d / f"image{i:03d}.txt", obs)
+    for name, obs in zip(names, data.observations):
+        _write_rows(d / name, obs)
 
 
 def load_intrinsics(path) -> IntrinsicParams:

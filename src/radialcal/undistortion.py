@@ -11,9 +11,9 @@ polynomial in x of degree at most three (see branch_reduce). The algorithm:
    share a sign (the opposite branch only holds preimages with f(r) < 0);
 4. solve that one reduction, discard complex roots and roots with the wrong
    sign, and return the smallest |x| if its radius r is below r_b, the end of
-   the domain, and F(r) = r f(r) re-distorts onto the point; otherwise solve
-   with undistort_numeric. The re-distortion test catches roots that fit the
-   rounded polynomial but not the model: radicals that cancel, or a tiny
+   the domain, and F(r) = r f(r) re-distorts onto the point; otherwise bisect
+   as undistort_numeric does. The re-distortion test catches roots that fit
+   the rounded polynomial but not the model: radicals that cancel, or a tiny
    leading coefficient dropped although its term dominates at the root.
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
@@ -21,17 +21,18 @@ Model 0 reduces to a quintic, so it is inverted numerically instead
 analytic path).
 
 Each public function takes one (x, y) pair or an (..., 2) array, and picks
-its route by that shape. A pair runs in Python floats from end to end
-(_closed_pair, _numeric_pair), building no numpy object but its result,
-which is the cheaper route for one point; undistort_pixel's pair route does
-the same from pixel to pixel. An array is inverted in one vectorised pass:
-the same branch coefficients, quadratic and linear formulas with the same
-Newton step, the cubic radicals over complex arrays, masked root selection,
-and for the numeric route lock-step bracketing and bisection. Rows the
-vectorised formulas do not cover (a collapsed polynomial degree, a
-non-finite coordinate, a root missing, past r_b or off the point) and rows
-outside the domain go through the pair route, so an array raises what the
-pair call raises for its first failing point.
+its route by that shape. A pair runs in Python floats from end to end in
+_pair, building no numpy object but its result, which is the cheaper route
+for one point; undistort_pixel's pair route does the same from pixel to
+pixel. _pair does steps 1 and 2 once, then bisects, after a closed-form
+miss on the analytic route. An array is inverted in one vectorised pass
+(_invert_points): the same branch coefficients, quadratic and linear
+formulas with the same Newton step, the cubic radicals over complex arrays,
+masked root selection, and for the numeric route lock-step bracketing and
+bisection. Rows the vectorised formulas do not cover (a collapsed
+polynomial degree, a non-finite coordinate, a root missing, past r_b or off
+the point) and rows outside the domain go through _pair, so an array raises
+what the pair call raises for its first failing point.
 """
 
 from __future__ import annotations
@@ -204,24 +205,6 @@ def _branch_coefficients(mid: int, k: tuple[float, ...], x_d, s, t, sg) -> tuple
     return tuple([0.0 if v is None else v for v in a])
 
 
-def _branch_candidate(
-    model: DistortionModel, x_d: float, s: float, t: float, sigma: int
-) -> float | None:
-    """Admissible real root of one sign branch nearest the origin, or None.
-
-    s, t and sigma are the RadialAuxiliaries fields of the point's ray.
-    """
-    a = _branch_coefficients(model.model_id, model.coefficients, x_d, s, t, sigma)
-    cubic = len(a) == 4 and abs(a[3]) >= COEFF_EPS and abs(a[1]) >= COEFF_EPS
-    if cubic and abs(a[3] / a[1]) >= COEFF_EPS:
-        # Normalize a0 + a1 x + a2 x^2 + a3 x^3 = 0 to y = x + p x^2 + q x^3.
-        z3 = _radicals(-a[0] / a[1], a[2] / a[1], a[3] / a[1])
-        roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
-    else:
-        roots = solve_poly_real(a)
-    return min((x for x in roots if x * sigma > 0.0), key=abs, default=None)
-
-
 def _cubic_roots(y, p, q) -> np.ndarray:
     """solve_cubic_closed's radicals over arrays: shape (3, n), complex."""
     inner = 4.0 * q - p * p + 18.0 * p * q * y + 27.0 * y * y * q * q - 4.0 * y * p**3
@@ -243,10 +226,10 @@ def _cubic_roots(y, p, q) -> np.ndarray:
 
 
 def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
-    """_branch_candidate for every row at once; nan where it has no root.
+    """_pair's closed-form candidate for every row; nan where it has no root.
 
     coeffs holds one array per coefficient. Rows the closed formulas do not
-    cover, where _branch_candidate falls back to solve_poly_real (a leading
+    cover, where _pair falls back to solve_poly_real (a leading
     coefficient, or a cubic's linear one or normalized q, below COEFF_EPS),
     also read nan, for the caller to pass to the pair route.
     """
@@ -330,14 +313,14 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     return np.where(x_d < 0.0, -x, x)
 
 
-def _invert_points(model: DistortionModel, pd: np.ndarray, ray, pair) -> np.ndarray:
-    """Invert an (..., 2) array with a vectorised ray solver.
+def _invert_points(model: DistortionModel, pd: np.ndarray, closed: bool) -> np.ndarray:
+    """Invert an (..., 2) array with the closed-form or numeric ray solver.
 
     The origin maps to itself. Each other point is solved along its ray
-    from the larger coordinate, as in the pair route. Rows with a non-finite
-    coordinate, and rows the ray solver leaves nan, go through the pair
-    route in array order: it returns what the vectorised formulas do not
-    cover and raises for the first point without a preimage.
+    from the larger coordinate, as in _pair. Rows with a non-finite
+    coordinate, and rows the ray solver leaves nan, go through _pair in
+    array order: it returns what the vectorised formulas do not cover and
+    raises for the first point without a preimage.
     """
     if pd.ndim == 0 or pd.shape[-1] != 2:
         raise ValueError(f"expected an (x, y) pair or an (..., 2) array, got shape {pd.shape}")
@@ -350,13 +333,75 @@ def _invert_points(model: DistortionModel, pd: np.ndarray, ray, pair) -> np.ndar
     swap = np.abs(u) < np.abs(v)
     x_d = np.where(swap, v, u)
     c = np.where(swap, u, v) / x_d
-    x = ray(model, x_d, c)
+    x = (_closed_form_ray if closed else _numeric_ray)(model, x_d, c)
     y = c * x
     out[live, 0] = np.where(swap, y, x)
     out[live, 1] = np.where(swap, x, y)
     for i in np.flatnonzero(np.isnan(out[:, 0])):
-        out[i] = pair(model, *flat[i].tolist())
+        out[i] = _pair(model, *flat[i].tolist(), closed)
     return out.reshape(pd.shape)
+
+
+def _invert(model: DistortionModel, pd: Vec, closed: bool) -> Vec:
+    """Route a pair to _pair and anything else to _invert_points."""
+    pd = np.asarray(pd, dtype=float)
+    if pd.shape != (2,):
+        return _invert_points(model, pd, closed)
+    return np.array(_pair(model, *pd.tolist(), closed))
+
+
+def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[float, float]:
+    """Invert one point in Python floats: by steps 1-4 of the module
+    docstring when closed is set, else by undistort_numeric's bisection.
+
+    Outside the invertible domain it raises NoRealCandidate when closed is
+    set and BracketNotFound otherwise.
+    """
+    if xd == 0.0 and yd == 0.0:
+        return 0.0, 0.0
+    # Drive the reduction from the larger coordinate so |c| <= 1; this keeps
+    # the slope factors bounded (t <= 2) and handles x_d = 0 exactly.
+    swap = abs(xd) < abs(yd)
+    if swap:
+        xd, yd = yd, xd
+    c = yd / xd
+    t = 1.0 + c * c
+    s = math.sqrt(t)
+    mid, k, a = model.model_id, model.coefficients, abs(xd)
+    r_d = s * a
+    r_b, f_max = invertible_radius(model)
+    if not r_d < f_max:
+        if closed:
+            raise NoRealCandidate(f"model {mid} has no admissible preimage for ({xd!r}, {yd!r})")
+        raise BracketNotFound(f"model {mid}: no preimage for x_d={xd!r} (F_max={f_max!r})")
+    x = math.inf  # no closed-form candidate
+    if closed:
+        # The admissible real root of the principal branch nearest the origin.
+        sigma = 1 if xd > 0.0 else -1
+        b = _branch_coefficients(mid, k, xd, s, t, sigma)
+        cubic = len(b) == 4 and abs(b[3]) >= COEFF_EPS and abs(b[1]) >= COEFF_EPS
+        if cubic and abs(b[3] / b[1]) >= COEFF_EPS:
+            # Normalize b0 + b1 x + b2 x^2 + b3 x^3 = 0 to y = x + p x^2 + q x^3.
+            z3 = _radicals(-b[0] / b[1], b[2] / b[1], b[3] / b[1])
+            roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
+        else:
+            roots = solve_poly_real(b)
+        x = min((x for x in roots if x * sigma > 0.0), key=abs, default=math.inf)
+    r = s * abs(x)
+    # Bisect unless the candidate lies below r_b and re-distorts onto the point.
+    if not (r < r_b and abs(r * _profile(mid, k, r) - r_d) <= _REDISTORT_TOL * max(1.0, r_d)):
+        lo, hi, top = 0.0, a, r_b / s
+        while hi < top and hi * _profile(mid, k, s * hi) - a < 0.0:
+            lo, hi = hi, 2.0 * hi
+        hi = min(hi, top)
+        # Once lo and hi are adjacent floats the midpoint rounds onto one of them.
+        while lo < (x := 0.5 * (lo + hi)) < hi:
+            fx = x * _profile(mid, k, s * x) - a
+            # An exact root closes the bracket.
+            lo, hi = (x, hi) if fx < 0.0 else (x, x) if fx == 0.0 else (lo, x)
+        x = math.copysign(x, xd)
+    y = c * x
+    return (y, x) if swap else (x, y)
 
 
 def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
@@ -371,38 +416,7 @@ def undistort_normalized(model: DistortionModel, pd: Vec) -> Vec:
     the first such point in array order, as the pair call on that point
     would.
     """
-    if model.model_id == 0:
-        return undistort_numeric(model, pd)
-    pd = np.asarray(pd, dtype=float)
-    if pd.shape != (2,):
-        return _invert_points(model, pd, _closed_form_ray, _closed_pair)
-    return np.array(_closed_pair(model, *pd.tolist()))
-
-
-def _closed_pair(model: DistortionModel, xd: float, yd: float) -> tuple[float, float]:
-    """undistort_normalized for one point of models 1-9, in floats."""
-    if xd == 0.0 and yd == 0.0:
-        return 0.0, 0.0
-    # Drive the reduction from the larger coordinate so |c| <= 1; this keeps
-    # the slope factors bounded (t <= 2) and handles x_d = 0 exactly.
-    swap = abs(xd) < abs(yd)
-    x_d, y_d = (yd, xd) if swap else (xd, yd)
-    c = y_d / x_d
-    t = 1.0 + c * c
-    s = math.sqrt(t)
-    r_d = s * abs(x_d)
-    r_b, f_max = invertible_radius(model)
-    if not r_d < f_max:
-        raise NoRealCandidate(
-            f"model {model.model_id} has no admissible preimage for ({x_d!r}, {y_d!r})"
-        )
-    x = _branch_candidate(model, x_d, s, t, 1 if x_d > 0.0 else -1)
-    if x is not None and (r := s * abs(x)) < r_b:
-        F = r * _profile(model.model_id, model.coefficients, r)
-        if abs(F - r_d) <= _REDISTORT_TOL * max(1.0, r_d):
-            y = c * x
-            return (y, x) if swap else (x, y)
-    return _numeric_pair(model, xd, yd)
+    return _invert(model, pd, model.model_id != 0)
 
 
 def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
@@ -421,37 +435,7 @@ def undistort_numeric(model: DistortionModel, pd: Vec) -> Vec:
     results bit for bit those of its pair call; its error names the first
     failing point in array order.
     """
-    pd = np.asarray(pd, dtype=float)
-    if pd.shape != (2,):
-        return _invert_points(model, pd, _numeric_ray, _numeric_pair)
-    return np.array(_numeric_pair(model, *pd.tolist()))
-
-
-def _numeric_pair(model: DistortionModel, xd: float, yd: float) -> tuple[float, float]:
-    """undistort_numeric for one point, in floats."""
-    if xd == 0.0 and yd == 0.0:
-        return 0.0, 0.0
-    swap = abs(xd) < abs(yd)
-    if swap:
-        xd, yd = yd, xd
-    c = yd / xd
-    s = math.sqrt(1.0 + c * c)
-    mid, k, a = model.model_id, model.coefficients, abs(xd)
-    r_b, f_max = invertible_radius(model)
-    if not s * a < f_max:
-        raise BracketNotFound(f"model {mid}: no preimage for x_d={xd!r} (F_max={f_max!r})")
-    lo, hi, top = 0.0, a, r_b / s
-    while hi < top and hi * _profile(mid, k, s * hi) - a < 0.0:
-        lo, hi = hi, 2.0 * hi
-    hi = min(hi, top)
-    # Once lo and hi are adjacent floats the midpoint rounds onto one of them.
-    while lo < (x := 0.5 * (lo + hi)) < hi:
-        fx = x * _profile(mid, k, s * x) - a
-        # An exact root closes the bracket.
-        lo, hi = (x, hi) if fx < 0.0 else (x, x) if fx == 0.0 else (lo, x)
-    x = math.copysign(x, xd)
-    y = c * x
-    return (y, x) if swap else (x, y)
+    return _invert(model, pd, False)
 
 
 def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
@@ -468,8 +452,8 @@ def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     re-distortion bound, not to a few ulp.
     """
     pd = np.asarray(pd, dtype=float)
+    closed = model.model_id != 0
     if pd.shape != (2,):
-        return denormalize(A, undistort_normalized(model, normalize(A, pd)))
-    pair = _numeric_pair if model.model_id == 0 else _closed_pair
-    x, y = pair(model, *_normalize_pair(A, *pd.tolist()))
+        return denormalize(A, _invert_points(model, normalize(A, pd), closed))
+    x, y = _pair(model, *_normalize_pair(A, *pd.tolist()), closed)
     return np.array(_denormalize_pair(A, x, y))

@@ -470,6 +470,28 @@ class TestRefine:
         assert 0.0 <= res.objective - again.objective < floor
         assert again.iterations == 0 and again.status == "stationary"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_first_step_leaves_the_stop_to_the_next(self, monkeypatch):
+        # The restart's first solved step is nan: that trial predicts nan and
+        # reads J = nan. The next, damped trial's prediction is the first
+        # finite one; it lies below the rounding floor, so the restart still
+        # stops stationary where it starts.
+        data, _ = synth_dataset(sigma=1e-3, seed=12)
+        res = rc.calibrate(data, 3, self.TIGHT)
+        assert res.status == "stationary"
+        solve = np.linalg.solve
+        calls = []
+
+        def first_step_nan(a, b):
+            calls.append(solve(a, b))
+            return np.full_like(calls[-1], math.nan) if len(calls) == 1 else calls[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", first_step_nan)
+        again = rc.refine(res, data, self.TIGHT)
+        assert len(calls) > 1
+        assert again.status == "stationary" and again.converged
+        assert again.iterations == 0 and again.objective == res.objective
+
     def test_step_across_pole_is_rejected(self, trend):
         # Model 4 is 1 / (1 + k r). From k = 2.5 the undamped step lands at
         # k < 0 with 1 + k r < 0 for some point, where J is not finite; the
@@ -497,11 +519,13 @@ class TestRefine:
         for e in res.extrinsics:
             assert np.isfinite(e.rotation).all() and np.isfinite(e.translation).all()
 
-    @pytest.mark.parametrize("angle", [1e100, math.inf, math.nan])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("angle", [1e100, 1e200, math.inf, math.nan])
     def test_far_rotation_step_is_rejected(self, noisy3, monkeypatch, angle):
         # The first solved step turns view 0 about x by a far or non-finite
         # angle. The trial reads as rejected, with J = inf where the angle is
-        # not finite, and the damping rises as after any other rejection.
+        # not finite, and the damping rises as after any other rejection. At
+        # 1e200 the trial's predicted decrease overflows, without a warning.
         data, _ = noisy3
         start = rc.linear_initialize(data, 3)
         m = 5 + 2

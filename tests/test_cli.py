@@ -83,6 +83,19 @@ class TestSynth:
         assert code == 0
         assert json.loads((out / "truth.json").read_text())["coefficients"] == want
 
+    def test_fewer_views_over_a_dataset_exit_one(self, tmp_path, capsys):
+        # A three-view set over a five-view one would leave image004 and
+        # image005 to load as its views: nothing is written, exit 1.
+        out = tmp_path / "d"
+        assert cli.main(["synth", "--out", str(out), "--model", "1", "--views", "5"]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        code = cli.main(["synth", "--out", str(out), "--model", "9", "--views", "3"])
+        got, err = capsys.readouterr()
+        assert code == 1 and got == ""
+        assert err.startswith("error: ") and err.endswith("image004.txt, image005.txt\n")
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
     def test_negative_sigma_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "d"
         code = cli.main(["synth", "--out", str(out), "--model", "1", "--sigma", "-1e-3"])

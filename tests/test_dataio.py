@@ -18,6 +18,26 @@ class TestDatasetFiles:
         for a, b in zip(back.observations, data.observations):
             assert np.array_equal(a, b)
 
+    def test_stale_views_refuse_the_write(self, tmp_path):
+        # A five-view set, then a three-view one into the same directory: the
+        # old image004 and image005 would load as views of the new set.
+        five, _ = synth_dataset(sigma=0.4, seed=12, poses=poses_three() + poses_three()[:2])
+        three, _ = synth_dataset(sigma=0.0)
+        d = tmp_path / "d"
+        rc.write_dataset(d, five)
+        before = {f.name: f.read_bytes() for f in d.iterdir()}
+        with pytest.raises(FileExistsError, match=r"image004\.txt, image005\.txt$"):
+            rc.write_dataset(d, three)
+        assert {f.name: f.read_bytes() for f in d.iterdir()} == before
+        # The same views may be written over.
+        rc.write_dataset(d, five)
+        assert {f.name: f.read_bytes() for f in d.iterdir()} == before
+        # Once the stale views are gone, the smaller set writes.
+        (d / "image004.txt").unlink()
+        (d / "image005.txt").unlink()
+        rc.write_dataset(d, three)
+        assert rc.load_dataset(d).n_views == 3
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         d = tmp_path / "d"
         d.mkdir()

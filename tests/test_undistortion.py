@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -771,6 +772,43 @@ class TestArrayRoute:
         model = rc.DistortionModel(model_id=1, coefficients=(0.1,))
         with pytest.raises(ValueError):
             rc.undistort_normalized(model, np.zeros((3, 3)))
+
+
+class TestNonFinitePoints:
+    # A nan or infinite coordinate never lies inside the invertible domain:
+    # the closed route raises NoRealCandidate, the numeric route (model 0's
+    # undistort_normalized too) BracketNotFound, and an array holding the
+    # point raises what the pair call raises.
+    A = rc.IntrinsicParams(alpha=830.0, gamma=0.2, u0=304.0, beta=830.5, v0=206.6)
+
+    @pytest.mark.parametrize("mid", [0, 3, 6])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (math.nan, 0.1),
+            (0.1, math.nan),
+            (math.inf, 0.0),
+            (0.0, -math.inf),
+            (math.inf, math.inf),
+            (math.nan, -math.inf),
+        ],
+    )
+    def test_pair_and_array_raise_alike(self, mid, bad):
+        model = rc.DistortionModel(mid, rc.reference_coefficients("desktop", mid))
+        closed = rc.BracketNotFound if mid == 0 else rc.NoRealCandidate
+        ok = np.array([[0.1, 0.05], [0.2, 0.0]])
+        routes = (
+            (rc.undistort_normalized, ok, closed),
+            (rc.undistort_numeric, ok, rc.BracketNotFound),
+            (lambda m, p: rc.undistort_pixel(self.A, m, p), rc.denormalize(self.A, ok), closed),
+        )
+        for invert, finite, error in routes:
+            with pytest.raises(rc.NoRealCandidate) as pair:
+                invert(model, np.array(bad))
+            with pytest.raises(rc.NoRealCandidate) as array:
+                invert(model, np.array([finite[0], bad, finite[1]]))
+            assert type(pair.value) is error and type(array.value) is error
+            assert str(array.value) == str(pair.value)
 
 
 class TestPole:
