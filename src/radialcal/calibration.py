@@ -104,6 +104,8 @@ class Homography:
         H = np.asarray(self.matrix, dtype=float)
         if H.shape != (3, 3):
             raise ValueError("homography must be 3x3")
+        if not np.isfinite(H).all() or not H.any():
+            raise ValueError(f"homography must be finite and nonzero, got {H.tolist()}")
         H = H / np.linalg.norm(H)
         if H[2, 2] < 0:
             H = -H

@@ -184,20 +184,28 @@ def rotation_from_matrix(R: Mat) -> Vec:
     return theta / math.copysign(float(np.linalg.norm(axis)), float(axis @ v)) * axis
 
 
+def _as_points(p) -> Vec:
+    """p as a float (2,) or (..., 2) array: every point map's shape check."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != 2:
+        raise ValueError(f"expected an (x, y) pair or an (..., 2) array, got shape {p.shape}")
+    return p
+
+
 def normalize(A: IntrinsicParams, p: Vec) -> Vec:
     """Map pixel coordinates to normalized coordinates by applying A^-1.
 
     Accepts a single (u, v) pair or an (..., 2) array. As in Python floats,
     an infinite coordinate may give nan (inf - inf) without a warning.
     """
-    p = np.asarray(p, dtype=float)
+    p = _as_points(p)
     with np.errstate(invalid="ignore"):
         return np.stack(_normalize_pair(A, p[..., 0], p[..., 1]), axis=-1)
 
 
 def denormalize(A: IntrinsicParams, n: Vec) -> Vec:
     """Map normalized coordinates to pixel coordinates by applying A."""
-    n = np.asarray(n, dtype=float)
+    n = _as_points(n)
     return np.stack(_denormalize_pair(A, n[..., 0], n[..., 1]), axis=-1)
 
 

@@ -20,18 +20,19 @@ Model ids and coefficient counts:
 
 All profiles satisfy f(0) = 1, so the origin is always a fixed point and
 F(r) = r f(r) vanishes only at r = 0 within each model's valid range.
+
+_TERMS lists each model's terms of N and D and _rational their polynomials;
+calibration and undistortion derive what they need per model from these.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .core import IntrinsicParams, Vec, denormalize, normalize
+from .core import IntrinsicParams, Vec, _as_points, denormalize, normalize
 from .errors import SingularProfile, UnknownModel
 
 MODEL_IDS = tuple(range(10))
@@ -45,11 +46,6 @@ _TERMS = {
 
 # Rational denominators below this magnitude are treated as singular.
 DENOM_EPS = 1e-12
-# Largest undistorted radius inversion considers; see invertible_radius.
-_RADIUS_LIMIT = 1e100
-# Inversion stops short of a pole, where D falls to this fraction of the size
-# of its terms: closer in, D's rounding would move F by more than that.
-_POLE_MARGIN = 2.0**-26
 
 
 def coefficient_arity(model_id: int) -> int:
@@ -143,39 +139,13 @@ def _profile(model_id: int, k: tuple[float, ...], r):
 
 
 def _rational(model_id: int, k: tuple[float, ...]) -> tuple[list[float], list[float]]:
-    """N and D as ascending coefficients in r, for invertible_radius."""
+    """N and D as ascending coefficients in r, for undistortion's plan."""
     coefficients = iter(k)
     num, den = ([1.0] + [0.0] * max(powers, default=0) for powers in _TERMS[model_id])
     for c, powers in zip((num, den), _TERMS[model_id]):
         for p in powers:
             c[p] = next(coefficients)
     return num, den
-
-
-def _sign_changes(c: list[float], end: float) -> list[float]:
-    """Last radii before each sign change on (0, end) of c (ascending coefficients).
-
-    c is monotone between the sign changes of its derivative; bisection on
-    signs alone finds each piece's own to adjacent floats, at any scale.
-    """
-    while c and c[0] == 0.0:
-        c = c[1:]  # dividing by r keeps every sign on r > 0
-
-    def positive(r):
-        v = 0.0
-        for a in reversed(c):
-            v = v * r + a
-        return v > 0.0
-    ends = _sign_changes([i * a for i, a in enumerate(c)][1:], end) if len(c) > 1 else []
-    changes, start = [], 0.0
-    for stop in ends + [end]:
-        lo, hi, up = start, stop, positive(stop)
-        if positive(lo) != up:
-            while lo < (x := 0.5 * (lo + hi)) < hi:
-                lo, hi = (lo, x) if positive(x) == up else (x, hi)
-            changes.append(lo)
-        start = stop
-    return changes
 
 
 def _checked(model_id: int, r, f):
@@ -206,33 +176,14 @@ def eval_profile(model: DistortionModel, r):
 def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     """Forward distortion in the normalized frame: p -> p * f(|p|).
 
-    Accepts a single (x, y) pair or an (..., 2) array. Raises SingularProfile
-    as eval_profile does.
+    Accepts a single (x, y) pair or an (..., 2) array; any other shape raises
+    ValueError. Raises SingularProfile as eval_profile does.
     """
     mid, k = model.model_id, model.coefficients
-    p = np.asarray(p, dtype=float)
+    p = _as_points(p)
     r = np.hypot(p[..., 0], p[..., 1])
     f = _checked(mid, r, _profile(mid, k, r))
     return p * f[..., None]
-
-
-@functools.lru_cache(maxsize=256)
-def invertible_radius(model: DistortionModel) -> tuple[float, float]:
-    """The model's invertible domain as (r_b, F_max), F_max = F(r_b).
-
-    F(r) = r f(r) rises from 0 up to r_b: there either the numerator
-    (N + r N') D - r N D' of F' turns negative (a fold), or D falls to
-    _POLE_MARGIN times the size of its terms, short of a pole. A distorted
-    point has one preimage of radius below r_b exactly when its radius is
-    below F_max. r_b is at most 1e100, far past which r^2 overflows.
-    """
-    mid, k = model.model_id, model.coefficients
-    num, den = _rational(mid, k)
-    rnum = P.polymulx(num)
-    slope = P.polysub(P.polymul(P.polyder(rnum), den), P.polymul(rnum, P.polyder(den)))
-    edges = _sign_changes([d - _POLE_MARGIN * abs(d) for d in den], _RADIUS_LIMIT)
-    r_b = min(edges + _sign_changes(slope.tolist(), _RADIUS_LIMIT) + [_RADIUS_LIMIT])
-    return r_b, r_b * _profile(mid, k, r_b)
 
 
 def distort_pixel(A: IntrinsicParams, model: DistortionModel, p: Vec) -> Vec:

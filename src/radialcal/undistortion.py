@@ -15,10 +15,12 @@ polynomial in x of degree at most three (see branch_reduce). The algorithm:
    as undistort_numeric does. The re-distortion test catches roots that fit
    the rounded polynomial but not the model: radicals that cancel, or a tiny
    leading coefficient dropped although its term dominates at the root.
+   Radicals that would overflow a float give no root either.
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
-analytic path).
+analytic path). Each model's domain and the coefficients of N and D that
+the branch polynomial is written from are read once and cached (_plan).
 
 Each public function takes one (x, y) pair or an (..., 2) array, and picks
 its route by that shape. A pair runs in Python floats from end to end in
@@ -38,13 +40,23 @@ what the pair call raises for its first failing point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .core import IntrinsicParams, Vec, _denormalize_pair, _normalize_pair, denormalize, normalize
-from .distortion import _TERMS, DistortionModel, RadialAuxiliaries, _profile, invertible_radius
+from .core import (
+    IntrinsicParams,
+    Vec,
+    _as_points,
+    _denormalize_pair,
+    _normalize_pair,
+    denormalize,
+    normalize,
+)
+from .distortion import DistortionModel, RadialAuxiliaries, _profile, _rational
 from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
@@ -64,6 +76,71 @@ COEFF_EPS = 1e-12
 # tiny coefficient makes the radicals cancel, or is dropped although its term
 # dominates at the root, the root fits the rounded polynomial but not F.
 _REDISTORT_TOL = 1e-12
+# Array radicals of a cubic whose y, p and q are at most this large cannot
+# overflow (27 y^2 q^2 < 1e302); past it, rows go to _pair's float radicals.
+_RADICAL_LIMIT = 1e75
+# Largest undistorted radius inversion considers; see invertible_radius.
+_RADIUS_LIMIT = 1e100
+# Inversion stops short of a pole, where D falls to this fraction of the size
+# of its terms: closer in, D's rounding would move F by more than that.
+_POLE_MARGIN = 2.0**-26
+
+
+def _sign_changes(c: list[float], end: float) -> list[float]:
+    """Last radii before each sign change on (0, end) of c (ascending coefficients).
+
+    c is monotone between the sign changes of its derivative; bisection on
+    signs alone finds each piece's own to adjacent floats, at any scale.
+    """
+    while c and c[0] == 0.0:
+        c = c[1:]  # dividing by r keeps every sign on r > 0
+
+    def positive(r):
+        v = 0.0
+        for a in reversed(c):
+            v = v * r + a
+        return v > 0.0
+    ends = _sign_changes([i * a for i, a in enumerate(c)][1:], end) if len(c) > 1 else []
+    changes, start = [], 0.0
+    for stop in ends + [end]:
+        lo, hi, up = start, stop, positive(stop)
+        if positive(lo) != up:
+            while lo < (x := 0.5 * (lo + hi)) < hi:
+                lo, hi = (lo, x) if positive(x) == up else (x, hi)
+            changes.append(lo)
+        start = stop
+    return changes
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(model: DistortionModel) -> tuple:
+    """The model's inversion data, read once: (r_b, F_max, n1, n2, d1, d2, size).
+
+    The domain (see invertible_radius), the r and r^2 coefficients of N and
+    D, and the branch polynomial's length (_branch_coefficients), which is 0
+    for model 0, whose N has terms past r^2.
+    """
+    mid, k = model.model_id, model.coefficients
+    num, den = _rational(mid, k)
+    rnum = P.polymulx(num)
+    slope = P.polysub(P.polymul(P.polyder(rnum), den), P.polymul(rnum, P.polyder(den)))
+    edges = _sign_changes([d - _POLE_MARGIN * abs(d) for d in den], _RADIUS_LIMIT)
+    r_b = min(edges + _sign_changes(slope.tolist(), _RADIUS_LIMIT) + [_RADIUS_LIMIT])
+    n1, n2, d1, d2 = (num + [0.0, 0.0])[1:3] + (den + [0.0, 0.0])[1:3]
+    size = 0 if len(num) > 3 else max(len(num) + 1, len(den))
+    return r_b, r_b * _profile(mid, k, r_b), n1, n2, d1, d2, size
+
+
+def invertible_radius(model: DistortionModel) -> tuple[float, float]:
+    """The model's invertible domain as (r_b, F_max), F_max = F(r_b).
+
+    F(r) = r f(r) rises from 0 up to r_b: there either the numerator
+    (N + r N') D - r N D' of F' turns negative (a fold), or D falls to
+    _POLE_MARGIN times the size of its terms, short of a pole. A distorted
+    point has one preimage of radius below r_b exactly when its radius is
+    below F_max. r_b is at most 1e100, far past which r^2 overflows.
+    """
+    return _plan(model)[:2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,14 +185,18 @@ def _radicals(y: float, p: float, q: float) -> tuple[complex, complex, complex]:
         # Triple root: only possible when the depressed cubic degenerates.
         x = complex(-p / (3.0 * q))
         return (x, x, x)
+    return _back_substitute(e1, p, q)
+
+
+def _back_substitute(e1, p, q) -> tuple:
+    """solve_cubic_closed's three roots from E1 != 0, for numbers or arrays."""
     e2 = (p * p - 3.0 * q) / (q * e1)
     a = e1 / (6.0 * q)
     b = (2.0 / 3.0) * e2
     shift = -p / (3.0 * q)
-    x1 = a + b + shift
     re = -0.5 * a - 0.5 * b + shift
     im = (_SQRT3 / 2.0) * (a - b)
-    return (x1, re + 1j * im, re - 1j * im)
+    return (a + b + shift, re + 1j * im, re - 1j * im)
 
 
 def solve_poly_real(coeffs) -> list[float]:
@@ -180,29 +261,20 @@ def branch_reduce(
     f = N/D, after substituting r = aux.s * sigma * x for the sign assumption
     sigma = aux.sigma. Model 0 (a quintic) raises UnsupportedModel.
     """
-    return _branch_coefficients(
-        model.model_id, model.coefficients, x_d, aux.s, aux.t, aux.sigma
-    )
+    plan = _plan(model)
+    if not plan[-1]:
+        raise UnsupportedModel(f"model {model.model_id} has no polynomial branch reduction")
+    return _branch_coefficients(plan, x_d, aux.s, aux.t, aux.sigma)
 
 
-def _branch_coefficients(mid: int, k: tuple[float, ...], x_d, s, t, sg) -> tuple:
-    """branch_reduce's coefficients for floats, or for arrays holding one
-    point per entry (constant coefficients then stay floats). With
-    w = (1, sg s, t), N's term k r^p adds k w_p to x^(p+1) and D's term
-    subtracts x_d k w_p from x^p."""
-    num, den = _TERMS[mid]
-    if max(num + den) > 2:
-        raise UnsupportedModel(f"model {mid} has no polynomial branch reduction")
-    w, k, nx = (1.0, sg * s, t), iter(k), -x_d
-    a = [nx, 1.0, None, None]  # the constant 1s of D and N; None: no term yet
-    for p in num:
-        a[p + 1] = next(k) * w[p]
-    for p in den:
-        v = nx * next(k) * w[p]
-        a[p] = v if a[p] is None else a[p] + v
-    while a[-1] is None:
-        a.pop()
-    return tuple([0.0 if v is None else v for v in a])
+def _branch_coefficients(plan: tuple, x_d, s, t, sg) -> tuple:
+    """branch_reduce's coefficients from _plan, for floats or for arrays
+    holding one point per entry. With N = 1 + n1 r + n2 r^2, D = 1 + d1 r +
+    d2 r^2 and r = w x, w = sg s, r^2 = t x^2, these are x N - x_d D's
+    coefficients, cut to the model's size."""
+    _, _, n1, n2, d1, d2, size = plan
+    w = sg * s
+    return (-x_d, 1.0 - x_d * d1 * w, n1 * w - x_d * d2 * t, n2 * t)[:size]
 
 
 def _cubic_roots(y, p, q) -> np.ndarray:
@@ -215,33 +287,29 @@ def _cubic_roots(y, p, q) -> np.ndarray:
     # A zero bracket is solve_cubic_closed's triple root (e1 == 0).
     triple = bracket == 0
     e1 = np.where(triple, 1.0, bracket) ** (1.0 / 3.0)
-    e2 = (p * p - 3.0 * q) / (q * e1)
-    a = e1 / (6.0 * q)
-    b = (2.0 / 3.0) * e2
-    shift = -p / (3.0 * q)
-    x1 = a + b + shift
-    re = -0.5 * a - 0.5 * b + shift
-    im = (_SQRT3 / 2.0) * (a - b)
-    return np.where(triple, shift, np.array([x1, re + 1j * im, re - 1j * im]))
+    return np.where(triple, -p / (3.0 * q), np.array(_back_substitute(e1, p, q)))
 
 
 def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
     """_pair's closed-form candidate for every row; nan where it has no root.
 
     coeffs holds one array per coefficient. Rows the closed formulas do not
-    cover, where _pair falls back to solve_poly_real (a leading
-    coefficient, or a cubic's linear one or normalized q, below COEFF_EPS),
-    also read nan, for the caller to pass to the pair route.
+    cover also read nan, for the caller to pass to the pair route: those
+    where _pair falls back to solve_poly_real (a leading coefficient, or a
+    cubic's linear one or normalized q, below COEFF_EPS), and cubics with y,
+    p or q past _RADICAL_LIMIT, whose radicals could overflow.
     """
     deg = len(coeffs) - 1
     keep = np.abs(coeffs[-1]) >= COEFF_EPS
     if deg == 3:
         keep &= np.abs(coeffs[1]) >= COEFF_EPS
-        keep[keep] = np.abs(coeffs[3][keep] / coeffs[1][keep]) >= COEFF_EPS
     rows = np.flatnonzero(keep)
     a = [v[rows] for v in coeffs]
     if deg == 3:
-        z = _cubic_roots(-a[0] / a[1], a[2] / a[1], a[3] / a[1])
+        ypq = np.array([-a[0] / a[1], a[2] / a[1], a[3] / a[1]])
+        fits = (np.abs(ypq[2]) >= COEFF_EPS) & (np.abs(ypq).max(axis=0) <= _RADICAL_LIMIT)
+        rows, ypq = rows[fits], ypq[:, fits]
+        z = _cubic_roots(*ypq)
         roots = z.real
         real = np.abs(z.imag) <= IMAG_EPS * np.maximum(1.0, np.abs(roots))
     elif deg == 2:
@@ -266,12 +334,12 @@ def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
 def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Principal preimages x along the rays y = c x; nan where none below r_b
     re-distorts onto the point (see _REDISTORT_TOL)."""
+    plan = _plan(model)
     sigma = np.where(x_d > 0.0, 1.0, -1.0)
     t = 1.0 + c * c
     s = np.sqrt(t)
-    coeffs = _branch_coefficients(model.model_id, model.coefficients, x_d, s, t, sigma)
-    x = _principal_roots([np.broadcast_to(v, x_d.shape) for v in coeffs], sigma)
-    r_b, f_max = invertible_radius(model)
+    x = _principal_roots(_branch_coefficients(plan, x_d, s, t, sigma), sigma)
+    r_b, f_max = plan[:2]
     r_d = s * np.abs(x_d)
     r = s * np.abs(x)
     ok = (r_d < f_max) & (r < r_b)
@@ -290,7 +358,7 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     mid, k = model.model_id, model.coefficients
     xd = np.abs(x_d)
     s = np.sqrt(1.0 + c * c)
-    r_b, f_max = invertible_radius(model)
+    r_b, f_max = _plan(model)[:2]
     top = r_b / s
     lo = np.where(s * xd < f_max, 0.0, np.nan)
     hi = xd.copy()
@@ -322,8 +390,6 @@ def _invert_points(model: DistortionModel, pd: np.ndarray, closed: bool) -> np.n
     array order: it returns what the vectorised formulas do not cover and
     raises for the first point without a preimage.
     """
-    if pd.ndim == 0 or pd.shape[-1] != 2:
-        raise ValueError(f"expected an (x, y) pair or an (..., 2) array, got shape {pd.shape}")
     flat = pd.reshape(-1, 2)
     finite = np.isfinite(flat).all(axis=1)
     out = np.zeros(flat.shape)
@@ -344,7 +410,7 @@ def _invert_points(model: DistortionModel, pd: np.ndarray, closed: bool) -> np.n
 
 def _invert(model: DistortionModel, pd: Vec, closed: bool) -> Vec:
     """Route a pair to _pair and anything else to _invert_points."""
-    pd = np.asarray(pd, dtype=float)
+    pd = _as_points(pd)
     if pd.shape != (2,):
         return _invert_points(model, pd, closed)
     return np.array(_pair(model, *pd.tolist(), closed))
@@ -369,7 +435,8 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
     s = math.sqrt(t)
     mid, k, a = model.model_id, model.coefficients, abs(xd)
     r_d = s * a
-    r_b, f_max = invertible_radius(model)
+    plan = _plan(model)
+    r_b, f_max = plan[:2]
     if not r_d < f_max:
         if closed:
             raise NoRealCandidate(f"model {mid} has no admissible preimage for ({xd!r}, {yd!r})")
@@ -378,11 +445,14 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
     if closed:
         # The admissible real root of the principal branch nearest the origin.
         sigma = 1 if xd > 0.0 else -1
-        b = _branch_coefficients(mid, k, xd, s, t, sigma)
+        b = _branch_coefficients(plan, xd, s, t, sigma)
         cubic = len(b) == 4 and abs(b[3]) >= COEFF_EPS and abs(b[1]) >= COEFF_EPS
         if cubic and abs(b[3] / b[1]) >= COEFF_EPS:
             # Normalize b0 + b1 x + b2 x^2 + b3 x^3 = 0 to y = x + p x^2 + q x^3.
-            z3 = _radicals(-b[0] / b[1], b[2] / b[1], b[3] / b[1])
+            try:
+                z3 = _radicals(-b[0] / b[1], b[2] / b[1], b[3] / b[1])
+            except OverflowError:
+                z3 = ()  # radicals past the float range give no candidate: bisect
             roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
         else:
             roots = solve_poly_real(b)
@@ -451,7 +521,7 @@ def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     other falls back to bisection; the two then agree only to within the
     re-distortion bound, not to a few ulp.
     """
-    pd = np.asarray(pd, dtype=float)
+    pd = _as_points(pd)
     closed = model.model_id != 0
     if pd.shape != (2,):
         return denormalize(A, _invert_points(model, normalize(A, pd), closed))

@@ -65,6 +65,19 @@ class TestHomographyType:
         with pytest.raises(ValueError):
             rc.Homography(matrix=np.eye(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        M = np.eye(3)
+        M[0, 2] = bad
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            rc.Homography(matrix=M)
+
+    def test_rejects_zero_matrix(self):
+        # Checked before the Frobenius scaling, which would divide by zero.
+        with np.errstate(divide="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                rc.Homography(matrix=np.zeros((3, 3)))
+
     def test_apply_identity(self):
         pts = np.array([[0.5, -1.0], [2.0, 3.0]])
         out = rc.apply_homography(rc.Homography(matrix=np.eye(3)), pts)

@@ -281,6 +281,25 @@ class TestUndistortPoints:
         )
         assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist())
 
+    def test_overflowing_radicals_bisect(self, tmp_path):
+        # With k = 1e103 model 3's cubic radicals overflow a float; the point
+        # is bisected instead, with no warning. Its preimage lies about
+        # 1e-49 px from the principal point, so it prints as (320, 240).
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "radialcal",
+             "undistort-points", "--model", "3", "--coeffs=1e103,1e103",
+             "--intrinsics", str(cam)],
+            input="320 240\n400.5 300.25\n", capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        model = rc.DistortionModel(3, (1e103, 1e103))
+        want = rc.denormalize(DEFAULT_CAMERA, rc.undistort_numeric(
+            model, rc.normalize(DEFAULT_CAMERA, np.array([[320.0, 240.0], [400.5, 300.25]]))))
+        assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist())
+
     @pytest.mark.parametrize(
         "text, message",
         [

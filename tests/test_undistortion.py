@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -774,6 +775,34 @@ class TestArrayRoute:
             rc.undistort_normalized(model, np.zeros((3, 3)))
 
 
+_A = rc.IntrinsicParams(alpha=800.0, gamma=0.2, u0=320.0, beta=790.0, v0=240.0)
+_M = rc.DistortionModel(3, (-0.0215, -0.1566))
+POINT_MAPS = {
+    "normalize": lambda p: rc.normalize(_A, p),
+    "denormalize": lambda p: rc.denormalize(_A, p),
+    "distort_normalized": lambda p: rc.distort_normalized(_M, p),
+    "distort_pixel": lambda p: rc.distort_pixel(_A, _M, p),
+    "undistort_normalized": lambda p: rc.undistort_normalized(_M, p),
+    "undistort_numeric": lambda p: rc.undistort_numeric(_M, p),
+    "undistort_pixel": lambda p: rc.undistort_pixel(_A, _M, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_MAPS))
+class TestPointShapes:
+    """Every point map takes an (x, y) pair or an (..., 2) array, and
+    raises ValueError for any other shape."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (4, 3)])
+    def test_other_shapes_raise(self, name, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(..., 2) array, got shape {shape}")):
+            POINT_MAPS[name](np.full(shape, 0.01))
+
+    def test_pair_and_empty_array(self, name):
+        assert POINT_MAPS[name](np.array([0.01, -0.02])).shape == (2,)
+        assert POINT_MAPS[name](np.zeros((0, 2))).shape == (0, 2)
+
+
 class TestNonFinitePoints:
     # A nan or infinite coordinate never lies inside the invertible domain:
     # the closed route raises NoRealCandidate, the numeric route (model 0's
@@ -835,6 +864,33 @@ class TestPole:
         assert np.max(np.abs(rc.undistort_normalized(self.model, pd) - p)) < 1e-12
         for q, want in zip(pd, p):
             assert np.max(np.abs(rc.undistort_normalized(self.model, q) - want)) < 1e-12
+
+
+class TestRadicalOverflow:
+    # With k = 1e103 the cubic's p**3 overflows a float, and with 1e160 its
+    # y^2 q^2 does too. The points lie inside the domain, so the closed
+    # route bisects instead: every route equals undistort_numeric bit for
+    # bit, and no floating-point error is raised on the way.
+    A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+    points = np.array([[0.002, 0.001], [-0.001, 0.003], [0.0, 0.0], [3e-5, -2e-5]])
+
+    @pytest.mark.parametrize("k", [1e103, 1e160])
+    def test_pair_array_and_pixel_bisect(self, k):
+        model = rc.DistortionModel(3, (k, k))
+        want = rc.undistort_numeric(model, self.points)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for p, w in zip(self.points, want):
+                assert np.array_equal(rc.undistort_normalized(model, p), w)
+                assert np.array_equal(rc.undistort_numeric(model, p), w)
+            assert np.array_equal(rc.undistort_normalized(model, self.points), want)
+            pixels = rc.denormalize(self.A, self.points)
+            got = rc.undistort_pixel(self.A, model, pixels)
+            assert np.array_equal(got, rc.denormalize(self.A, want))
+            for p, w in zip(pixels, got):
+                assert np.array_equal(rc.undistort_pixel(self.A, model, p), w)
+        # The preimage re-distorts onto the point.
+        back = rc.distort_normalized(model, want[0])
+        assert np.max(np.abs(back - self.points[0])) < 1e-18
 
 
 def test_array_route_matches_pair_route_property():
