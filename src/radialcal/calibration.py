@@ -30,7 +30,7 @@ from .core import (
     rotation_from_matrix,
     rotation_to_matrix,
 )
-from .distortion import _TERMS, DistortionModel, _checked, _profile, coefficient_arity
+from .distortion import _D1, _TERMS, DistortionModel, _checked, _profile, _slots, coefficient_arity
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -390,7 +390,7 @@ def _project(model_id: int, params: np.ndarray, frame, strict: bool = False):
     if strict and (Pc[:, 2] < DEPTH_EPS).any():
         v, j = np.argwhere(Pc[:, 2] < DEPTH_EPS)[0]
         raise NonPositiveDepth(f"point {j}: Z^c = {float(Pc[v, 2, j])!r}")
-    f = _profile(model_id, k, r)
+    f = _profile(_slots(model_id, k), r)
     if strict:
         _checked(model_id, r, f)
     xd = x * f
@@ -495,8 +495,8 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
 
     * intrinsics: d(u, v)/d(alpha, gamma, u0, beta, v0) is (x_d, 0),
       (y_d, 0), (1, 0), (0, y_d), (0, 1);
-    * coefficients, from distortion._TERMS: df/dk = r^p / D for a term of N
-      and -f r^p / D for a term of D;
+    * coefficients, one per slot in distortion._TERMS: df/dk = r^p / D for
+      the slot of a term r^p of N and -f r^p / D for one of D;
     * distortion map: d(x_d, y_d)/d(x, y) = f I + f' (x, y)^T (x, y) / r
       with f' = (N' - f D') / D, which is f I at r = 0;
     * projection: (x, y) = (X / Z, Y / Z) of P^c;
@@ -512,21 +512,16 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     pose = params[5 + arity :].reshape(-1, 6)
     Pc, x, y, r = frame
 
-    # N, D and their slopes in r, term by term from the model table.
-    num_terms, den_terms = _TERMS[model_id]
-    powers = [1.0, r]
-    while len(powers) <= max(num_terms + den_terms):
-        powers.append(powers[-1] * r)
-
-    def value_and_slope(coefficients, terms):
-        value, slope = 1.0, 0.0
-        for c, p in zip(coefficients, terms):
-            value, slope = value + c * powers[p], slope + p * c * powers[p - 1]
-        return value, slope
-
-    k = params[5 : 5 + arity]
-    N, dN = value_and_slope(k[: len(num_terms)], num_terms)
-    D, dD = value_and_slope(k[len(num_terms) :], den_terms)
+    # N, D and their slopes in r from the model's slots; D = 1 + d1 r + d2 r^2
+    # has N's form, so _profile sums both term by term as it does within f.
+    slots = _slots(model_id, params[5 : 5 + arity])
+    n1, n2, n4, d1, d2 = slots
+    N = _profile(slots[:3] + (None, None), r)
+    D = _profile(slots[3:] + (None, None, None), r)
+    r2 = r * r
+    dN = (0.0 if n1 is None else n1) + (0.0 if n2 is None else 2.0 * n2 * r)
+    dN = dN + (0.0 if n4 is None else 4.0 * n4 * (r2 * r))
+    dD = (0.0 if d1 is None else d1) + (0.0 if d2 is None else 2.0 * d2 * r)
     f = N / D
     df = (dN - f * dD) / D
 
@@ -545,8 +540,9 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     # (alpha x + gamma y, beta y), the pixel offset from (u0, v0) per unit f,
     # times df/dk: r^p / D along a term of N, -f r^p / D along a term of D.
     ray = np.stack([alpha * x + gamma * y, beta * y], axis=1)
-    dfk = [powers[p] / D for p in num_terms] + [-f * powers[p] / D for p in den_terms]
-    for i, d in enumerate(dfk, start=m - arity):
+    powers = (r, r2, r2 * r2, r, r2)
+    for i, slot in enumerate(_TERMS[model_id], start=m - arity):
+        d = powers[slot] / D if slot < _D1 else -f * powers[slot] / D
         np.multiply(ray, d[:, None], out=J[:, i])
 
     # d(x_d, y_d)/d(x, y), with unit (x, y) / r zero at r = 0.

@@ -21,8 +21,9 @@ Model ids and coefficient counts:
 All profiles satisfy f(0) = 1, so the origin is always a fixed point and
 F(r) = r f(r) vanishes only at r = 0 within each model's valid range.
 
-_TERMS lists each model's terms of N and D and _rational their polynomials;
-calibration and undistortion derive what they need per model from these.
+Every profile is f = (1 + n1 r + n2 r^2 + n4 r^4) / (1 + d1 r + d2 r^2) with
+some of the five slots absent; calibration and undistortion derive what they
+need per model from the slots its coefficients fill (_TERMS, _slots).
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .errors import SingularProfile, UnknownModel
 
 MODEL_IDS = tuple(range(10))
 
-# f = N / D for derived quantities (_profile evaluates f): the powers of r in
-# N's terms, then D's, beyond their 1. The terms take k_0, k_1, ... in order.
+# Slots _N1, _N2, _N4 are N's terms in r, r^2, r^4 and _D1, _D2 D's in r,
+# r^2; a model's coefficients k_0, k_1, ... fill the slots _TERMS lists.
+_N1, _N2, _N4, _D1, _D2 = range(5)
 _TERMS = {
-    0: ((2, 4), ()), 1: ((1,), ()), 2: ((2,), ()), 3: ((1, 2), ()), 4: ((), (1,)),
-    5: ((), (2,)), 6: ((1,), (2,)), 7: ((), (1, 2)), 8: ((1,), (1, 2)), 9: ((2,), (1, 2)),
+    0: (_N2, _N4), 1: (_N1,), 2: (_N2,), 3: (_N1, _N2), 4: (_D1,), 5: (_D2,),
+    6: (_N1, _D2), 7: (_D1, _D2), 8: (_N1, _D1, _D2), 9: (_N2, _D1, _D2),
 }
 
 # Rational denominators below this magnitude are treated as singular.
@@ -51,7 +53,7 @@ DENOM_EPS = 1e-12
 def coefficient_arity(model_id: int) -> int:
     """Number of distortion coefficients the model takes."""
     try:
-        return sum(map(len, _TERMS[model_id]))
+        return len(_TERMS[model_id])
     except (KeyError, TypeError):
         raise UnknownModel(f"no distortion model with id {model_id!r}") from None
 
@@ -96,39 +98,40 @@ class RadialAuxiliaries:
         return cls(c=c, s=math.sqrt(t), t=t, sigma=sigma)
 
 
-def _profile(model_id: int, k: tuple[float, ...], r):
+def _slots(model_id: int, k) -> tuple:
+    """(n1, n2, n4, d1, d2) for the model's coefficients k; None marks an absent slot."""
+    slots = [None] * 5
+    for i, c in zip(_TERMS[model_id], k):
+        slots[i] = c
+    return tuple(slots)
+
+
+def _profile(slots: tuple, r):
     """f(r) for a float or an ndarray of radii; the result has r's type.
 
-    Where a rational denominator is below DENOM_EPS in magnitude f is
-    undefined and reads nan; no exception is raised here, so a caller can
-    evaluate a batch past one bad radius. The public functions raise through
-    _checked. Polynomial models return before any denominator check, so model
-    0's float evaluation (the inner loop of numeric inversion) stays plain
-    arithmetic.
+    N and D sum their present slots in order; an absent one adds nothing,
+    not 0 r, which is nan at r = inf. Where |D| < DENOM_EPS f is undefined
+    and reads nan; no exception is raised here, so a caller can evaluate a
+    batch past one bad radius. The public functions raise through _checked.
+    A model without D terms never divides, so model 0's float evaluation
+    (the inner loop of numeric inversion) stays plain arithmetic.
     """
+    n1, n2, n4, d1, d2 = slots
     r2 = r * r
-    if model_id == 0:
-        return 1.0 + k[0] * r2 + k[1] * r2 * r2
-    if model_id == 1:
-        return 1.0 + k[0] * r
-    if model_id == 2:
-        return 1.0 + k[0] * r2
-    if model_id == 3:
-        return 1.0 + k[0] * r + k[1] * r2
-    if model_id == 4:
-        num, den = 1.0, 1.0 + k[0] * r
-    elif model_id == 5:
-        num, den = 1.0, 1.0 + k[0] * r2
-    elif model_id == 6:
-        num, den = 1.0 + k[0] * r, 1.0 + k[1] * r2
-    elif model_id == 7:
-        num, den = 1.0, 1.0 + k[0] * r + k[1] * r2
-    elif model_id == 8:
-        num, den = 1.0 + k[0] * r, 1.0 + k[1] * r + k[2] * r2
-    elif model_id == 9:
-        num, den = 1.0 + k[0] * r2, 1.0 + k[1] * r + k[2] * r2
-    else:
-        raise UnknownModel(f"no distortion model with id {model_id!r}")
+    num = 1.0
+    if n1 is not None:
+        num = num + n1 * r
+    if n2 is not None:
+        num = num + n2 * r2
+    if n4 is not None:
+        num = num + n4 * r2 * r2
+    if d1 is None and d2 is None:
+        return num
+    den = 1.0
+    if d1 is not None:
+        den = den + d1 * r
+    if d2 is not None:
+        den = den + d2 * r2
     small = abs(den) < DENOM_EPS
     if not isinstance(small, np.ndarray):
         return math.nan if small else num / den
@@ -138,14 +141,10 @@ def _profile(model_id: int, k: tuple[float, ...], r):
     return num / den
 
 
-def _rational(model_id: int, k: tuple[float, ...]) -> tuple[list[float], list[float]]:
-    """N and D as ascending coefficients in r, for undistortion's plan."""
-    coefficients = iter(k)
-    num, den = ([1.0] + [0.0] * max(powers, default=0) for powers in _TERMS[model_id])
-    for c, powers in zip((num, den), _TERMS[model_id]):
-        for p in powers:
-            c[p] = next(coefficients)
-    return num, den
+def _rational(slots: tuple) -> tuple[list[float], list[float]]:
+    """N and D as ascending coefficients in r, 0 for an absent slot."""
+    n1, n2, n4, d1, d2 = (c or 0.0 for c in slots)
+    return [1.0, n1, n2, 0.0, n4], [1.0, d1, d2]
 
 
 def _checked(model_id: int, r, f):
@@ -170,7 +169,7 @@ def eval_profile(model: DistortionModel, r):
     """
     if not isinstance(r, np.ndarray):
         r = float(r)
-    return _checked(model.model_id, r, _profile(model.model_id, model.coefficients, r))
+    return _checked(model.model_id, r, _profile(_slots(model.model_id, model.coefficients), r))
 
 
 def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
@@ -182,7 +181,7 @@ def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     mid, k = model.model_id, model.coefficients
     p = _as_points(p)
     r = np.hypot(p[..., 0], p[..., 1])
-    f = _checked(mid, r, _profile(mid, k, r))
+    f = _checked(mid, r, _profile(_slots(mid, k), r))
     return p * f[..., None]
 
 

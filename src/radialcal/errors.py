@@ -28,7 +28,7 @@ class NonPositiveDepth(RadialCalError):
 
 
 class DegenerateLeadingCoefficient(RadialCalError):
-    """Cubic coefficient too small for the closed-form solver; use solve_poly_real."""
+    """Cubic outside the closed form's range; use solve_poly_real."""
 
 
 class ZeroPolynomial(RadialCalError):

@@ -19,8 +19,8 @@ polynomial in x of degree at most three (see branch_reduce). The algorithm:
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
-analytic path). Each model's domain and the coefficients of N and D that
-the branch polynomial is written from are read once and cached (_plan).
+analytic path). Each model's domain and slots (the coefficients of N and D)
+are read once and cached (_plan).
 
 Each public function takes one (x, y) pair or an (..., 2) array, and picks
 its route by that shape. A pair runs in Python floats from end to end in
@@ -56,7 +56,7 @@ from .core import (
     denormalize,
     normalize,
 )
-from .distortion import DistortionModel, RadialAuxiliaries, _profile, _rational
+from .distortion import DistortionModel, RadialAuxiliaries, _profile, _rational, _slots
 from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
@@ -72,9 +72,10 @@ IMAG_EPS = 1e-8
 # Leading coefficients below this magnitude collapse the polynomial degree.
 COEFF_EPS = 1e-12
 # A closed-form root of radius r is accepted only when F(r) = r f(r) lies
-# within this fraction of max(1, r_d) of the distorted radius r_d. Where a
-# tiny coefficient makes the radicals cancel, or is dropped although its term
-# dominates at the root, the root fits the rounded polynomial but not F.
+# within this fraction of the distorted radius r_d. Where a tiny coefficient
+# makes the radicals cancel, or is dropped although its term dominates at the
+# root, or r_d is so small that the radicals' rounding swamps the root, the
+# root fits the rounded polynomial but not F.
 _REDISTORT_TOL = 1e-12
 # Array radicals of a cubic whose y, p and q are at most this large cannot
 # overflow (27 y^2 q^2 < 1e302); past it, rows go to _pair's float radicals.
@@ -96,10 +97,7 @@ def _sign_changes(c: list[float], end: float) -> list[float]:
         c = c[1:]  # dividing by r keeps every sign on r > 0
 
     def positive(r):
-        v = 0.0
-        for a in reversed(c):
-            v = v * r + a
-        return v > 0.0
+        return _horner(c, r) > 0.0
     ends = _sign_changes([i * a for i, a in enumerate(c)][1:], end) if len(c) > 1 else []
     changes, start = [], 0.0
     for stop in ends + [end]:
@@ -112,23 +110,40 @@ def _sign_changes(c: list[float], end: float) -> list[float]:
     return changes
 
 
+def _horner(c: list[float], r: float) -> float:
+    """c (ascending coefficients) at r, in Python floats: overflow reads inf
+    and warns nothing."""
+    v = 0.0
+    for a in reversed(c):
+        v = v * r + a
+    return v
+
+
 @functools.lru_cache(maxsize=256)
 def _plan(model: DistortionModel) -> tuple:
-    """The model's inversion data, read once: (r_b, F_max, n1, n2, d1, d2, size).
+    """The model's inversion data, read once: (r_b, F_max, slots, size).
 
-    The domain (see invertible_radius), the r and r^2 coefficients of N and
-    D, and the branch polynomial's length (_branch_coefficients), which is 0
-    for model 0, whose N has terms past r^2.
+    The domain (see invertible_radius), the model's slots and the branch
+    polynomial's length (_branch_coefficients): 0 for model 0, whose N has
+    a term in r^4, else one past the highest power of x in x N - x_d D. N
+    and D are scaled by one power of two, which keeps every sign change and
+    keeps the slope polynomial's products in range for huge coefficients.
     """
-    mid, k = model.model_id, model.coefficients
-    num, den = _rational(mid, k)
+    slots = _slots(model.model_id, model.coefficients)
+    num, den = _rational(slots)
+    scale = 2.0 ** -math.frexp(max(map(abs, num + den)))[1]
+    num, den = [scale * a for a in num], [scale * a for a in den]
     rnum = P.polymulx(num)
     slope = P.polysub(P.polymul(P.polyder(rnum), den), P.polymul(rnum, P.polyder(den)))
     edges = _sign_changes([d - _POLE_MARGIN * abs(d) for d in den], _RADIUS_LIMIT)
     r_b = min(edges + _sign_changes(slope.tolist(), _RADIUS_LIMIT) + [_RADIUS_LIMIT])
-    n1, n2, d1, d2 = (num + [0.0, 0.0])[1:3] + (den + [0.0, 0.0])[1:3]
-    size = 0 if len(num) > 3 else max(len(num) + 1, len(den))
-    return r_b, r_b * _profile(mid, k, r_b), n1, n2, d1, d2, size
+    f_max = r_b * _profile(slots, r_b)
+    if math.isnan(f_max):
+        # Huge coefficients overflow N and D at r_b (inf / inf); the scaled
+        # ones stay in range.
+        f_max = r_b * (_horner(num, r_b) / _horner(den, r_b))
+    n1, n2, n4, _, d2 = (c is not None for c in slots)
+    return r_b, f_max, slots, 0 if n4 else 4 if n2 else 3 if n1 or d2 else 2
 
 
 def invertible_radius(model: DistortionModel) -> tuple[float, float]:
@@ -166,12 +181,16 @@ def solve_cubic_closed(prob: CubicProblem) -> tuple[complex, complex, complex]:
     noise and poison the cube root. Either sign is algebraically valid (they
     swap the two halves of the root pair E1/(6q) and 2 E2/3).
 
-    Raises DegenerateLeadingCoefficient when |q| < COEFF_EPS; the formulas
-    divide by q, so degenerate cubics belong in solve_poly_real.
+    Raises DegenerateLeadingCoefficient when |q| < COEFF_EPS, as the
+    formulas divide by q, and when the radicals overflow a float; such
+    cubics belong in solve_poly_real.
     """
     if abs(prob.q) < COEFF_EPS:
         raise DegenerateLeadingCoefficient(f"|q|={abs(prob.q)!r} too small for the closed form")
-    return _radicals(prob.y, prob.p, prob.q)
+    try:
+        return _radicals(prob.y, prob.p, prob.q)
+    except OverflowError:
+        raise DegenerateLeadingCoefficient(f"radicals of {prob!r} overflow a float") from None
 
 
 def _radicals(y: float, p: float, q: float) -> tuple[complex, complex, complex]:
@@ -270,10 +289,10 @@ def branch_reduce(
 def _branch_coefficients(plan: tuple, x_d, s, t, sg) -> tuple:
     """branch_reduce's coefficients from _plan, for floats or for arrays
     holding one point per entry. With N = 1 + n1 r + n2 r^2, D = 1 + d1 r +
-    d2 r^2 and r = w x, w = sg s, r^2 = t x^2, these are x N - x_d D's
-    coefficients, cut to the model's size."""
-    _, _, n1, n2, d1, d2, size = plan
-    w = sg * s
+    d2 r^2 (absent slots read 0) and r = w x, w = sg s, r^2 = t x^2, these
+    are x N - x_d D's coefficients, cut to the model's size."""
+    _, _, (n1, n2, _, d1, d2), size = plan
+    n1, n2, d1, d2, w = n1 or 0.0, n2 or 0.0, d1 or 0.0, d2 or 0.0, sg * s
     return (-x_d, 1.0 - x_d * d1 * w, n1 * w - x_d * d2 * t, n2 * t)[:size]
 
 
@@ -344,8 +363,8 @@ def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> 
     r = s * np.abs(x)
     ok = (r_d < f_max) & (r < r_b)
     r = np.where(ok, r, 0.0)
-    F = r * _profile(model.model_id, model.coefficients, r)
-    ok &= np.abs(F - r_d) <= _REDISTORT_TOL * np.maximum(1.0, r_d)
+    F = r * _profile(plan[2], r)
+    ok &= np.abs(F - r_d) <= _REDISTORT_TOL * r_d
     return np.where(ok, x, np.nan)
 
 
@@ -355,17 +374,16 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     Each point runs the pair route's arithmetic, so the results are bit for
     bit the same. nan marks a point outside the invertible domain.
     """
-    mid, k = model.model_id, model.coefficients
     xd = np.abs(x_d)
     s = np.sqrt(1.0 + c * c)
-    r_b, f_max = _plan(model)[:2]
+    r_b, f_max, slots, _ = _plan(model)
     top = r_b / s
     lo = np.where(s * xd < f_max, 0.0, np.nan)
     hi = xd.copy()
     todo = np.flatnonzero(lo == 0.0)
     while todo.size:
         todo = todo[hi[todo] < top[todo]]
-        short = hi[todo] * _profile(mid, k, s[todo] * hi[todo]) - xd[todo] < 0.0
+        short = hi[todo] * _profile(slots, s[todo] * hi[todo]) - xd[todo] < 0.0
         todo = todo[short]
         lo[todo] = hi[todo]
         hi[todo] *= 2.0
@@ -373,7 +391,7 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     x = 0.5 * (lo + hi)
     act = (lo < x) & (x < hi)
     while act.any():
-        fx = x * _profile(mid, k, s * x) - xd
+        fx = x * _profile(slots, s * x) - xd
         lo = np.where(act & (fx <= 0.0), x, lo)
         hi = np.where(act & ~(fx < 0.0), x, hi)
         x = 0.5 * (lo + hi)
@@ -433,10 +451,10 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
     c = yd / xd
     t = 1.0 + c * c
     s = math.sqrt(t)
-    mid, k, a = model.model_id, model.coefficients, abs(xd)
+    mid, a = model.model_id, abs(xd)
     r_d = s * a
     plan = _plan(model)
-    r_b, f_max = plan[:2]
+    r_b, f_max, slots, _ = plan
     if not r_d < f_max:
         if closed:
             raise NoRealCandidate(f"model {mid} has no admissible preimage for ({xd!r}, {yd!r})")
@@ -459,14 +477,14 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
         x = min((x for x in roots if x * sigma > 0.0), key=abs, default=math.inf)
     r = s * abs(x)
     # Bisect unless the candidate lies below r_b and re-distorts onto the point.
-    if not (r < r_b and abs(r * _profile(mid, k, r) - r_d) <= _REDISTORT_TOL * max(1.0, r_d)):
+    if not (r < r_b and abs(r * _profile(slots, r) - r_d) <= _REDISTORT_TOL * r_d):
         lo, hi, top = 0.0, a, r_b / s
-        while hi < top and hi * _profile(mid, k, s * hi) - a < 0.0:
+        while hi < top and hi * _profile(slots, s * hi) - a < 0.0:
             lo, hi = hi, 2.0 * hi
         hi = min(hi, top)
         # Once lo and hi are adjacent floats the midpoint rounds onto one of them.
         while lo < (x := 0.5 * (lo + hi)) < hi:
-            fx = x * _profile(mid, k, s * x) - a
+            fx = x * _profile(slots, s * x) - a
             # An exact root closes the bracket.
             lo, hi = (x, hi) if fx < 0.0 else (x, x) if fx == 0.0 else (lo, x)
         x = math.copysign(x, xd)

@@ -764,7 +764,7 @@ class TestJacobian:
             hypothesis.assume((pc[:, 2] > 1.0).all())
             r = np.hypot(pc[:, 0] / pc[:, 2], pc[:, 1] / pc[:, 2])
             # Away from a pole, where central differences stay accurate.
-            _, den = distortion_mod._rational(model_id, model.coefficients)
+            _, den = distortion_mod._rational(distortion_mod._slots(model_id, model.coefficients))
             hypothesis.assume((np.abs(np.polynomial.polynomial.polyval(r, den)) > 0.1).all())
             params = calib_mod._pack(camera_830(), model, (ext,))
             m = self.free(model_id, frozen)

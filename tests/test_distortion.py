@@ -48,6 +48,31 @@ def fixed_slope_xd(mid, k, x, c):
     raise AssertionError(mid)
 
 
+# The ten profiles written out one by one as (N, D), D None for a polynomial
+# model, in the operation order the library evaluates them in: terms summed
+# left to right from 1, r^2 formed as r * r and r^4 as k r^2 * r^2.
+FORMULAS = {
+    0: lambda k, r, r2: (1.0 + k[0] * r2 + k[1] * r2 * r2, None),
+    1: lambda k, r, r2: (1.0 + k[0] * r, None),
+    2: lambda k, r, r2: (1.0 + k[0] * r2, None),
+    3: lambda k, r, r2: (1.0 + k[0] * r + k[1] * r2, None),
+    4: lambda k, r, r2: (1.0, 1.0 + k[0] * r),
+    5: lambda k, r, r2: (1.0, 1.0 + k[0] * r2),
+    6: lambda k, r, r2: (1.0 + k[0] * r, 1.0 + k[1] * r2),
+    7: lambda k, r, r2: (1.0, 1.0 + k[0] * r + k[1] * r2),
+    8: lambda k, r, r2: (1.0 + k[0] * r, 1.0 + k[1] * r + k[2] * r2),
+    9: lambda k, r, r2: (1.0 + k[0] * r2, 1.0 + k[1] * r + k[2] * r2),
+}
+
+
+def formula_profile(mid, k, r: float) -> float:
+    """f(r) from FORMULAS; nan where |D| < 1e-12."""
+    num, den = FORMULAS[mid](k, r, r * r)
+    if den is None:
+        return num
+    return math.nan if abs(den) < 1e-12 else num / den
+
+
 class TestProfile:
     def test_arity_table(self):
         for mid, arity in ARITY.items():
@@ -119,21 +144,60 @@ class TestProfile:
             single = np.array([rc.eval_profile(m, float(r)) for r in rr])
             assert np.array_equal(batch, single)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_ten_formulas_pin_the_profile(self):
+        # eval_profile and distort_normalized give FORMULAS' bits, for a
+        # float and for an array, or raise where the formula reads nan.
+        # Exact zero coefficients and radii whose r^2 or r^4 overflow or
+        # underflow are included: an absent slot must add nothing where a
+        # zero one reads 0 inf = nan. numpy warns of the overflows, and of
+        # the nan in 0 inf where a point on the x axis meets f = inf.
+        radii = np.array([0.0, 1e-300, 1e-8, 0.5, 3.0, 1e100, 1e200])
+        points = np.column_stack([radii, np.zeros_like(radii)])
+        rng = np.random.default_rng(67)
+        for mid, arity in ARITY.items():
+            for _ in range(100):
+                k = rng.uniform(-1.0, 1.0, arity) * 10.0 ** rng.uniform(-6.0, 2.0, arity)
+                k = tuple(np.where(rng.random(arity) < 0.25, 0.0, k).tolist())
+                model = rc.DistortionModel(mid, k)
+                want = np.array([formula_profile(mid, k, r) for r in radii.tolist()])
+                for r, f, p in zip(radii.tolist(), want.tolist(), points):
+                    if f != f:
+                        with pytest.raises(rc.SingularProfile):
+                            rc.eval_profile(model, r)
+                        with pytest.raises(rc.SingularProfile):
+                            rc.distort_normalized(model, p)
+                    else:
+                        got = rc.eval_profile(model, r)
+                        assert np.float64(got).tobytes() == np.float64(f).tobytes()
+                        assert rc.distort_normalized(model, p).tobytes() == (p * f).tobytes()
+                ok = ~np.isnan(want)
+                got = rc.eval_profile(model, radii[ok])
+                assert got.tobytes() == want[ok].tobytes(), (mid, k)
+                got = rc.distort_normalized(model, points[ok])
+                assert got.tobytes() == (points[ok] * want[ok, None]).tobytes(), (mid, k)
+                if not ok.all():
+                    with pytest.raises(rc.SingularProfile):
+                        rc.eval_profile(model, radii)
+                    with pytest.raises(rc.SingularProfile):
+                        rc.distort_normalized(model, points)
+
     def test_rational_table_matches_profile(self):
-        # _rational's polynomials are a second encoding of the ten profiles;
-        # N(r) / D(r) must equal _profile wherever D is clear of zero.
+        # _rational writes a model's slots as the polynomials N and D, which
+        # undistortion's plan works from; N(r) / D(r) must equal _profile,
+        # which sums the same slots term by term, wherever D is clear of zero.
         from numpy.polynomial import polynomial as P
 
-        from radialcal.distortion import _profile, _rational
+        from radialcal.distortion import _profile, _rational, _slots
 
         rng = np.random.default_rng(59)
         for mid, arity in ARITY.items():
             for _ in range(50):
                 k = tuple(rng.uniform(-1.0, 1.0, arity))
-                num, den = _rational(mid, k)
+                num, den = _rational(_slots(mid, k))
                 rr = rng.uniform(0.0, 2.0, 40)
                 rr = rr[np.abs(P.polyval(rr, den)) > 0.1]
-                want = _profile(mid, k, rr)
+                want = _profile(_slots(mid, k), rr)
                 got = P.polyval(rr, num) / P.polyval(rr, den)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (mid, k)
 

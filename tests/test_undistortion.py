@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,9 @@ class TestClosedCubic:
     def test_degenerate_leading_coefficient(self):
         with pytest.raises(rc.DegenerateLeadingCoefficient):
             rc.solve_cubic_closed(rc.CubicProblem(y=1.0, p=0.5, q=1e-14))
+        # p**3 overflows a float: the cubic is outside the closed form's range.
+        with pytest.raises(rc.DegenerateLeadingCoefficient):
+            rc.solve_cubic_closed(rc.CubicProblem(y=0.002, p=1e103, q=1e103))
 
 
 class TestPolyReal:
@@ -484,12 +488,18 @@ class TestDomain:
                 (-23.263904011494695, -24.69820355820992),
                 (-1.2846, -1.3638),
             ),
+            # Tiny points, where the radicals' rounding swamps the root: the
+            # closed form returned (2.2e-16, 7.4e-17), (6.6e-115, 3.3e-115)
+            # and a point 1e-3 relative off.
+            (2, (-0.1984,), (1e-20, 3.33e-21), (1e-20, 3.33e-21)),
+            (2, (1e200,), (1e-300, 5e-301), (1e-300, 5e-301)),
+            (9, (1.279, -0.0119, 1.5478), (1e-13, 4e-14), (1e-13, 4e-14)),
         ],
     )
     def test_closed_root_off_the_point_goes_numeric(self, mid, k, pd, want):
         # A closed-form root is kept only when it re-distorts onto the point
-        # within 1e-12 max(1, r_d); otherwise the point is solved by
-        # bisection, on the pair and the array route alike.
+        # within 1e-12 r_d; otherwise the point is solved by bisection, on
+        # the pair and the array route alike.
         model = rc.DistortionModel(mid, k)
         pd = np.array(pd)
         numeric = rc.undistort_numeric(model, pd)
@@ -550,6 +560,24 @@ class TestDomain:
             rc.undistort_normalized(model, np.array([3.0, 0.0]))
         with pytest.raises(rc.BracketNotFound):
             rc.undistort_numeric(model, np.array([3.0, 0.0]))
+
+    @pytest.mark.parametrize("k", [1e155, 1e300])
+    def test_huge_coefficients_keep_a_finite_domain(self, k):
+        # N and D overflow at r_b = 1e100, and the slope polynomial's
+        # products overflow too. F ~ r^2 / (1 + r) rises through every
+        # radius, so F_max is finite and (0.002, 0.001) has a preimage near
+        # r = 0.048.
+        model = rc.DistortionModel(9, (k, k, k))
+        pd = np.array([0.002, 0.001])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_b, f_max = rc.invertible_radius(model)
+            assert r_b == 1e100 and math.isfinite(f_max)
+            want = rc.undistort_numeric(model, pd)
+            assert np.array_equal(rc.undistort_normalized(model, pd), want)
+            assert np.array_equal(rc.undistort_normalized(model, pd[None])[0], want)
+        assert abs(math.hypot(*want) - 0.048) < 1e-3
+        assert np.max(np.abs(rc.distort_normalized(model, want) - pd)) < 1e-17
 
     def test_radius_matches_the_grid_fold(self):
         # invertible_radius reads r_b off the polynomials; first_fold reads
