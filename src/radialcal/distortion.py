@@ -29,7 +29,7 @@ need per model from the slots its coefficients fill (_TERMS, _slots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class DistortionModel:
 
     model_id: int
     coefficients: tuple[float, ...]
+    # The coefficients in their slots (see _slots), filled once for every
+    # evaluation of f.
+    _slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arity = coefficient_arity(self.model_id)
@@ -75,6 +78,7 @@ class DistortionModel:
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"model {self.model_id} coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_slots", _slots(self.model_id, coeffs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +147,7 @@ def _profile(slots: tuple, r):
 
 def _rational(slots: tuple) -> tuple[list[float], list[float]]:
     """N and D as ascending coefficients in r, 0 for an absent slot."""
-    n1, n2, n4, d1, d2 = (c or 0.0 for c in slots)
+    n1, n2, n4, d1, d2 = (0.0 if c is None else c for c in slots)
     return [1.0, n1, n2, 0.0, n4], [1.0, d1, d2]
 
 
@@ -169,7 +173,7 @@ def eval_profile(model: DistortionModel, r):
     """
     if not isinstance(r, np.ndarray):
         r = float(r)
-    return _checked(model.model_id, r, _profile(_slots(model.model_id, model.coefficients), r))
+    return _checked(model.model_id, r, _profile(model._slots, r))
 
 
 def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
@@ -178,10 +182,9 @@ def distort_normalized(model: DistortionModel, p: Vec) -> Vec:
     Accepts a single (x, y) pair or an (..., 2) array; any other shape raises
     ValueError. Raises SingularProfile as eval_profile does.
     """
-    mid, k = model.model_id, model.coefficients
     p = _as_points(p)
     r = np.hypot(p[..., 0], p[..., 1])
-    f = _checked(mid, r, _profile(_slots(mid, k), r))
+    f = _checked(model.model_id, r, _profile(model._slots, r))
     return p * f[..., None]
 
 

@@ -19,8 +19,8 @@ polynomial in x of degree at most three (see branch_reduce). The algorithm:
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
-analytic path). Each model's domain and slots (the coefficients of N and D)
-are read once and cached (_plan).
+analytic path). Each model's domain and branch coefficients are read once
+and cached (_plan).
 
 Each public function takes one (x, y) pair or an (..., 2) array, and picks
 its route by that shape. A pair runs in Python floats from end to end in
@@ -56,7 +56,7 @@ from .core import (
     denormalize,
     normalize,
 )
-from .distortion import DistortionModel, RadialAuxiliaries, _profile, _rational, _slots
+from .distortion import DistortionModel, RadialAuxiliaries, _profile, _rational
 from .errors import (
     BracketNotFound,
     DegenerateLeadingCoefficient,
@@ -121,29 +121,31 @@ def _horner(c: list[float], r: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _plan(model: DistortionModel) -> tuple:
-    """The model's inversion data, read once: (r_b, F_max, slots, size).
+    """The model's inversion data, read once: (r_b, F_max, n1, n2, d1, d2, size).
 
-    The domain (see invertible_radius), the model's slots and the branch
-    polynomial's length (_branch_coefficients): 0 for model 0, whose N has
-    a term in r^4, else one past the highest power of x in x N - x_d D. N
-    and D are scaled by one power of two, which keeps every sign change and
-    keeps the slope polynomial's products in range for huge coefficients.
+    The domain (see invertible_radius), the r and r^2 coefficients of N and
+    D, and the branch polynomial's length (_branch_coefficients), which is 0
+    for model 0, whose N has terms past r^2.
     """
-    slots = _slots(model.model_id, model.coefficients)
-    num, den = _rational(slots)
-    scale = 2.0 ** -math.frexp(max(map(abs, num + den)))[1]
-    num, den = [scale * a for a in num], [scale * a for a in den]
-    rnum = P.polymulx(num)
-    slope = P.polysub(P.polymul(P.polyder(rnum), den), P.polymul(rnum, P.polyder(den)))
+    num, den = _rational(model._slots)
+    e = math.frexp(max(map(abs, num + den)))[1]
+    # Coefficients past 2^510 are scaled by a power of two to below 2^510, so
+    # the slope's products stay below 2^1023. Its constant term, the scale
+    # squared, stays a normal float while they are below 2^1021, and there the
+    # scaling is exact and keeps every sign change.
+    rnum, sden = ([2.0 ** min(0, 510 - e) * a for a in c] for c in (P.polymulx(num), den))
+    slope = P.polysub(P.polymul(P.polyder(rnum), sden), P.polymul(rnum, P.polyder(sden)))
     edges = _sign_changes([d - _POLE_MARGIN * abs(d) for d in den], _RADIUS_LIMIT)
     r_b = min(edges + _sign_changes(slope.tolist(), _RADIUS_LIMIT) + [_RADIUS_LIMIT])
-    f_max = r_b * _profile(slots, r_b)
+    f_max = r_b * _profile(model._slots, r_b)
     if math.isnan(f_max):
-        # Huge coefficients overflow N and D at r_b (inf / inf); the scaled
-        # ones stay in range.
-        f_max = r_b * (_horner(num, r_b) / _horner(den, r_b))
-    n1, n2, n4, _, d2 = (c is not None for c in slots)
-    return r_b, f_max, slots, 0 if n4 else 4 if n2 else 3 if n1 or d2 else 2
+        # Huge coefficients overflow N and D at r_b (inf / inf); scaled to at
+        # most 1, they stay in range.
+        n, d = ([2.0**-e * a for a in c] for c in (num, den))
+        f_max = r_b * (_horner(n, r_b) / _horner(d, r_b))
+    n1, n2, n4, _, d2 = (c is not None for c in model._slots)
+    size = 0 if n4 else 4 if n2 else 3 if n1 or d2 else 2
+    return r_b, f_max, num[1], num[2], den[1], den[2], size
 
 
 def invertible_radius(model: DistortionModel) -> tuple[float, float]:
@@ -289,10 +291,10 @@ def branch_reduce(
 def _branch_coefficients(plan: tuple, x_d, s, t, sg) -> tuple:
     """branch_reduce's coefficients from _plan, for floats or for arrays
     holding one point per entry. With N = 1 + n1 r + n2 r^2, D = 1 + d1 r +
-    d2 r^2 (absent slots read 0) and r = w x, w = sg s, r^2 = t x^2, these
-    are x N - x_d D's coefficients, cut to the model's size."""
-    _, _, (n1, n2, _, d1, d2), size = plan
-    n1, n2, d1, d2, w = n1 or 0.0, n2 or 0.0, d1 or 0.0, d2 or 0.0, sg * s
+    d2 r^2 and r = w x, w = sg s, r^2 = t x^2, these are x N - x_d D's
+    coefficients, cut to the model's size."""
+    _, _, n1, n2, d1, d2, size = plan
+    w = sg * s
     return (-x_d, 1.0 - x_d * d1 * w, n1 * w - x_d * d2 * t, n2 * t)[:size]
 
 
@@ -363,7 +365,7 @@ def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> 
     r = s * np.abs(x)
     ok = (r_d < f_max) & (r < r_b)
     r = np.where(ok, r, 0.0)
-    F = r * _profile(plan[2], r)
+    F = r * _profile(model._slots, r)
     ok &= np.abs(F - r_d) <= _REDISTORT_TOL * r_d
     return np.where(ok, x, np.nan)
 
@@ -376,14 +378,14 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     """
     xd = np.abs(x_d)
     s = np.sqrt(1.0 + c * c)
-    r_b, f_max, slots, _ = _plan(model)
+    r_b, f_max = _plan(model)[:2]
     top = r_b / s
     lo = np.where(s * xd < f_max, 0.0, np.nan)
     hi = xd.copy()
     todo = np.flatnonzero(lo == 0.0)
     while todo.size:
         todo = todo[hi[todo] < top[todo]]
-        short = hi[todo] * _profile(slots, s[todo] * hi[todo]) - xd[todo] < 0.0
+        short = hi[todo] * _profile(model._slots, s[todo] * hi[todo]) - xd[todo] < 0.0
         todo = todo[short]
         lo[todo] = hi[todo]
         hi[todo] *= 2.0
@@ -391,7 +393,7 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     x = 0.5 * (lo + hi)
     act = (lo < x) & (x < hi)
     while act.any():
-        fx = x * _profile(slots, s * x) - xd
+        fx = x * _profile(model._slots, s * x) - xd
         lo = np.where(act & (fx <= 0.0), x, lo)
         hi = np.where(act & ~(fx < 0.0), x, hi)
         x = 0.5 * (lo + hi)
@@ -454,7 +456,8 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
     mid, a = model.model_id, abs(xd)
     r_d = s * a
     plan = _plan(model)
-    r_b, f_max, slots, _ = plan
+    r_b, f_max = plan[:2]
+    slots = model._slots
     if not r_d < f_max:
         if closed:
             raise NoRealCandidate(f"model {mid} has no admissible preimage for ({xd!r}, {yd!r})")

@@ -579,6 +579,30 @@ class TestDomain:
         assert abs(math.hypot(*want) - 0.048) < 1e-3
         assert np.max(np.abs(rc.distort_normalized(model, want) - pd)) < 1e-17
 
+    @pytest.mark.parametrize(
+        "mid, k, domain",
+        [
+            (2, (-1e200,), (5.773502691896256e-101, 3.8490017945975047e-101)),
+            (2, (-1e160,), (5.773502691896257e-81, 3.8490017945975053e-81)),
+            (3, (-1e200, 0.0), (4.999999999999999e-201, 2.5000000000000003e-201)),
+        ],
+    )
+    def test_huge_negative_coefficients_keep_their_fold(self, mid, k, domain):
+        # F folds at 1 + 3 k r^2 = 0 (model 2) or 1 + 2 k1 r = 0 (model 3).
+        # Any scaling of N and D must keep the slope polynomial's constant
+        # term from underflowing, or the fold goes unseen; the domain is the
+        # one the unscaled slope gives.
+        model = rc.DistortionModel(mid, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rc.invertible_radius(model) == domain
+            pd = np.array([0.6, 0.3]) * domain[1]
+            want = rc.undistort_numeric(model, pd)
+            for got in (rc.undistort_normalized(model, pd),
+                        rc.undistort_normalized(model, pd[None])[0]):
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(rc.distort_normalized(model, want), pd, rtol=1e-12, atol=0.0)
+
     def test_radius_matches_the_grid_fold(self):
         # invertible_radius reads r_b off the polynomials; first_fold reads
         # it off F sampled on a grid of step 5e-4 over [0, 2]. At a pole, F
