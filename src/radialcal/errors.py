@@ -16,7 +16,9 @@ class UnknownModel(RadialCalError):
 
 
 class UnsupportedModel(RadialCalError):
-    """Operation is undefined for this model (closed-form inversion of model 0)."""
+    """Operation is undefined for this model: closed-form inversion of model
+    0, or any inversion of a model whose pole or fold lies among subnormal
+    radii (coefficients of about 4e307 or more)."""
 
 
 class SingularProfile(RadialCalError):

@@ -15,7 +15,8 @@ polynomial in x of degree at most three (see branch_reduce). The algorithm:
    as undistort_numeric does. The re-distortion test catches roots that fit
    the rounded polynomial but not the model: radicals that cancel, or a tiny
    leading coefficient dropped although its term dominates at the root.
-   Radicals that would overflow a float give no root either.
+   Radicals that overflow a float give no root either, and neither does a
+   branch polynomial whose coefficients are all below 1e-15.
 
 Model 0 reduces to a quintic, so it is inverted numerically instead
 (undistort_numeric, which also serves as a cross-check oracle for the
@@ -28,13 +29,12 @@ _pair, building no numpy object but its result, which is the cheaper route
 for one point; undistort_pixel's pair route does the same from pixel to
 pixel. _pair does steps 1 and 2 once, then bisects, after a closed-form
 miss on the analytic route. An array is inverted in one vectorised pass
-(_invert_points): the same branch coefficients, quadratic and linear
-formulas with the same Newton step, the cubic radicals over complex arrays,
-masked root selection, and for the numeric route lock-step bracketing and
-bisection. Rows the vectorised formulas do not cover (a collapsed
-polynomial degree, a non-finite coordinate, a root missing, past r_b or off
-the point) and rows outside the domain go through _pair, so an array raises
-what the pair call raises for its first failing point.
+(_invert_points): _closed_form_ray solves every row with the same formulas,
+the cubic radicals over complex arrays, and _numeric_ray brackets and
+bisects in lock step. Rows the vectorised formulas do not cover (a collapsed
+polynomial degree, a non-finite coordinate, a root missing, non-finite,
+past r_b or off the point) and rows outside the domain go through _pair, so
+an array raises what the pair call raises, naming its first failing point.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ COEFF_EPS = 1e-12
 # root, or r_d is so small that the radicals' rounding swamps the root, the
 # root fits the rounded polynomial but not F.
 _REDISTORT_TOL = 1e-12
-# Array radicals of a cubic whose y, p and q are at most this large cannot
-# overflow (27 y^2 q^2 < 1e302); past it, rows go to _pair's float radicals.
-_RADICAL_LIMIT = 1e75
 # Largest undistorted radius inversion considers; see invertible_radius.
 _RADIUS_LIMIT = 1e100
 # Inversion stops short of a pole, where D falls to this fraction of the size
@@ -135,14 +132,20 @@ def _plan(model: DistortionModel) -> tuple:
     # scaling is exact and keeps every sign change.
     rnum, sden = ([2.0 ** min(0, 510 - e) * a for a in c] for c in (P.polymulx(num), den))
     slope = P.polysub(P.polymul(P.polyder(rnum), sden), P.polymul(rnum, P.polyder(sden)))
-    edges = _sign_changes([d - _POLE_MARGIN * abs(d) for d in den], _RADIUS_LIMIT)
-    r_b = min(edges + _sign_changes(slope.tolist(), _RADIUS_LIMIT) + [_RADIUS_LIMIT])
+    # D short of its pole and the slope are positive at r = 0; a sign change
+    # below 2^-1022 lies among subnormal radii, which _sign_changes cannot
+    # bisect.
+    polys = [[d - _POLE_MARGIN * abs(d) for d in den], slope.tolist()]
+    if not all(_horner(c, 2.0**-1022) > 0.0 for c in polys):
+        raise UnsupportedModel(f"model {model.model_id} with coefficients {model.coefficients}"
+                               " has a pole or fold among subnormal radii")
+    r_b = min(sum((_sign_changes(c, _RADIUS_LIMIT) for c in polys), [_RADIUS_LIMIT]))
     f_max = r_b * _profile(model._slots, r_b)
-    if math.isnan(f_max):
-        # Huge coefficients overflow N and D at r_b (inf / inf); scaled to at
-        # most 1, they stay in range.
+    if not f_max > 0.0:
+        # Huge coefficients overflow N and D at r_b (inf / inf), or N / D
+        # underflows; scaled to at most 1, r_b N and D stay in range.
         n, d = ([2.0**-e * a for a in c] for c in (num, den))
-        f_max = r_b * (_horner(n, r_b) / _horner(d, r_b))
+        f_max = r_b * _horner(n, r_b) / _horner(d, r_b)
     n1, n2, n4, _, d2 = (c is not None for c in model._slots)
     size = 0 if n4 else 4 if n2 else 3 if n1 or d2 else 2
     return r_b, f_max, num[1], num[2], den[1], den[2], size
@@ -156,6 +159,9 @@ def invertible_radius(model: DistortionModel) -> tuple[float, float]:
     _POLE_MARGIN times the size of its terms, short of a pole. A distorted
     point has one preimage of radius below r_b exactly when its radius is
     below F_max. r_b is at most 1e100, far past which r^2 overflows.
+
+    Raises UnsupportedModel when D or the slope changes sign below 2^-1022,
+    among subnormal radii, where no edge can be bisected.
     """
     return _plan(model)[:2]
 
@@ -298,39 +304,39 @@ def _branch_coefficients(plan: tuple, x_d, s, t, sg) -> tuple:
     return (-x_d, 1.0 - x_d * d1 * w, n1 * w - x_d * d2 * t, n2 * t)[:size]
 
 
-def _cubic_roots(y, p, q) -> np.ndarray:
-    """solve_cubic_closed's radicals over arrays: shape (3, n), complex."""
-    inner = 4.0 * q - p * p + 18.0 * p * q * y + 27.0 * y * y * q * q - 4.0 * y * p**3
-    sq = 12.0 * _SQRT3 * q * np.sqrt(inner.astype(complex))
-    base = 36.0 * p * q + 108.0 * y * q * q - 8.0 * p**3
-    plus, minus = base + sq, base - sq
-    bracket = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-    # A zero bracket is solve_cubic_closed's triple root (e1 == 0).
-    triple = bracket == 0
-    e1 = np.where(triple, 1.0, bracket) ** (1.0 / 3.0)
-    return np.where(triple, -p / (3.0 * q), np.array(_back_substitute(e1, p, q)))
+def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """_pair's closed form on every ray y = c x: the principal preimage x, or
+    nan where _pair bisects or hands the row to solve_poly_real.
 
-
-def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
-    """_pair's closed-form candidate for every row; nan where it has no root.
-
-    coeffs holds one array per coefficient. Rows the closed formulas do not
-    cover also read nan, for the caller to pass to the pair route: those
-    where _pair falls back to solve_poly_real (a leading coefficient, or a
-    cubic's linear one or normalized q, below COEFF_EPS), and cubics with y,
-    p or q past _RADICAL_LIMIT, whose radicals could overflow.
+    Each row's branch polynomial is solved by its degree with _pair's
+    formulas; a non-finite root, where the radicals overflow, is no candidate.
     """
-    deg = len(coeffs) - 1
-    keep = np.abs(coeffs[-1]) >= COEFF_EPS
+    plan = _plan(model)
+    sigma = np.where(x_d > 0.0, 1.0, -1.0)
+    t = 1.0 + c * c
+    s = np.sqrt(t)
+    b = _branch_coefficients(plan, x_d, s, t, sigma)
+    deg = len(b) - 1
+    keep = np.abs(b[-1]) >= COEFF_EPS
     if deg == 3:
-        keep &= np.abs(coeffs[1]) >= COEFF_EPS
+        keep &= np.abs(b[1]) >= COEFF_EPS
     rows = np.flatnonzero(keep)
-    a = [v[rows] for v in coeffs]
+    a = [v[rows] for v in b]
     if deg == 3:
-        ypq = np.array([-a[0] / a[1], a[2] / a[1], a[3] / a[1]])
-        fits = (np.abs(ypq[2]) >= COEFF_EPS) & (np.abs(ypq).max(axis=0) <= _RADICAL_LIMIT)
-        rows, ypq = rows[fits], ypq[:, fits]
-        z = _cubic_roots(*ypq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # _pair's y = x + p x^2 + q x^3, solved by _radicals' formulas.
+            y, p, q = -a[0] / a[1], a[2] / a[1], a[3] / a[1]
+            fits = np.abs(q) >= COEFF_EPS
+            rows, y, p, q = rows[fits], y[fits], p[fits], q[fits]
+            inner = 4.0 * q - p * p + 18.0 * p * q * y + 27.0 * y * y * q * q - 4.0 * y * p**3
+            sq = 12.0 * _SQRT3 * q * np.sqrt(inner.astype(complex))
+            base = 36.0 * p * q + 108.0 * y * q * q - 8.0 * p**3
+            plus, minus = base + sq, base - sq
+            bracket = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+            # A zero bracket is the triple root (_radicals' e1 == 0).
+            triple = bracket == 0
+            e1 = np.where(triple, 1.0, bracket) ** (1.0 / 3.0)
+            z = np.where(triple, -p / (3.0 * q), np.array(_back_substitute(e1, p, q)))
         roots = z.real
         real = np.abs(z.imag) <= IMAG_EPS * np.maximum(1.0, np.abs(roots))
     elif deg == 2:
@@ -346,23 +352,11 @@ def _principal_roots(coeffs, sigma: np.ndarray) -> np.ndarray:
     admissible = real & (roots * sigma[rows] > 0.0)
     nearest = np.argmin(np.where(admissible, np.abs(roots), np.inf), axis=0)
     x = np.full(sigma.shape, np.nan)
-    x[rows] = np.where(
-        admissible.any(axis=0), roots[nearest, np.arange(rows.size)], np.nan
-    )
-    return x
-
-
-def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Principal preimages x along the rays y = c x; nan where none below r_b
-    re-distorts onto the point (see _REDISTORT_TOL)."""
-    plan = _plan(model)
-    sigma = np.where(x_d > 0.0, 1.0, -1.0)
-    t = 1.0 + c * c
-    s = np.sqrt(t)
-    x = _principal_roots(_branch_coefficients(plan, x_d, s, t, sigma), sigma)
+    x[rows] = np.where(admissible.any(axis=0), roots[nearest, np.arange(rows.size)], np.nan)
     r_b, f_max = plan[:2]
     r_d = s * np.abs(x_d)
     r = s * np.abs(x)
+    # A non-finite root fails r < r_b.
     ok = (r_d < f_max) & (r < r_b)
     r = np.where(ok, r, 0.0)
     F = r * _profile(model._slots, r)
@@ -459,24 +453,26 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
     r_b, f_max = plan[:2]
     slots = model._slots
     if not r_d < f_max:
-        if closed:
-            raise NoRealCandidate(f"model {mid} has no admissible preimage for ({xd!r}, {yd!r})")
-        raise BracketNotFound(f"model {mid}: no preimage for x_d={xd!r} (F_max={f_max!r})")
+        point = (yd, xd) if swap else (xd, yd)
+        error = NoRealCandidate if closed else BracketNotFound
+        raise error(f"model {mid} has no admissible preimage for {point!r} (F_max={f_max!r})")
     x = math.inf  # no closed-form candidate
     if closed:
         # The admissible real root of the principal branch nearest the origin.
         sigma = 1 if xd > 0.0 else -1
         b = _branch_coefficients(plan, xd, s, t, sigma)
         cubic = len(b) == 4 and abs(b[3]) >= COEFF_EPS and abs(b[1]) >= COEFF_EPS
-        if cubic and abs(b[3] / b[1]) >= COEFF_EPS:
-            # Normalize b0 + b1 x + b2 x^2 + b3 x^3 = 0 to y = x + p x^2 + q x^3.
-            try:
+        try:
+            if cubic and abs(b[3] / b[1]) >= COEFF_EPS:
+                # Normalize b0 + b1 x + b2 x^2 + b3 x^3 = 0 to y = x + p x^2 + q x^3.
                 z3 = _radicals(-b[0] / b[1], b[2] / b[1], b[3] / b[1])
-            except OverflowError:
-                z3 = ()  # radicals past the float range give no candidate: bisect
-            roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
-        else:
-            roots = solve_poly_real(b)
+                roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
+            else:
+                roots = solve_poly_real(b)
+        except (OverflowError, ZeroPolynomial):
+            # Radicals past the float range, or a polynomial with every
+            # coefficient below 1e-15, give no candidate: bisect.
+            roots = []
         x = min((x for x in roots if x * sigma > 0.0), key=abs, default=math.inf)
     r = s * abs(x)
     # Bisect unless the candidate lies below r_b and re-distorts onto the point.
@@ -538,9 +534,10 @@ def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     undistort_normalized, for its first point without a preimage. Both give
     the same bits, except that the array radicals of the cubic models 2, 3
     and 9 can differ from the pair's in the last ulp. When a cubic
-    coefficient is tiny, one route can keep its radical root where the
-    other falls back to bisection; the two then agree only to within the
-    re-distortion bound, not to a few ulp.
+    coefficient is tiny or past 1e75, they can round further apart, and one
+    route can keep its radical root where the other falls back to
+    bisection; the two then agree only to within the re-distortion bound,
+    not to a few ulp.
     """
     pd = _as_points(pd)
     closed = model.model_id != 0

@@ -1,12 +1,16 @@
 import itertools
 import math
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import radialcal as rc
+import radialcal.undistortion as undistortion
+from radialcal.distortion import _rational
 from _helpers import disk_points, session_models
 
 ARITY = {1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3}
@@ -538,7 +542,7 @@ class TestDomain:
         assert issubclass(rc.BracketNotFound, rc.NoRealCandidate)
         model = rc.DistortionModel(0, (-0.35, -0.1))
         for pd in (np.array([5.0, 0.0]), np.array([[0.1, 0.0], [5.0, 0.0]])):
-            with pytest.raises(rc.NoRealCandidate, match=r"model 0: no preimage for x_d=5\.0"):
+            with pytest.raises(rc.NoRealCandidate, match=r"model 0 .* \(5\.0, 0\.0\)"):
                 rc.undistort_normalized(model, pd)
         A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
         for pd in (np.array([4320.0, 240.0]), np.array([[400.0, 240.0], [4320.0, 240.0]])):
@@ -602,6 +606,41 @@ class TestDomain:
                         rc.undistort_normalized(model, pd[None])[0]):
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.allclose(rc.distort_normalized(model, want), pd, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1e16, 1e18, 1e20])
+    def test_zero_branch_polynomial_bisects(self, k):
+        # Model 4 with k = 1e16 has F_max = 1e-16. Just below it, every
+        # coefficient of the branch polynomial is below 1e-15, which
+        # solve_poly_real rejects as zero: no closed-form candidate, so the
+        # point bisects.
+        model = rc.DistortionModel(4, (k,))
+        _, f_max = rc.invertible_radius(model)
+        pd = np.array([math.nextafter(f_max, 0.0), 0.0])
+        want = rc.undistort_numeric(model, pd)
+        assert np.array_equal(rc.undistort_normalized(model, pd), want)
+        assert np.array_equal(rc.undistort_normalized(model, pd[None])[0], want)
+        assert np.array_equal(rc.undistort_numeric(model, pd[None])[0], want)
+
+    @pytest.mark.parametrize("mid, k", [(4, (1e250,)), (8, (0.0, 1e250, 0.0))])
+    def test_f_max_of_a_huge_denominator_stays_positive(self, mid, k):
+        # F = r / (1 + 1e250 r) rises to 1e-250; f(r_b) underflows to 0 at
+        # r_b = 1e100, but (r_b N) / D, both scaled, does not.
+        model = rc.DistortionModel(mid, k)
+        assert rc.invertible_radius(model) == (1e100, 1e-250)
+        pd = np.array([1e-251, 0.0])
+        want = rc.undistort_numeric(model, pd)
+        for got in (rc.undistort_normalized(model, pd), rc.undistort_normalized(model, pd[None])[0]):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(want, [1e-251 / 0.9, 0.0], rtol=1e-12, atol=0.0)
+
+    def test_subnormal_pole_raises(self):
+        # D's first root lies near 7.7e-309, among subnormal radii, where
+        # the domain's edge cannot be bisected.
+        model = rc.DistortionModel(9, (-1.2e308, -1.29e308, 1.17e308))
+        with pytest.raises(rc.UnsupportedModel, match=r"model 9 .*1\.17e\+308"):
+            rc.invertible_radius(model)
+        with pytest.raises(rc.UnsupportedModel):
+            rc.undistort_normalized(model, np.array([1e-310, 0.0]))
 
     def test_radius_matches_the_grid_fold(self):
         # invertible_radius reads r_b off the polynomials; first_fold reads
@@ -907,8 +946,20 @@ class TestPole:
 
     def test_root_past_pole_is_rejected_in_an_array(self):
         batch = np.array([[0.2, 0.1], [0.0, 4.0], [4.0, 0.0]])
-        with pytest.raises(rc.NoRealCandidate, match=r"model 8 .* \(4\.0, 0\.0\)"):
+        with pytest.raises(rc.NoRealCandidate, match=r"model 8 .* \(0\.0, 4\.0\)"):
             rc.undistort_normalized(self.model, batch)
+
+    @pytest.mark.parametrize("pd", [(0.0, 4.0), (0.3, -4.0), (4.0, 0.0)])
+    def test_error_names_the_point_as_given(self, pd):
+        # Not with its coordinates swapped for the larger-coordinate ray.
+        _, f_max = rc.invertible_radius(self.model)
+        want = f"model 8 has no admissible preimage for {pd!r} (F_max={f_max!r})"
+        for invert, error in ((rc.undistort_normalized, rc.NoRealCandidate),
+                              (rc.undistort_numeric, rc.BracketNotFound)):
+            for batch in (np.array(pd), np.array([[0.1, 0.0], pd])):
+                with pytest.raises(error) as got:
+                    invert(self.model, batch)
+                assert type(got.value) is error and str(got.value) == want
 
     def test_points_before_the_pole_still_invert(self):
         p = np.array([[0.3, 0.1], [-0.5, 0.2], [0.1, -0.45]])
@@ -943,6 +994,98 @@ class TestRadicalOverflow:
         # The preimage re-distorts onto the point.
         back = rc.distort_normalized(model, want[0])
         assert np.max(np.abs(back - self.points[0])) < 1e-18
+
+
+class TestLargeCubicRadicals:
+    # With k = 1e80 or 1e90 the cubic's p or q lies past 1e75, yet its
+    # radicals stay inside the float range: the array route keeps their
+    # roots, and only a root that overflows or misses the point goes to the
+    # pair route.
+    points = np.array(
+        [[0.002, 0.001], [-0.001, 0.003], [3e-5, -2e-5], [0.4, 0.3], [-0.7, 0.1], [1e-9, 2e-9]]
+    )
+
+    @pytest.mark.parametrize("mid", [2, 3])
+    @pytest.mark.parametrize("k", [1e80, 1e90])
+    def test_array_radicals_redistort_and_match_pairs(self, mid, k):
+        model = rc.DistortionModel(mid, (k,) * ARITY[mid])
+        with np.errstate(all="raise"):
+            got = rc.undistort_normalized(model, self.points)
+            want = stacked_pairs(rc.undistort_normalized, model, self.points)
+            r = np.hypot(got[:, 0], got[:, 1])
+            r_d = np.hypot(self.points[:, 0], self.points[:, 1])
+            F = r * rc.eval_profile(model, r)
+        assert np.all(np.abs(F - r_d) <= undistortion._REDISTORT_TOL * r_d)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _exact_polys(model):
+    """D short of its pole, the slope numerator (r N)' D - r N D', N and D of
+    the model, as ascending Fraction coefficients, exactly."""
+    num, den = ([Fraction(a) for a in c] for c in _rational(model._slots))
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    def der(a):
+        return [i * v for i, v in enumerate(a)][1:]
+
+    rnum = [Fraction(0)] + num
+    slope = [u - v for u, v in zip(mul(der(rnum), den), mul(rnum, der(den)))]
+    margin = Fraction(undistortion._POLE_MARGIN)
+    return [d - margin * abs(d) for d in den], slope, num, den
+
+
+def _at(c, r):
+    return sum(a * r**i for i, a in enumerate(c))
+
+
+def _oracle_models():
+    models = [rc.DistortionModel(mid, rc.reference_coefficients(session, mid))
+              for session in rc.reference_sessions() for mid in range(10)]
+    rng = np.random.default_rng(211)
+    for _ in range(200):
+        mid = int(rng.integers(0, 10))
+        n = rc.coefficient_arity(mid)
+        k = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        k[rng.random(n) < 0.15] = 0.0
+        models.append(rc.DistortionModel(mid, tuple(k)))
+    models += [rc.DistortionModel(4, (1e250,)), rc.DistortionModel(8, (0.0, 1e250, 0.0)),
+               rc.DistortionModel(2, (-1e200,)), rc.DistortionModel(2, (-1e160,)),
+               rc.DistortionModel(3, (-1e200, 0.0))]
+    return models
+
+
+def test_domain_matches_exact_oracle():
+    # invertible_radius against N, D and the slope evaluated exactly in
+    # Fractions at float radii: no sign change of D (short of its pole) or
+    # of the slope below r_b, one just past it unless r_b is the 1e100 cap,
+    # and F_max within a few rounding errors of the exact F(r_b). Near a
+    # pole D is 2^-26 of its terms, so the bound grows with their
+    # cancellation.
+    eps = sys.float_info.epsilon
+    for model in _oracle_models():
+        r_b, f_max = rc.invertible_radius(model)
+        margin, slope, num, den = _exact_polys(model)
+        for r in np.geomspace(2.0**-1022, r_b * (1.0 - 1e-9), 64).tolist():
+            r = Fraction(r)
+            assert _at(margin, r) > 0 and _at(slope, r) > 0, (model, r_b, float(r))
+        if r_b != 1e100:
+            r = Fraction(r_b * (1.0 + 1e-9))
+            assert _at(margin, r) <= 0 or _at(slope, r) <= 0, (model, r_b)
+        r = Fraction(r_b)
+        N, D = _at(num, r), _at(den, r)
+        F = r * N / D
+        if F > sys.float_info.max:
+            assert f_max == math.inf, (model, r_b, f_max)
+            continue
+        terms = _at(map(abs, num), r) / abs(N) + _at(map(abs, den), r) / abs(D)
+        bound = max(4.0 * math.ulp(float(F)), 4.0 * eps * float(terms + 2) * float(F))
+        assert abs(Fraction(f_max) - F) <= bound, (model, r_b, f_max, float(F))
 
 
 def test_array_route_matches_pair_route_property():
