@@ -302,12 +302,16 @@ def estimate_extrinsics(A: IntrinsicParams, H: Homography) -> Extrinsics:
     the result is snapped to the nearest orthonormal matrix. The overall
     sign is chosen so the plane origin sits at positive depth.
 
-    Raises BehindCamera when the depth sign cannot be fixed (plane passes
-    through the projection center).
+    Raises DegenerateConfiguration when no rotation explains H, those columns
+    being parallel or zero (|h1 x h2| <= 1e-12 |h1| |h2|), and BehindCamera
+    when the depth sign cannot be fixed (plane through the projection center).
     """
     Ainv = A.matrix_inv
     h1, h2, h3 = (Ainv @ H.matrix[:, i] for i in range(3))
-    scale = 1.0 / float(np.linalg.norm(h1))
+    n1, n2 = float(np.linalg.norm(h1)), float(np.linalg.norm(h2))
+    if np.linalg.norm(np.cross(h1, h2)) <= 1e-12 * n1 * n2:
+        raise DegenerateConfiguration(f"no pose explains homography {H.matrix.tolist()}")
+    scale = 1.0 / n1
     r1, r2, t = scale * h1, scale * h2, scale * h3
     if abs(t[2]) < DEPTH_EPS:
         raise BehindCamera("target plane passes through the camera center")
@@ -352,14 +356,15 @@ def _unpack(theta: np.ndarray, model_id: int, n_views: int):
 
 
 def _frame(model_id: int, params: np.ndarray, pts3: Mat):
-    """One packed row's forward pass over pts3 (P, 3): P^c (V, 3, P) and x, y, r (V, P).
+    """One packed row's forward pass over pts3 (P, 3): P^c (V, 3, P), then x, y, r, f (V, P).
 
     P^c = R P + t, column j of R times coordinate j (a planar target skips
-    the third), and (x, y) = (X, Y) / Z, r = hypot(x, y). A point below
-    DEPTH_EPS has nan x, y and r. _project, _residuals and _jacobian take
-    this frame, so refine passes an accepted trial's on to its Jacobian.
+    the third), (x, y) = (X, Y) / Z, r = hypot(x, y), and f(r) from the row's
+    slots, nan below DEPTH_EPS (as are x, y and r) or at a vanishing profile
+    denominator. refine hands an accepted trial's frame on to _jacobian.
     """
-    pose = params[5 + coefficient_arity(model_id) :].reshape(-1, 6)
+    k = params[5 : 5 + coefficient_arity(model_id)]
+    pose = params[5 + len(k) :].reshape(-1, 6)
     R = rotation_to_matrix(pose[:, :3])
     Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[:, 3:, None]
     if pts3[:, 2].any():
@@ -370,35 +375,34 @@ def _frame(model_id: int, params: np.ndarray, pts3: Mat):
         z = np.where(low, np.nan, z)
     x = Pc[:, 0] / z
     y = Pc[:, 1] / z
-    return Pc, x, y, np.hypot(x, y)
+    r = np.hypot(x, y)
+    return Pc, x, y, r, _profile(_slots(model_id, k), r)
 
 
-def _project(model_id: int, params: np.ndarray, frame, strict: bool = False):
-    """Distorted pixels of one packed parameter row over its _frame.
+def _project(params: np.ndarray, frame):
+    """Pixels (V, P, 2) of one packed row over its _frame: A applied to f (x, y).
 
-    params has length 5 + arity + 6V, laid out as theta above, and frame is
-    _frame of the same row. Every step is elementwise numpy over (V, P)
-    arrays. Returns u and v, each (V, P). A point below DEPTH_EPS, or one
-    where the profile denominator is below DENOM_EPS, has no pixel: its u
-    and v are nan, and the other points keep theirs. With strict=True, for
-    one view, such a point raises NonPositiveDepth (naming the first point)
-    or SingularProfile instead.
+    A point with a nan f has nan pixels; the other points keep theirs.
     """
-    arity = coefficient_arity(model_id)
-    alpha, gamma, u0, beta, v0, *k = params[: 5 + arity]
-    Pc, x, y, r = frame
-    if strict and (Pc[:, 2] < DEPTH_EPS).any():
-        v, j = np.argwhere(Pc[:, 2] < DEPTH_EPS)[0]
-        raise NonPositiveDepth(f"point {j}: Z^c = {float(Pc[v, 2, j])!r}")
-    f = _profile(_slots(model_id, k), r)
-    if strict:
-        _checked(model_id, r, f)
+    alpha, gamma, u0, beta, v0 = params[:5]
+    _, x, y, _, f = frame
     xd = x * f
     yd = y * f
-    return alpha * xd + gamma * yd + u0, beta * yd + v0
+    return np.stack([alpha * xd + gamma * yd + u0, beta * yd + v0], axis=-1)
 
 
-def _residuals(model_id: int, params: np.ndarray, frame, observations) -> np.ndarray:
+def _check(model_id: int, frame) -> None:
+    """NonPositiveDepth for a frame's first point below DEPTH_EPS, else
+    SingularProfile for its first nan f; points are taken in view order."""
+    Pc, _, _, r, f = frame
+    low = Pc[:, 2] < DEPTH_EPS
+    if low.any():
+        v, j = np.argwhere(low)[0]
+        raise NonPositiveDepth(f"point {j}: Z^c = {float(Pc[v, 2, j])!r}")
+    _checked(model_id, r, f)
+
+
+def _residuals(params: np.ndarray, frame, observations) -> np.ndarray:
     """The residual kernel: predicted minus observed pixels, shape (V, P, 2).
 
     params is one packed row, frame its _frame and observations the (V, P,
@@ -408,8 +412,7 @@ def _residuals(model_id: int, params: np.ndarray, frame, observations) -> np.nda
     """
     if params[0] <= 0.0 or params[3] <= 0.0:
         return np.full(observations.shape, np.nan)
-    u, v = _project(model_id, params, frame)
-    return np.stack([u - observations[..., 0], v - observations[..., 1]], axis=-1)
+    return _project(params, frame) - observations
 
 
 def _objective(r: np.ndarray) -> float:
@@ -432,13 +435,31 @@ def project_distorted(
 ) -> Mat:
     """Distorted forward projection of (n, 3) world points, in pixels.
 
-    Raises NonPositiveDepth naming the first point below DEPTH_EPS and
-    SingularProfile when a profile denominator vanishes.
+    Raises NonPositiveDepth naming the first point below DEPTH_EPS or, with
+    none, SingularProfile when a profile denominator vanishes.
     """
     params = _pack(A, model, (ext,))
     frame = _frame(model.model_id, params, np.asarray(world_points, dtype=float))
-    u, v = _project(model.model_id, params, frame, strict=True)
-    return np.column_stack([u[0], v[0]])
+    _check(model.model_id, frame)
+    return _project(params, frame)[0]
+
+
+def _views(A: IntrinsicParams, extrinsics, model: DistortionModel, pts3: Mat) -> np.ndarray:
+    """Distorted pixels (V, P, 2) of (P, 3) world points in every view, in one _frame.
+
+    The first view i with a point without a pixel raises as project_distorted
+    does, prefixed "view i, ".
+    """
+    params = _pack(A, model, extrinsics)
+    frame = _frame(model.model_id, params, pts3)
+    bad = np.isnan(frame[4]).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        try:
+            _check(model.model_id, tuple(a[i : i + 1] for a in frame))
+        except RadialCalError as exc:
+            raise type(exc)(f"view {i}, {exc}") from None
+    return _project(params, frame)
 
 
 def compute_objective(
@@ -449,27 +470,18 @@ def compute_objective(
 ) -> float:
     """Sum of squared pixel distances between observations and predictions.
 
-    The residual and objective kernels that refine uses, so J of a refined
+    The projection and objective kernels that refine uses, so J of a refined
     result recomputes to its objective bit for bit. A view with a point below
     DEPTH_EPS or a vanishing profile denominator raises NonPositiveDepth or
-    SingularProfile naming the first such view.
+    SingularProfile naming the first such view (see _views).
     """
     extrinsics = tuple(extrinsics)
     if len(extrinsics) != data.n_views:
         raise ValueError(
             f"got {len(extrinsics)} extrinsics for {data.n_views} views"
         )
-    pts3 = data.world_points
-    theta = _pack(A, model, extrinsics)
-    frame = _frame(model.model_id, theta, pts3)
-    J = _objective(_residuals(model.model_id, theta, frame, np.stack(data.observations)))
-    if not math.isfinite(J):
-        for i, ext in enumerate(extrinsics):
-            try:
-                project_distorted(A, ext, model, pts3)
-            except RadialCalError as exc:
-                raise type(exc)(f"view {i}, {exc}") from None
-    return J
+    pixels = _views(A, extrinsics, model, data.world_points)
+    return _objective(pixels - np.stack(data.observations))
 
 
 # Levenberg-Marquardt damping at the first step, and the damping past which
@@ -510,19 +522,17 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     arity = coefficient_arity(model_id)
     alpha, gamma, u0, beta, v0 = params[:5]
     pose = params[5 + arity :].reshape(-1, 6)
-    Pc, x, y, r = frame
+    Pc, x, y, r, f = frame
 
-    # N, D and their slopes in r from the model's slots; D = 1 + d1 r + d2 r^2
-    # has N's form, so _profile sums both term by term as it does within f.
+    # D and the slopes N' and D' in r from the model's slots; D = 1 + d1 r +
+    # d2 r^2 has N's form, so _profile sums it term by term as it does in f.
     slots = _slots(model_id, params[5 : 5 + arity])
     n1, n2, n4, d1, d2 = slots
-    N = _profile(slots[:3] + (None, None), r)
     D = _profile(slots[3:] + (None, None, None), r)
     r2 = r * r
     dN = (0.0 if n1 is None else n1) + (0.0 if n2 is None else 2.0 * n2 * r)
     dN = dN + (0.0 if n4 is None else 4.0 * n4 * (r2 * r))
     dD = (0.0 if d1 is None else d1) + (0.0 if d2 is None else 2.0 * d2 * r)
-    f = N / D
     df = (dN - f * dD) / D
 
     # Column i's u and v derivatives go to J[:, i, 0] and J[:, i, 1], each
@@ -643,7 +653,7 @@ def refine(
     def evaluate(theta: np.ndarray):  # the packed row, its _frame and its residuals
         row = np.concatenate([frozen, theta])
         frame = _frame(model_id, row, pts3)
-        return row, frame, _residuals(model_id, row, frame, observations)
+        return row, frame, _residuals(row, frame, observations)
 
     row, frame, r = evaluate(theta)
     J = _objective(r)

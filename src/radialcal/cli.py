@@ -59,22 +59,19 @@ def _parse_model_ids(text: str) -> list[int]:
     ids: set[int] = set()
     for token in text.split(","):
         token = token.strip()
+        lo, _, hi = token.partition("-") if "-" in token[1:] else (token, "", token)
         try:
-            if "-" in token[1:]:
-                lo, _, hi = token.partition("-")
-                lo_i, hi_i = int(lo), int(hi)
-                if lo_i > hi_i:
-                    raise ValueError
-                ids.update(range(lo_i, hi_i + 1))
-            else:
-                ids.add(int(token))
+            lo_i, hi_i = int(lo), int(hi)
+            if lo_i > hi_i:
+                raise ValueError
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad model list {text!r}; use forms like '0-9' or '0,3,8'"
             ) from None
-    unknown = sorted(i for i in ids if i not in MODEL_IDS)
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown model ids: {unknown}")
+        # The ends are checked before the range expands: it may span billions.
+        if lo_i not in MODEL_IDS or hi_i not in MODEL_IDS:
+            raise argparse.ArgumentTypeError(f"unknown model ids in {token!r}")
+        ids.update(range(lo_i, hi_i + 1))
     return sorted(ids)
 
 
@@ -106,17 +103,16 @@ def _make_model(model_id: int, coefficients: tuple[float, ...]) -> DistortionMod
         raise _UsageError(str(exc)) from None
 
 
-def _single_row_report(result: CalibrationResult) -> str:
-    return render_report(ModelFitReport(rows=(_fit_row(result, 0),)))
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    data = load_dataset(args.data)
-    result = calibrate(data, args.model, _opts(args))
-    sys.stdout.write(_single_row_report(result))
+def _single_row_report(result: CalibrationResult) -> int:
+    """Write one fit's report row, warn if it did not converge, and return 0."""
+    sys.stdout.write(render_report(ModelFitReport(rows=(_fit_row(result, 0),))))
     if not result.converged:
         print(f"warning: did not converge ({result.status})", file=sys.stderr)
     return 0
+
+
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    return _single_row_report(calibrate(load_dataset(args.data), args.model, _opts(args)))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -129,11 +125,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_fit_distortion(args: argparse.Namespace) -> int:
     data = load_dataset(args.data)
     A = load_intrinsics(args.intrinsics)
-    result = fit_distortion(data, A, args.model, _opts(args))
-    sys.stdout.write(_single_row_report(result))
-    if not result.converged:
-        print(f"warning: did not converge ({result.status})", file=sys.stderr)
-    return 0
+    return _single_row_report(fit_distortion(data, A, args.model, _opts(args)))
 
 
 def _cmd_undistort_points(args: argparse.Namespace) -> int:

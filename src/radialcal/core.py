@@ -233,15 +233,14 @@ def world_to_camera(ext: Extrinsics, P: Vec) -> Vec:
 def project_ideal(A: IntrinsicParams, ext: Extrinsics, P: Vec) -> Vec:
     """Distortion-free projection of world points to pixels.
 
-    Computes the homogeneous product A [R | t] [P; 1] and dehomogenizes.
-    Accepts a single world point or an (..., 3) array.
+    P^c = R P + t, then A applied to (X^c, Y^c) / Z^c, for a single world point
+    or an (..., 3) array. NonPositiveDepth names the first point (in C order)
+    below DEPTH_EPS as project_distorted does.
     """
-    P = np.asarray(P, dtype=float)
-    M = A.matrix @ np.column_stack([ext.matrix, ext.translation])
-    Ph = np.concatenate([P, np.ones(P.shape[:-1] + (1,))], axis=-1)
-    m = Ph @ M.T
-    z = m[..., 2]
-    if np.any(z < DEPTH_EPS):
-        bad = np.argwhere(np.atleast_1d(z) < DEPTH_EPS)[0]
-        raise NonPositiveDepth(f"point at index {tuple(bad)} has Z^c <= 0")
-    return m[..., :2] / z[..., None]
+    Pc = world_to_camera(ext, P)
+    z = Pc[..., 2]
+    low = np.ravel(z < DEPTH_EPS)
+    if low.any():
+        j = int(low.argmax())
+        raise NonPositiveDepth(f"point {j}: Z^c = {float(np.ravel(z)[j])!r}")
+    return denormalize(A, Pc[..., :2] / z[..., None])

@@ -2,9 +2,10 @@
 
 A dataset directory holds model.txt (planar target points, "X Y" per line,
 world Z fixed at 0) plus image001.txt, image002.txt, ... with the matching
-pixel observations "u v", index-aligned line by line. Lines starting with
-'#' and blank lines are skipped. Values are written back at full %.17g
-precision so a write/load cycle is exact.
+pixel observations "u v", index-aligned line by line, numbered in at least
+three digits and in as many as the view count has, so the names sort in view
+order. Lines starting with '#' and blank lines are skipped. Values are
+written back at full %.17g precision so a write/load cycle is exact.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationDataset, ModelFitReport, project_distorted
+from .calibration import CalibrationDataset, ModelFitReport, _views
 from .core import Extrinsics, IntrinsicParams, Mat
 from .distortion import DistortionModel
-from .errors import CountMismatch, NonPositiveDepth, ParseError
+from .errors import CountMismatch, ParseError
 
 REPORT_HEADER = "model\tJ\trank\tk1\tk2\tk3\talpha\tgamma\tu0\tbeta\tv0"
 
@@ -92,7 +93,8 @@ def write_dataset(path, data: CalibrationDataset) -> None:
     anything, FileExistsError names each such file.
     """
     d = Path(path)
-    names = [f"image{i:03d}.txt" for i in range(1, data.n_views + 1)]
+    width = max(3, len(str(data.n_views)))
+    names = [f"image{i:0{width}d}.txt" for i in range(1, data.n_views + 1)]
     stale = sorted(f.name for f in d.glob("image*.txt") if f.name not in names)
     if stale:
         raise FileExistsError(
@@ -159,26 +161,21 @@ class SynthSpec:
 def generate_synthetic(spec: SynthSpec) -> tuple[CalibrationDataset, SynthSpec]:
     """Forward-project the target through every view, optionally adding noise.
 
-    Observations are the distorted projections plus isotropic Gaussian pixel
-    noise of the spec's sigma, drawn from a generator seeded with the spec's
-    seed (no draws happen when sigma is 0). Returns the dataset together
-    with the resolved spec: identical to the input except that a None
-    model_points is replaced by the default 8x8 grid actually used.
+    Observations are the distorted projections of every view, projected in
+    one call that names the first view with a point without a pixel, plus
+    isotropic Gaussian pixel noise of the spec's sigma: one (V, P, 2) draw
+    from a generator seeded with the spec's seed, the stream of V per-view
+    draws (none when sigma is 0). Returns the dataset together with the
+    resolved spec: identical to the input except that a None model_points is
+    replaced by the default 8x8 grid actually used.
     """
     pts2 = spec.model_points if spec.model_points is not None else planar_grid()
     resolved = replace(spec, model_points=pts2)
     world = np.column_stack([pts2, np.zeros(len(pts2))])
-    rng = np.random.default_rng(spec.seed)
-    observations = []
-    for i, ext in enumerate(spec.extrinsics):
-        try:
-            uv = project_distorted(spec.intrinsics, ext, spec.model, world)
-        except NonPositiveDepth as exc:
-            raise NonPositiveDepth(f"view {i}: {exc}") from None
-        if spec.sigma > 0:
-            uv = uv + rng.normal(0.0, spec.sigma, size=uv.shape)
-        observations.append(uv)
-    dataset = CalibrationDataset(model_points=pts2, observations=tuple(observations))
+    uv = _views(spec.intrinsics, spec.extrinsics, spec.model, world)
+    if spec.sigma > 0:
+        uv = uv + np.random.default_rng(spec.seed).normal(0.0, spec.sigma, size=uv.shape)
+    dataset = CalibrationDataset(model_points=pts2, observations=tuple(uv))
     return dataset, resolved
 
 

@@ -46,7 +46,8 @@ class BracketNotFound(NoRealCandidate):
 
 
 class DegenerateConfiguration(RadialCalError):
-    """Point set unusable for homography estimation (collinear or duplicated)."""
+    """Point set unusable for homography estimation (collinear or duplicated),
+    or a homography whose leading columns no rotation explains."""
 
 
 class SingularConfiguration(RadialCalError):

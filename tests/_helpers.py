@@ -139,7 +139,7 @@ def random_intrinsics(rng) -> rc.IntrinsicParams:
 def residuals(model_id, params, pts3, observations):
     """calibration._residuals of one packed row over (P, 3) points, from the row's frame."""
     frame = calibration._frame(model_id, params, pts3)
-    return calibration._residuals(model_id, params, frame, observations)
+    return calibration._residuals(params, frame, observations)
 
 
 def jacobian(model_id, params, pts3, m):

@@ -207,6 +207,18 @@ class TestEstimateExtrinsics:
         with pytest.raises(rc.BehindCamera):
             rc.estimate_extrinsics(A, pose_homography(A, ext))
 
+    @pytest.mark.parametrize(
+        "H",
+        [np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0]), [[1, 0, 0], [1, 0, 0], [0, 0, 1]]],
+        ids=["zero-h1", "zero-h2", "parallel"],
+    )
+    def test_degenerate_homography_has_no_pose(self, H):
+        # A zero or repeated leading column of A^-1 H fits no rotation; without
+        # the check these read a ZeroDivisionError, w = 0 and a 45-degree turn.
+        A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+        with pytest.raises(rc.DegenerateConfiguration, match="no pose explains"):
+            rc.estimate_extrinsics(A, rc.Homography(matrix=np.array(H, dtype=float)))
+
 
 class TestObjective:
     def test_zero_on_exact_data(self, exact3):
@@ -415,7 +427,7 @@ class TestRefine:
         data, spec = exact3
         J0 = 4.0
 
-        def ramp(model_id, params, frame, observations):
+        def ramp(params, frame, observations):
             # J = J0 + (1 + s if s > 0 else -s) in one residual of view 0: the
             # model's Jacobian predicts a descent that no actual trial point
             # can realize.
@@ -820,8 +832,8 @@ class TestObjectiveKernel:
         assert np.isfinite(np.delete(r[2], j, axis=0)).all()
         assert calib_mod._objective(r) == math.inf
 
-        u, v = calib_mod._project(5, behind, calib_mod._frame(5, behind, pts3))
-        u0, v0 = calib_mod._project(5, valid, calib_mod._frame(5, valid, pts3))
+        u, v = np.moveaxis(calib_mod._project(behind, calib_mod._frame(5, behind, pts3)), -1, 0)
+        u0, v0 = np.moveaxis(calib_mod._project(valid, calib_mod._frame(5, valid, pts3)), -1, 0)
         assert np.array_equal(u[others], u0[others])
         assert np.array_equal(v[others], v0[others])
         assert not np.isfinite(u[2, j]) and not np.isfinite(v[2, j])

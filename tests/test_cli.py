@@ -369,6 +369,10 @@ class TestExitCodes:
         assert res.returncode == 2
         res = run_cli("compare", "--data", str(synth_dir), "--models", "3,11")
         assert res.returncode == 2
+        # A range's ends are checked before it expands into a list of ids.
+        res = run_cli("compare", "--data", str(synth_dir), "--models", "0-100000")
+        assert res.returncode == 2
+        assert len(res.stderr) < 300
 
     def test_missing_required_argument(self):
         assert run_cli("calibrate", "--model", "1").returncode == 2

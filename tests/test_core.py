@@ -262,6 +262,14 @@ class TestProjection:
         with pytest.raises(rc.NonPositiveDepth):
             rc.project_ideal(A, ext, np.array([0.1, 0.1, 0.0]))
 
+    def test_depth_error_names_the_point(self):
+        A = rc.IntrinsicParams(alpha=1.0, gamma=0.0, u0=0.0, beta=1.0, v0=0.0)
+        ext = rc.Extrinsics(rotation=np.zeros(3), translation=np.zeros(3))
+        for P in ([0.0, 0.0, -1.0], [[0.0, 0.0, -1.0], [0.0, 0.0, 2.0]]):
+            with pytest.raises(rc.NonPositiveDepth) as exc:
+                rc.project_ideal(A, ext, np.array(P))
+            assert str(exc.value) == "point 0: Z^c = -1.0"
+
     def test_world_to_camera_is_rigid_motion(self):
         rng = np.random.default_rng(23)
         for _ in range(200):

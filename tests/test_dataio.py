@@ -18,6 +18,16 @@ class TestDatasetFiles:
         for a, b in zip(back.observations, data.observations):
             assert np.array_equal(a, b)
 
+    def test_thousand_views_load_in_order(self, tmp_path):
+        # Names padded to four digits from 1,000 views up sort in view order.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        obs = tuple(pts + i for i in range(1001))
+        data = rc.CalibrationDataset(model_points=pts, observations=obs)
+        rc.write_dataset(tmp_path / "d", data)
+        back = rc.load_dataset(tmp_path / "d")
+        assert (tmp_path / "d" / "image0001.txt").is_file()
+        assert np.array_equal(np.stack(back.observations), np.stack(obs))
+
     def test_stale_views_refuse_the_write(self, tmp_path):
         # A five-view set, then a three-view one into the same directory: the
         # old image004 and image005 would load as views of the new set.
@@ -213,6 +223,34 @@ class TestSynthetic:
         )
         with pytest.raises(rc.NonPositiveDepth, match=r"view 0"):
             rc.generate_synthetic(spec)
+
+    def test_depth_error_names_view_and_point(self):
+        front, behind = (
+            rc.Extrinsics(rotation=(0.0, 0.0, 0.0), translation=(0.0, 0.0, z)) for z in (1.0, -1.0)
+        )
+        spec = rc.SynthSpec(
+            intrinsics=camera_830(),
+            extrinsics=(front, behind),
+            model=rc.DistortionModel(model_id=1, coefficients=(0.0,)),
+            model_points=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        )
+        with pytest.raises(rc.NonPositiveDepth) as exc:
+            rc.generate_synthetic(spec)
+        assert str(exc.value) == "view 1, point 0: Z^c = -1.0"
+
+    def test_singular_profile_names_view(self):
+        # Model 5 with k = -1 is 1 / (1 - r^2), singular at the point (1, 0)
+        # on the unit plane of either view.
+        view = rc.Extrinsics(rotation=(0.0, 0.0, 0.0), translation=(0.0, 0.0, 1.0))
+        spec = rc.SynthSpec(
+            intrinsics=camera_830(),
+            extrinsics=(view, view),
+            model=rc.DistortionModel(model_id=5, coefficients=(-1.0,)),
+            model_points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+        )
+        with pytest.raises(rc.SingularProfile) as exc:
+            rc.generate_synthetic(spec)
+        assert str(exc.value) == "view 0, model 5 denominator vanished at r=1.0"
 
     def test_spec_validation(self):
         A = camera_830()
