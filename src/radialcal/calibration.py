@@ -121,6 +121,8 @@ class OptimizerOptions:
     axis-angle entry, and objective_tolerance the relative fall of J over
     two consecutive accepted steps. max_function_evaluations counts residual
     evaluations: the start, each Jacobian and each trial step count one each.
+    An infinite tolerance, which would stop a fit at once as converged, raises
+    ValueError as nan does. The CLI reads its optimizer defaults from here.
     """
 
     step_tolerance: float = 1e-5
@@ -137,6 +139,8 @@ class OptimizerOptions:
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+            if name.endswith("tolerance") and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, slots=True)

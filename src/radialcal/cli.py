@@ -5,7 +5,9 @@ roundtrip-check. Reports go to standard output as complete TSV tables;
 diagnostics go to the error stream. Exit status 0 on success, 1 on domain
 errors (unreadable data, degenerate geometry, tolerance violations), 2 on
 usage errors. main parses with one parser built once per process, so an
-in-process caller pays for the argparse tree only on its first call.
+in-process caller pays for the argparse tree only on its first call. A token
+that starts with '-' and then a digit, '.' and a digit, "inf" or "nan" is the
+value of the option before it; the optimizer options default to OptimizerOptions'.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -223,20 +226,33 @@ def _cmd_roundtrip_check(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose negative-number rule, argparse's own test of
+    which tokens after an option are values, also takes exponents, inf, nan
+    and comma lists: "-1e-9", "-.5", "-inf", "-0.1,-0.2". Subparsers inherit
+    the class; no option string matches the rule, as all but -h start "--".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    defaults = OptimizerOptions()
     opt = argparse.ArgumentParser(add_help=False)
     group = opt.add_argument_group("optimizer options")
-    group.add_argument("--tol-x", type=float, default=1e-5, metavar="T",
-                       help="relative step tolerance (default 1e-5)")
-    group.add_argument("--tol-fun", type=float, default=1e-5, metavar="T",
-                       help="relative objective tolerance (default 1e-5)")
-    group.add_argument("--max-iter", type=int, default=120, metavar="N",
-                       help="iteration cap (default 120)")
-    group.add_argument("--max-fevals", type=int, default=8000, metavar="N",
-                       help="residual evaluation cap, a Jacobian counting as one "
-                            "(default 8000)")
+    group.add_argument("--tol-x", type=float, default=defaults.step_tolerance, metavar="T",
+                       help="relative step tolerance (default %(default)g)")
+    group.add_argument("--tol-fun", type=float, default=defaults.objective_tolerance,
+                       metavar="T", help="relative objective tolerance (default %(default)g)")
+    group.add_argument("--max-iter", type=int, default=defaults.max_iterations, metavar="N",
+                       help="iteration cap (default %(default)d)")
+    group.add_argument("--max-fevals", type=int, default=defaults.max_function_evaluations,
+                       metavar="N", help="residual evaluation cap, a Jacobian counting as "
+                       "one (default %(default)d)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radialcal",
         description="Plane-based camera calibration with analytically "
         "invertible radial distortion models.",
@@ -303,40 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite "--tol -1e-9" as "--tol=-1e-9", "--coeffs -0.1,-0.2" likewise.
-
-    argparse takes a separate value starting with '-' for an option only when
-    it matches argparse's negative-number pattern, which neither an exponent
-    nor a comma-separated list does. A token that starts with '-' and reads as
-    a number, or as a comma list of numbers, is attached to the long option
-    before it; every long option but --help takes a value. Abbreviations
-    ("--coef") are attached the same way and left to argparse to resolve.
-    """
-    out: list[str] = []
-    for tok in argv:
-        prev = out[-1] if out else ""
-        takes_value = len(prev) > 2 and prev.startswith("--") and "=" not in prev
-        if takes_value and not "--help".startswith(prev) and _is_negative_number_list(tok):
-            out[-1] = f"{prev}={tok}"
-        else:
-            out.append(tok)
-    return out
-
-
-def _is_negative_number_list(tok: str) -> bool:
-    if not tok.startswith("-"):
-        return False
-    try:
-        _parse_coeff_list(tok)
-    except argparse.ArgumentTypeError:
-        return False
-    return True
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(_attach_negative_values(argv))
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

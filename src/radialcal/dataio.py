@@ -2,15 +2,17 @@
 
 A dataset directory holds model.txt (planar target points, "X Y" per line,
 world Z fixed at 0) plus image001.txt, image002.txt, ... with the matching
-pixel observations "u v", index-aligned line by line, numbered in at least
-three digits and in as many as the view count has, so the names sort in view
-order. Lines starting with '#' and blank lines are skipped. Values are
+pixel observations "u v", index-aligned line by line. Views are ordered by
+file number; write_dataset pads it to at least three digits and to as many as
+the view count has. Any other image*.txt name, or two files with one number,
+fails the load. Lines starting with '#' and blank lines are skipped. Values are
 written back at full %.17g precision so a write/load cycle is exact.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -54,7 +56,10 @@ def _read_rows(path: Path, width: int, label: str) -> Mat:
 def load_dataset(path) -> CalibrationDataset:
     """Read model.txt plus every image*.txt from a dataset directory.
 
-    A file with a value that is not finite raises ValueError naming it.
+    Views are ordered by the number in imageN.txt (ASCII digits), so image2.txt
+    comes before image10.txt. Any other image*.txt name, two files with one
+    number (image1.txt, image001.txt) or a value that is not finite raises
+    ValueError naming the files.
     """
     d = Path(path)
     model_file = d / "model.txt"
@@ -63,9 +68,18 @@ def load_dataset(path) -> CalibrationDataset:
     model_points = _read_rows(model_file, 2, "point")
     if not np.isfinite(model_points).all():
         raise ValueError(f"{model_file}: model_points must be finite")
-    image_files = sorted(d.glob("image*.txt"))
-    if not image_files:
+    views: dict[int, Path] = {}
+    for f in sorted(d.glob("image*.txt")):
+        match = re.fullmatch(r"image([0-9]+)\.txt", f.name)
+        if match is None:
+            raise ValueError(f"{f}: not a view file name; use image<number>.txt")
+        n = int(match[1])
+        if n in views:
+            raise ValueError(f"{views[n]} and {f} share view number {n}")
+        views[n] = f
+    if not views:
         raise FileNotFoundError(f"no image*.txt files in {d}")
+    image_files = [views[n] for n in sorted(views)]
     observations = []
     for i, f in enumerate(image_files):
         pts = _read_rows(f, 2, "point")

@@ -1047,6 +1047,12 @@ class TestTypes:
             with pytest.raises(ValueError, match="must be positive"):
                 rc.OptimizerOptions(**bad)
 
+    @pytest.mark.parametrize("name", ["step_tolerance", "objective_tolerance"])
+    def test_infinite_tolerance_rejected(self, name):
+        # An infinite tolerance would stop a fit at once, reported converged.
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            rc.OptimizerOptions(**{name: math.inf})
+
     def test_report_ordering_enforced(self):
         A = camera_830()
         row = lambda mid, rank: rc.ModelFitRow(

@@ -75,7 +75,9 @@ class TestSynth:
         assert J < 1e-20
 
     @pytest.mark.parametrize(
-        "coeffs, want", [("-0.1,-0.2", [-0.1, -0.2]), ("-1e-3,-0.2", [-1e-3, -0.2])]
+        "coeffs, want",
+        [("-0.1,-0.2", [-0.1, -0.2]), ("-1e-3,-0.2", [-1e-3, -0.2]),
+         ("-.5,-1E-3", [-0.5, -0.001])],
     )
     def test_negative_coefficient_list_as_separate_value(self, coeffs, want, tmp_path):
         out = tmp_path / "d"
@@ -346,7 +348,7 @@ class TestRoundtripCheck:
         "option, value",
         [("--samples", "0"), ("--samples", "-1"), ("--radius", "0"), ("--radius", "-0.5"),
          ("--radius", "nan"), ("--radius", "inf"), ("--tol", "nan"), ("--tol", "-0.5"),
-         ("--tol", "inf"), ("--tol", "-1e-9")],
+         ("--tol", "inf"), ("--tol", "-1e-9"), ("--tol", "-inf"), ("--radius", "-nan")],
     )
     def test_out_of_range_option_is_usage_error(self, option, value, capsys):
         code = cli.main(["roundtrip-check", "--samples", "5", option, value])
@@ -451,6 +453,32 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"usage error: {name} must be positive\n"
+
+    @pytest.mark.parametrize(
+        "command, option, name",
+        [("calibrate", "--tol-x", "step_tolerance"),
+         ("compare", "--tol-fun", "objective_tolerance")],
+    )
+    def test_infinite_optimizer_tolerance_is_usage_error(
+        self, synth_dir, capsys, command, option, name
+    ):
+        # A fit would stop at once and report converged.
+        argv = [command, "--data", str(synth_dir), option, "inf"]
+        argv += ["--models", "1"] if command == "compare" else ["--model", "1"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {name} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["calibrate", "--model", "1"], ["compare"],
+         ["fit-distortion", "--model", "1", "--intrinsics", "cam.txt"]],
+    )
+    def test_optimizer_defaults_are_the_library_defaults(self, argv):
+        args = cli.build_parser().parse_args([*argv, "--data", "d"])
+        assert cli._opts(args) == rc.OptimizerOptions()
 
     def test_bad_optimizer_option(self, synth_dir):
         res = run_cli(

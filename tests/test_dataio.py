@@ -28,6 +28,26 @@ class TestDatasetFiles:
         assert (tmp_path / "d" / "image0001.txt").is_file()
         assert np.array_equal(np.stack(back.observations), np.stack(obs))
 
+    def test_views_load_by_number_and_stray_names_fail(self, tmp_path):
+        # Names from outside the program: unpadded numbers load in numeric
+        # order, and a name that is not image<number>.txt or that repeats a
+        # number fails, naming the files.
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "model.txt").write_text("0 0\n")
+        for n in (1, 2, 10):
+            (d / f"image{n}.txt").write_text(f"{n} 0\n")
+        back = rc.load_dataset(d)
+        assert [obs[0, 0] for obs in back.observations] == [1.0, 2.0, 10.0]
+        (d / "image_notes.txt").write_text("0 0\n")
+        with pytest.raises(ValueError, match=r"image_notes\.txt: not a view file name"):
+            rc.load_dataset(d)
+        (d / "image_notes.txt").unlink()
+        (d / "image001.txt").write_text("0 0\n")
+        with pytest.raises(ValueError) as err:
+            rc.load_dataset(d)
+        assert str(err.value) == f"{d / 'image001.txt'} and {d / 'image1.txt'} share view number 1"
+
     def test_stale_views_refuse_the_write(self, tmp_path):
         # A five-view set, then a three-view one into the same directory: the
         # old image004 and image005 would load as views of the new set.
