@@ -611,11 +611,12 @@ def refine(
 ) -> CalibrationResult:
     """Jointly minimize the objective by Levenberg-Marquardt.
 
-    Parameters are the 5 intrinsics, the model's coefficients and all 6N
-    pose entries; freeze_intrinsics pins the first five. The residual
-    r(theta), predicted minus observed pixels of shape (V, P, 2), comes from
-    _residuals, and J = ||r||^2 from _objective, so compute_objective of the
-    result recomputes its objective bit for bit.
+    The packed row theta holds the 5 intrinsics, the model's coefficients
+    and all 6N pose entries; freeze_intrinsics pins the first five, so every
+    step starts at entry 5 of the row. The residual r(theta), predicted
+    minus observed pixels of shape (V, P, 2), comes from _residuals, and J =
+    ||r||^2 from _objective, so compute_objective of the result recomputes
+    its objective bit for bit.
 
     Each iteration takes the analytic Jacobian (see _jacobian) from the
     camera frame its point's residuals were computed from, forms J^T J and
@@ -636,10 +637,12 @@ def refine(
     numerically zero gradient or no accepted trial where the iteration's
     first finite predicted decrease is below that floor (both stationary:
     J is at the optimum to double resolution), or the iteration/evaluation
-    caps. The caps and line_search_failure (no damped step lowered J by
-    more than the floor before lambda passed its limit) report
-    converged=False carrying the best point reached; the accepted-step
-    objective sequence (objective_trace) is decreasing by construction.
+    caps. converged follows from that stop status alone: the caps and
+    line_search_failure (no damped step lowered J by more than the floor
+    before lambda passed its limit) report converged=False carrying the best
+    point reached. iterations is the number of accepted steps, and the
+    accepted-step objective sequence (objective_trace, one entry longer) is
+    decreasing by construction.
     """
     opts = opts or OptimizerOptions()
     model_id = initial.model.model_id
@@ -647,97 +650,89 @@ def refine(
     if len(initial.extrinsics) != n_views:
         raise ValueError("initial extrinsics count does not match the dataset")
 
-    theta_full = _pack(initial.intrinsics, initial.model, initial.extrinsics)
-    frozen = theta_full[:5] if freeze_intrinsics else theta_full[:0]
-    theta = theta_full[len(frozen) :].copy()
-    m = len(theta) - 6 * n_views
+    free = 5 if freeze_intrinsics else 0  # the packed row's first stepped entry
     pts3 = data.world_points
     observations = np.stack(data.observations)
 
-    def evaluate(theta: np.ndarray):  # the packed row, its _frame and its residuals
-        row = np.concatenate([frozen, theta])
-        frame = _frame(model_id, row, pts3)
-        return row, frame, _residuals(row, frame, observations)
+    def evaluate(theta: np.ndarray):  # one evaluated point: the row, its _frame, r and J
+        frame = _frame(model_id, theta, pts3)
+        r = _residuals(theta, frame, observations)
+        return theta, frame, r, _objective(r)
 
-    row, frame, r = evaluate(theta)
-    J = _objective(r)
+    theta, frame, r, J = evaluate(_pack(initial.intrinsics, initial.model, initial.extrinsics))
+    m = len(theta) - free - 6 * n_views
     evals = 1
     if not math.isfinite(J):
         raise ValueError("initial parameters do not give a finite objective")
     trace = [J]
-    iterations = 0
     status = "max_iterations"
-    converged = False
     lam, nu = _DAMPING_START, 2.0
     flat_streak = 0
-    while iterations < opts.max_iterations:
+    while len(trace) <= opts.max_iterations:
         if evals >= opts.max_function_evaluations:
             status = "max_function_evaluations"
             break
-        N, b = _normal_equations(_jacobian(model_id, row, frame, m), r)
+        N, b = _normal_equations(_jacobian(model_id, theta, frame, m), r)
         evals += 1
         if 2.0 * float(np.max(np.abs(b))) <= 1e-9 * max(1.0, J):
-            status, converged = "stationary", True
+            status = "stationary"
             break
         # J's rounding floor: a residual p - m carries the rounding of the pixel
         # p, about eps |m|, which moves J by 2 eps |r| |m|. No smaller fall counts.
         floor = np.finfo(float).eps * (J + 2.0 * float(np.abs(r * observations).sum()))
         scale = np.diag(N).copy()
         scale[scale <= 0.0] = 1.0
-        accepted = False
         first_predicted = math.inf  # the first finite decrease a trial predicts
         while lam <= _DAMPING_LIMIT and evals < opts.max_function_evaluations:
             step = np.linalg.solve(N + np.diag(lam * scale), -b)
-            trial = theta + step
-            turns = [v[m:].reshape(n_views, 6)[:, :3].tolist() for v in (step, theta)]
-            trial[m:].reshape(n_views, 6)[:, :3] = list(map(_compose_rotation, *turns))
+            trial = theta.copy()
+            trial[free:] += step
+            turns = [v[-6 * n_views :].reshape(n_views, 6)[:, :3].tolist() for v in (step, theta)]
+            trial[-6 * n_views :].reshape(n_views, 6)[:, :3] = list(map(_compose_rotation, *turns))
             # A far trial may overflow; J then reads inf or nan and is rejected.
             with np.errstate(over="ignore", invalid="ignore"):
                 predicted = float(step @ (lam * scale * step - b))
-                trial_row, trial_frame, r_new = evaluate(trial)
-                J_new = _objective(r_new)
+                point = evaluate(trial)
             evals += 1
             if first_predicted == math.inf and math.isfinite(predicted):
                 first_predicted = predicted
-            if J - J_new > floor:
-                accepted = True
+            if J - point[-1] > floor:
                 break
             lam *= nu
             nu *= 2.0
-        if not accepted:
+        else:  # no trial was accepted
             if evals >= opts.max_function_evaluations:
                 status = "max_function_evaluations"
             elif first_predicted < floor:
                 # The first trial promised less than that floor: J is at the
                 # optimum to double resolution, not stuck on a bad residual.
-                status, converged = "stationary", True
+                status = "stationary"
             else:
                 status = "line_search_failure"
             break
-        rho = min(1.0, (J - J_new) / predicted) if predicted > 0.0 else 1.0
+        rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(theta[free:]))))
+        rel_dJ = (J - point[-1]) / max(1.0, point[-1])
+        rho = min(1.0, (J - point[-1]) / predicted) if predicted > 0.0 else 1.0
+        theta, frame, r, J = point
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         nu = 2.0
-        iterations += 1
-        trace.append(J_new)
-        rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(theta))))
-        rel_dJ = (J - J_new) / max(1.0, J_new)
-        theta, row, frame, r, J = trial, trial_row, trial_frame, r_new, J_new
+        trace.append(J)
         if rel_step < opts.step_tolerance:
-            status, converged = "step_tolerance", True
+            status = "step_tolerance"
             break
         flat_streak = flat_streak + 1 if rel_dJ < opts.objective_tolerance else 0
         if flat_streak >= 2:
-            status, converged = "objective_tolerance", True
+            status = "objective_tolerance"
             break
 
-    A, model, extrinsics = _unpack(row, model_id, n_views)
+    A, model, extrinsics = _unpack(theta, model_id, n_views)
     return CalibrationResult(
         intrinsics=A,
         extrinsics=extrinsics,
         model=model,
         objective=J,
-        iterations=iterations,
-        converged=converged,
+        iterations=len(trace) - 1,
+        converged=status in ("stationary", "step_tolerance", "objective_tolerance"),
         status=status,
         evaluations=evals,
         objective_trace=tuple(trace),

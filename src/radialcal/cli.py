@@ -78,6 +78,19 @@ def _parse_model_ids(text: str) -> list[int]:
     return sorted(ids)
 
 
+def _parse_seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad seed {text!r}; use a non-negative integer"
+        ) from None
+    return seed
+
+
 def _parse_coeff_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -298,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=8, help="grid side length (default 8)")
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=0.0, help="pixel noise sigma")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--intrinsics", default=None,
                    help="intrinsics file (default: a generic 800-focal camera)")
     p.set_defaults(func=_cmd_synth)
@@ -309,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.set_defaults(func=_cmd_roundtrip_check)
 
     return parser

@@ -418,7 +418,11 @@ def _invert_points(model: DistortionModel, pd: np.ndarray, closed: bool) -> np.n
     out[live, 0] = np.where(swap, y, x)
     out[live, 1] = np.where(swap, x, y)
     for i in np.flatnonzero(np.isnan(out[:, 0])):
-        out[i] = _pair(model, *flat[i].tolist(), closed)
+        try:
+            out[i] = _pair(model, *flat[i].tolist(), closed)
+        except NoRealCandidate as error:
+            error.row = int(i)  # the failing row of pd as (-1, 2), for undistort_pixel
+            raise
     return out.reshape(pd.shape)
 
 
@@ -531,7 +535,9 @@ def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     Accepts a single (u, v) pair or an (..., 2) array. A pair stays in
     Python floats from pixel to pixel and builds only its result array. An
     array is inverted in one vectorised pass and raises, like
-    undistort_normalized, for its first point without a preimage. Both give
+    undistort_normalized, for its first point without a preimage; on both
+    routes the message starts with that pixel as given, "pixel (u, v): ",
+    before undistort_normalized's message for its normalized point. Both give
     the same bits, except that the array radicals of the cubic models 2, 3
     and 9 can differ from the pair's in the last ulp. When a cubic
     coefficient is tiny or past 1e75, they can round further apart, and one
@@ -541,7 +547,14 @@ def undistort_pixel(A: IntrinsicParams, model: DistortionModel, pd: Vec) -> Vec:
     """
     pd = _as_points(pd)
     closed = model.model_id != 0
-    if pd.shape != (2,):
-        return denormalize(A, _invert_points(model, normalize(A, pd), closed))
-    x, y = _pair(model, *_normalize_pair(A, *pd.tolist()), closed)
+    try:
+        if pd.shape != (2,):
+            return denormalize(A, _invert_points(model, normalize(A, pd), closed))
+        x, y = _pair(model, *_normalize_pair(A, *pd.tolist()), closed)
+    except NoRealCandidate as error:
+        # The normalized point the message names is the caller's pixel: a
+        # pair is row 0, and _invert_points marks an array's failing row.
+        u, v = pd.reshape(-1, 2)[getattr(error, "row", 0)].tolist()
+        error.args = (f"pixel ({u!r}, {v!r}): {error}",)
+        raise
     return np.array(_denormalize_pair(A, x, y))

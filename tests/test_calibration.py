@@ -423,9 +423,9 @@ class TestRefine:
         assert res.objective < 1e-6
         assert np.allclose(res.model.coefficients, spec.model.coefficients, atol=5e-3)
 
-    def test_line_search_failure_is_reported(self, exact3, monkeypatch):
+    @staticmethod
+    def refine_on_a_ramp(exact3, monkeypatch, J0):
         data, spec = exact3
-        J0 = 4.0
 
         def ramp(params, frame, observations):
             # J = J0 + (1 + s if s > 0 else -s) in one residual of view 0: the
@@ -445,12 +445,42 @@ class TestRefine:
             iterations=0,
             converged=False,
         )
-        res = rc.refine(initial, data)
+        return rc.refine(initial, data)
+
+    def test_line_search_failure_is_reported(self, exact3, monkeypatch):
+        J0 = 4.0
+        res = self.refine_on_a_ramp(exact3, monkeypatch, J0)
         assert res.status == "line_search_failure"
         assert not res.converged
         assert res.objective == J0
         assert res.iterations == 0
         assert res.objective_trace == (J0,)
+
+    @pytest.mark.parametrize(
+        "stop",
+        ["max_iterations", "max_function_evaluations", "line_search_failure",
+         "stationary", "tolerance"],
+    )
+    def test_converged_and_iterations_follow_the_stop(self, stop, noisy3, exact3, monkeypatch):
+        # converged is True exactly for the three stops at an optimum, and
+        # iterations counts the accepted steps: one per trace entry after J0.
+        data, _ = noisy3
+        if stop == "max_iterations":
+            res = rc.calibrate(data, 3, replace(self.TIGHT, max_iterations=5))
+        elif stop == "max_function_evaluations":
+            res = rc.calibrate(data, 3, replace(self.TIGHT, max_function_evaluations=30))
+        elif stop == "line_search_failure":
+            res = self.refine_on_a_ramp(exact3, monkeypatch, 4.0)
+        elif stop == "stationary":
+            res = rc.calibrate(synth_dataset(sigma=0.01, seed=11)[0], 3, self.TIGHT)
+        else:
+            res = rc.calibrate(data, 3)
+        want = {stop} if stop != "tolerance" else {"step_tolerance", "objective_tolerance"}
+        assert res.status in want
+        assert res.converged == (
+            res.status in {"stationary", "step_tolerance", "objective_tolerance"}
+        )
+        assert res.iterations == len(res.objective_trace) - 1
 
     def test_resolution_limited_stop_is_stationary(self):
         # With both tolerances below double resolution the fit runs until no

@@ -480,6 +480,22 @@ class TestExitCodes:
         args = cli.build_parser().parse_args([*argv, "--data", "d"])
         assert cli._opts(args) == rc.OptimizerOptions()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["roundtrip-check", "--samples", "10"],
+         ["synth", "--model", "1", "--sigma", "0.3"]],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, argv):
+        # numpy's generators take only non-negative seeds: argparse rejects
+        # the value and names the option, before anything is written.
+        out = tmp_path / "data"
+        argv = argv + ["--out", str(out)] if argv[0] == "synth" else argv
+        res = run_cli(*argv, "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "argument --seed: " in res.stderr and "non-negative integer" in res.stderr
+        assert not out.exists()
+
     def test_bad_optimizer_option(self, synth_dir):
         res = run_cli(
             "calibrate", "--data", str(synth_dir), "--model", "1", "--max-iter", "0"

@@ -686,6 +686,28 @@ class TestUndistortPixel:
                 assert np.max(np.abs(back - p)) < 1e-8
 
 
+    @pytest.mark.parametrize(
+        "row, model_id, k, error",
+        [(2, 2, None, rc.NoRealCandidate), (0, 0, (-0.5, 0.0), rc.BracketNotFound)],
+    )
+    def test_domain_error_names_the_pixel(self, row, model_id, k, error):
+        # (320, 240) lies outside the domain (model 2 with ODIS row 2's k, or
+        # model 0 with k = (-0.5, 0), F_max = 0.5443). The message starts with
+        # the pixel as given and keeps undistort_normalized's for its point.
+        fit = rc.reference_report("odis").rows[row]
+        A = fit.intrinsics
+        model = rc.DistortionModel(model_id, k or fit.coefficients)
+        with pytest.raises(error) as normalized:
+            rc.undistort_normalized(model, rc.normalize(A, np.array([320.0, 240.0])))
+        want = f"pixel (320.0, 240.0): {normalized.value}"
+        assert str(normalized.value).startswith(f"model {model_id} has no admissible preimage for")
+        for pd in ((320.0, 240.0), np.array([[100, 100], [320, 240], [330, 250]]),
+                   np.array([[[100.0, 100.0]], [[320.0, 240.0]]])):
+            with pytest.raises(error) as got:
+                rc.undistort_pixel(A, model, pd)
+            assert type(got.value) is error and str(got.value) == want
+
+
 class TestPairRoute:
     # undistort_pixel keeps a pair in Python floats from pixel to pixel,
     # with an array row's operations in the same order; normalize,
