@@ -5,8 +5,9 @@ world Z fixed at 0) plus image001.txt, image002.txt, ... with the matching
 pixel observations "u v", index-aligned line by line. Views are ordered by
 file number; write_dataset pads it to at least three digits and to as many as
 the view count has. Any other image*.txt name, or two files with one number,
-fails the load. Lines starting with '#' and blank lines are skipped. Values are
-written back at full %.17g precision so a write/load cycle is exact.
+fails the load. Lines starting with '#' and blank lines are skipped, and one
+UTF-8 byte-order mark starting a file is dropped. Values are written back at
+full %.17g precision so a write/load cycle is exact.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,21 +30,34 @@ REPORT_HEADER = "model\tJ\trank\tk1\tk2\tk3\talpha\tgamma\tu0\tbeta\tv0"
 
 def _parse_rows(lines, width: int, name: str) -> Mat:
     """The rows of width numbers in lines of point text, as an (n, width)
-    array; n may be 0. ParseError names name and the line number."""
-    flat: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        # split() drops the whitespace strip() would, so the first field
-        # starts with '#' exactly when the stripped line does.
-        parts = raw.split()
+    array; n may be 0.
+
+    Each line is str.split; blank lines and lines whose first field starts
+    with '#' are skipped. One leading U+FEFF (a UTF-8 byte-order mark) is
+    dropped from the first line; anywhere else it is not a number. Every line
+    is split and every value converted by float in one pass; only when that
+    fails are the lines scanned again, one by one, so that ParseError names
+    name, the first bad line's number and what is wrong with it.
+    """
+    lines = iter(lines)
+    split = [next(lines, "").removeprefix("\ufeff").split(), *map(str.split, lines)]
+    # split() drops the whitespace strip() would, so the first field starts
+    # with '#' exactly when the stripped line does.
+    rows = [parts for parts in split if parts and parts[0][0] != "#"]
+    if all(len(parts) == width for parts in rows):
+        try:
+            return np.array(list(map(float, chain.from_iterable(rows)))).reshape(-1, width)
+        except ValueError:
+            pass
+    for lineno, parts in enumerate(split, start=1):
         if not parts or parts[0][0] == "#":
             continue
         if len(parts) != width:
             raise ParseError(name, lineno, f"expected {width} values, got {len(parts)}")
         try:
-            flat += map(float, parts)
+            list(map(float, parts))
         except ValueError:
             raise ParseError(name, lineno, "not a decimal number") from None
-    return np.array(flat).reshape(-1, width)
 
 
 def _read_rows(path: Path, width: int, label: str) -> Mat:
@@ -59,7 +74,9 @@ def load_dataset(path) -> CalibrationDataset:
     Views are ordered by the number in imageN.txt (ASCII digits), so image2.txt
     comes before image10.txt. Any other image*.txt name, two files with one
     number (image1.txt, image001.txt) or a value that is not finite raises
-    ValueError naming the files.
+    ValueError naming the files. Each file is read by _parse_rows: one split
+    and convert pass, a leading byte-order mark dropped, and a ParseError
+    naming the file and line of the first malformed line.
     """
     d = Path(path)
     model_file = d / "model.txt"
@@ -94,9 +111,11 @@ def load_dataset(path) -> CalibrationDataset:
 
 
 def _write_rows(path: Path, rows: Mat) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    """Write rows of numbers to path, one line each, every value as %.17g
+    and separated by one space: the whole text in one format and one write."""
+    rows = np.asarray(rows, dtype=float)
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    path.write_text(line * len(rows) % tuple(rows.ravel().tolist()), encoding="utf-8")
 
 
 def write_dataset(path, data: CalibrationDataset) -> None:
@@ -104,7 +123,8 @@ def write_dataset(path, data: CalibrationDataset) -> None:
 
     load_dataset reads every image*.txt in the directory, so one this write
     would not overwrite would join the dataset as a view: before writing
-    anything, FileExistsError names each such file.
+    anything, FileExistsError names each such file. Each file is one
+    formatted write of its rows, every value as %.17g.
     """
     d = Path(path)
     width = max(3, len(str(data.n_views)))

@@ -283,6 +283,25 @@ class TestUndistortPoints:
         )
         assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist())
 
+    def test_byte_order_mark_starts_the_input(self, tmp_path):
+        # One leading UTF-8 BOM is dropped; on a later line it fails the line.
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        argv = [sys.executable, "-m", "radialcal", "undistort-points", "--model", "2",
+                "--coeffs=-0.19", "--intrinsics", str(cam)]
+        bom = b"\xef\xbb\xbf"
+        res = subprocess.run(argv, input=bom + b"400.5 300.25\n320 240\n", capture_output=True)
+        assert res.returncode == 0, res.stderr
+        want = rc.undistort_pixel(
+            DEFAULT_CAMERA, rc.DistortionModel(2, (-0.19,)),
+            np.array([[400.5, 300.25], [320.0, 240.0]]),
+        )
+        assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist()).encode()
+        res = subprocess.run(argv, input=b"400.5 300.25\n" + bom + b"320 240\n",
+                             capture_output=True)
+        assert res.returncode == 1 and res.stdout == b""
+        assert res.stderr == b"error: <stdin>:2: not a decimal number\n"
+
     def test_overflowing_radicals_bisect(self, tmp_path):
         # With k = 1e103 model 3's cubic radicals overflow a float; the point
         # is bisected instead, with no warning. Its preimage lies about

@@ -6,6 +6,9 @@ import pytest
 
 import radialcal as rc
 from _helpers import camera_830, poses_three, synth_dataset
+from radialcal.dataio import _parse_rows, _write_rows
+
+BOM = "\ufeff"
 
 
 class TestDatasetFiles:
@@ -76,6 +79,23 @@ class TestDatasetFiles:
         data = rc.load_dataset(d)
         assert data.n_points == 3
         assert data.observations[0][2, 1] == 60.0
+
+    def test_byte_order_mark_starts_a_file(self, tmp_path):
+        # One leading U+FEFF, as editors save UTF-8 with a BOM, is dropped;
+        # anywhere else it is not a number.
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "model.txt").write_text(BOM + "0 0\n1 0\n", encoding="utf-8")
+        (d / "image001.txt").write_text(BOM + "# u v\n10 20\n30 40\n", encoding="utf-8")
+        data = rc.load_dataset(d)
+        assert data.model_points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert data.observations[0].tolist() == [[10.0, 20.0], [30.0, 40.0]]
+        for text, line in ((BOM + BOM + "10 20\n30 40\n", 1), ("10 20\n" + BOM + "30 40\n", 2),
+                           ("10 20\n30 " + BOM + "40\n", 2)):
+            (d / "image001.txt").write_text(text, encoding="utf-8")
+            with pytest.raises(rc.ParseError) as err:
+                rc.load_dataset(d)
+            assert (err.value.line, err.value.reason) == (line, "not a decimal number")
 
     def test_wrong_width_names_line(self, tmp_path):
         d = tmp_path / "d"
@@ -172,10 +192,137 @@ class TestIntrinsicsFile:
             rc.load_intrinsics(cam)
         assert str(exc.value) == f"{cam}: {reason}"
 
+    def test_byte_order_mark_starts_the_file(self, tmp_path):
+        cam = tmp_path / "cam.txt"
+        cam.write_bytes(b"\xef\xbb\xbf800 0 320 800 240\n")
+        assert rc.load_intrinsics(cam).as_tuple() == (800.0, 0.0, 320.0, 800.0, 240.0)
+
     def test_two_lines_rejected(self, tmp_path):
         (tmp_path / "cam.txt").write_text("830 0.1 304 830.5 207\n1 0 0 1 0\n")
         with pytest.raises(rc.ParseError):
             rc.load_intrinsics(tmp_path / "cam.txt")
+
+
+def _format_per_value(rows) -> bytes:
+    """The text of one format per value, one join per row: the reference."""
+    return "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in rows).encode()
+
+
+def _parse_per_line(lines, width, name):
+    """One line at a time, converting as it goes: the reference."""
+    flat = []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) != width:
+            raise rc.ParseError(name, lineno, f"expected {width} values, got {len(parts)}")
+        try:
+            flat += map(float, parts)
+        except ValueError:
+            raise rc.ParseError(name, lineno, "not a decimal number") from None
+    return np.array(flat).reshape(-1, width)
+
+
+def _outcome(parse, lines, width, name):
+    try:
+        rows = parse(lines, width, name)
+    except rc.ParseError as exc:
+        return exc.file, exc.line, exc.reason
+    return rows.shape, rows.tobytes()
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072009e-308, math.inf, -math.inf, math.nan,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+class TestTextKernels:
+    """_write_rows and _parse_rows against the per-value and per-line code
+    they replace: the same bytes, the same arrays, the same errors."""
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_write_matches_per_value_format(self, width, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        value = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+        row = st.lists(value, min_size=width, max_size=width)
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(rows=st.lists(row, max_size=6))
+        @hypothesis.example(rows=[])
+        def check(rows):
+            rows = np.array(rows, dtype=float).reshape(-1, width)
+            path = tmp_path / "rows.txt"
+            _write_rows(path, rows)
+            assert path.read_bytes() == _format_per_value(rows)
+            if not np.isfinite(rows).all():
+                return
+            back = _parse_rows(path.read_text(encoding="utf-8").splitlines(), width, str(path))
+            assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
+            if width == 2 and len(rows):
+                d = tmp_path / "d"
+                rc.write_dataset(d, rc.CalibrationDataset(rows, (rows[::-1], rows)))
+                for name, want in (("model.txt", rows), ("image001.txt", rows[::-1]),
+                                   ("image002.txt", rows)):
+                    assert (d / name).read_bytes() == _format_per_value(want)
+                data = rc.load_dataset(d)
+                assert data.model_points.tobytes() == rows.tobytes()
+                want = np.stack([rows[::-1], rows])
+                assert np.stack(data.observations).tobytes() == want.tobytes()
+            if width == 5:
+                for values in rows:
+                    try:
+                        A = rc.IntrinsicParams.from_tuple(values)
+                    except ValueError:
+                        continue  # a camera the type rejects
+                    cam = tmp_path / "cam.txt"
+                    rc.write_intrinsics(cam, A)
+                    assert cam.read_bytes() == _format_per_value([values])
+                    back = np.array(rc.load_intrinsics(cam).as_tuple())
+                    assert back.tobytes() == values.tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("width", [2, 5])
+    @pytest.mark.parametrize("source", ["model.txt", "cam.txt", "<stdin>"])
+    def test_parse_matches_per_line_loop(self, width, source, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        numbers = st.one_of(
+            st.floats().map(repr),
+            st.sampled_from(["1_000", "inf", "-nan", "-0", "1e400", "+7", "-.5e-3", "5e-324"]),
+        )
+        bad = st.sampled_from(["1x", "#2", "1__0", "0x10", "e5", "--1", "nan1"])
+        sep = st.sampled_from([" ", "  ", "\t", "\x0c", "\r", " \t\x0c"])
+        pad = st.sampled_from(["", " ", "\t", "\x0c"])
+        end = st.sampled_from(["", "\n", "\r\n"])
+
+        def lines_of(token):
+            fields = st.one_of(st.lists(token, min_size=width, max_size=width),
+                               st.lists(token, min_size=1, max_size=width + 2))
+            data = st.builds(lambda a, s, f, b, e: a + s.join(f) + b + e,
+                             pad, sep, fields, pad, end)
+            blank = st.builds(lambda a, e: a + e,
+                              st.sampled_from(["", " ", "\t", "\r", "\x0c"]), end)
+            comment = st.builds(lambda a, t, e: a + "#" + t + e, pad,
+                                st.text(" 0123456789.#xe", max_size=8), end)
+            return st.lists(st.one_of(data, data, blank, comment), max_size=8)
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(lines=st.one_of(lines_of(numbers), lines_of(st.one_of(numbers, bad))))
+        def check(lines):
+            if source == "<stdin>":
+                want = _outcome(_parse_per_line, lines, width, source)
+                assert _outcome(_parse_rows, lines, width, source) == want
+                return
+            path = tmp_path / source
+            path.write_text("".join(lines), encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                want = _outcome(_parse_per_line, fh, width, str(path))
+            with open(path, encoding="utf-8") as fh:
+                assert _outcome(_parse_rows, fh, width, str(path)) == want
+
+        check()
 
 
 class TestPlanarGrid:
