@@ -1,10 +1,11 @@
 """Plane-based calibration and the multi-model comparison harness.
 
-Pipeline: per-view homographies (normalized DLT), intrinsics from the
-absolute-conic constraints, extrinsics by decomposing A^-1 H, then joint
-Levenberg-Marquardt refinement of intrinsics + distortion coefficients + all
-poses, minimizing the sum of squared pixel distances between observations
-and distorted forward projections:
+Pipeline: per-view homographies (one normalized DLT over all views),
+intrinsics from the absolute-conic constraints, extrinsics by decomposing
+A^-1 H over all views, then joint Levenberg-Marquardt refinement of
+intrinsics + distortion coefficients + all poses, minimizing the sum of
+squared pixel distances between observations and distorted forward
+projections:
 
     J = sum_i sum_j || m_ij - distort(project(A, R_i, t_i, M_j)) ||^2
 
@@ -188,63 +189,112 @@ class ModelFitReport:
         object.__setattr__(self, "rows", rows)
 
 
+def _lift(pts: np.ndarray) -> np.ndarray:
+    """(..., P, 2) points as homogeneous (..., P, 3) rows with a last entry of 1."""
+    return np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+
+
 def apply_homography(H: Homography, points: Mat) -> Mat:
     """Map (n, 2) points through H and dehomogenize."""
-    pts = np.asarray(points, dtype=float)
-    ph = np.column_stack([pts, np.ones(len(pts))]) @ H.matrix.T
+    ph = _lift(np.asarray(points, dtype=float)) @ H.matrix.T
     return ph[:, :2] / ph[:, 2:3]
 
 
-def _isotropic_normalization(pts: Mat) -> Mat:
-    """Similarity moving the centroid to the origin at mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    mean_dist = float(np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean())
-    if mean_dist < 1e-12:
-        raise DegenerateConfiguration("all points coincide")
-    s = math.sqrt(2.0) / mean_dist
-    return np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
+class _ViewError(Exception):
+    """Raised by the stacked linear stage with args (i, error): the first view
+    i in view order that fails, and its error. A one-view call re-raises the
+    error; _start prefixes it "view i, "."""
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """The lengths (...) of (..., n) vectors, each the root of one dot product
+    as np.linalg.norm takes it (a sum of squares may differ in the last bit)."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _isotropic_normalization(pts: np.ndarray):
+    """Similarities (..., 3, 3) moving each (P, 2) set's centroid to the origin
+    at mean distance sqrt(2), and the mask (...) of sets whose points all
+    coincide (mean distance below 1e-12), which get a unit scale instead."""
+    centroid = pts.mean(axis=-2)
+    mean_dist = np.sqrt(((pts - centroid[..., None, :]) ** 2).sum(axis=-1)).mean(axis=-1)
+    coincide = mean_dist < 1e-12
+    s = math.sqrt(2.0) / np.where(coincide, 1.0, mean_dist)
+    T = np.zeros(s.shape + (3, 3))
+    T[..., 0, 0] = T[..., 1, 1] = s
+    T[..., :2, 2] = -s[..., None] * centroid
+    T[..., 2, 2] = 1.0
+    return T, coincide
+
+
+def _homographies(model_points: Mat, image_points: np.ndarray) -> tuple[Homography, ...]:
+    """The normalized DLT of one (P, 2) target against a (V, P, 2) stack of views.
+
+    The target is normalized and lifted once; the views' (V, 2P, 9) design
+    matrices share one stacked SVD, and the fit residuals are taken over the
+    stack. A view's residual is taken through H / ||H|| with H[2, 2] >= 0,
+    the matrix a Homography holds, and the Homography built from that scales
+    it once more, so both keep the bits of the per-view fits. Raises
+    _ViewError for the first view in view order without a unique homography.
+    """
+    mp, ip = model_points, image_points
+    if len(mp) < 4:
+        raise _ViewError(0, DegenerateConfiguration(f"need at least 4 points, got {len(mp)}"))
+    Tm, coincide = _isotropic_normalization(mp)
+    if coincide:
+        raise _ViewError(0, DegenerateConfiguration("all points coincide"))
+    Ti, coincide = _isotropic_normalization(ip)
+    lifted = _lift(mp)
+    mh = lifted @ Tm.T
+    ih = _lift(ip) @ Ti.transpose(0, 2, 1)
+    # Two DLT rows per correspondence: [0, -m, v m] and [m, 0, -u m].
+    L = np.zeros((len(ip), 2 * len(mp), 9))
+    L[:, 0::2, 3:6] = -mh
+    L[:, 0::2, 6:9] = ih[..., 1:2] * mh
+    L[:, 1::2, 0:3] = mh
+    L[:, 1::2, 6:9] = -ih[..., 0:1] * mh
+    # The thin SVD: the 2n x 2n left factor is never used.
+    _, s, Vt = np.linalg.svd(L, full_matrices=False)
+    # A unique solution needs rank 8: one vanishing direction, not two.
+    failed = coincide | (s[:, 7] < 1e-10 * s[:, 0])
+    if failed.any():
+        i = int(failed.argmax())
+        reason = "all points coincide" if coincide[i] else (
+            "correspondences underdetermine the homography (collinear points?)"
+        )
+        raise _ViewError(i, DegenerateConfiguration(reason))
+    H = np.linalg.inv(Ti) @ Vt[:, -1].reshape(-1, 3, 3) @ Tm
+    H = H / _norm(H.reshape(-1, 9))[:, None, None]
+    H = np.where(H[:, 2:, 2:] < 0, -H, H)
+    ph = lifted @ H.transpose(0, 2, 1)
+    err = np.max(np.linalg.norm(ph[..., :2] / ph[..., 2:3] - ip, axis=-1), axis=-1)
+    return tuple(Homography(matrix=h, residual=e) for h, e in zip(H, err.tolist()))
 
 
 def estimate_homography(model_points: Mat, image_points: Mat) -> Homography:
     """Normalized direct linear transform from >= 4 correspondences.
 
-    Raises DegenerateConfiguration when the correspondences do not determine
-    a unique homography (too few points, collinear or duplicated points).
+    Raises ValueError for a non-finite point and DegenerateConfiguration when
+    the correspondences do not determine a unique homography (too few points,
+    collinear or duplicated points).
     """
     mp = np.asarray(model_points, dtype=float)
     ip = np.asarray(image_points, dtype=float)
     if mp.shape != ip.shape or mp.ndim != 2 or mp.shape[1] != 2:
         raise ValueError("point sets must share shape (n, 2)")
-    if len(mp) < 4:
-        raise DegenerateConfiguration(f"need at least 4 points, got {len(mp)}")
-    Tm = _isotropic_normalization(mp)
-    Ti = _isotropic_normalization(ip)
-    mh = np.column_stack([mp, np.ones(len(mp))]) @ Tm.T
-    ih = np.column_stack([ip, np.ones(len(ip))]) @ Ti.T
-    # Two DLT rows per correspondence: [0, -m, v m] and [m, 0, -u m].
-    L = np.zeros((2 * len(mp), 9))
-    L[0::2, 3:6] = -mh
-    L[0::2, 6:9] = ih[:, 1:2] * mh
-    L[1::2, 0:3] = mh
-    L[1::2, 6:9] = -ih[:, 0:1] * mh
-    # The thin SVD: the 2n x 2n left factor is never used.
-    _, s, Vt = np.linalg.svd(L, full_matrices=False)
-    # A unique solution needs rank 8: one vanishing direction, not two.
-    if s[7] < 1e-10 * s[0]:
-        raise DegenerateConfiguration(
-            "correspondences underdetermine the homography (collinear points?)"
-        )
-    H = np.linalg.inv(Ti) @ Vt[-1].reshape(3, 3) @ Tm
-    fitted = Homography(matrix=H)
-    err = float(np.max(np.linalg.norm(apply_homography(fitted, mp) - ip, axis=1)))
-    return Homography(matrix=fitted.matrix, residual=err)
+    for name, pts in (("model_points", mp), ("image_points", ip)):
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{name} must be finite")
+    try:
+        return _homographies(mp, ip[None])[0]
+    except _ViewError as exc:
+        raise exc.args[1] from None
 
 
-def _conic_row(H: Mat, i: int, j: int) -> Vec:
-    hi, hj = H[:, i], H[:, j]
-    return np.array(
+def _conic_rows(H: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Every (3, 3) homography's constraint row h_i^T B h_j on the conic b, shape (V, 6)."""
+    hi, hj = H[..., i].T, H[..., j].T
+    return np.stack(
         [
             hi[0] * hj[0],
             hi[0] * hj[1] + hi[1] * hj[0],
@@ -252,7 +302,8 @@ def _conic_row(H: Mat, i: int, j: int) -> Vec:
             hi[2] * hj[0] + hi[0] * hj[2],
             hi[2] * hj[1] + hi[1] * hj[2],
             hi[2] * hj[2],
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -270,11 +321,10 @@ def estimate_intrinsics_linear(homographies) -> IntrinsicParams:
     Hs = [h.matrix for h in homographies]
     if len(Hs) < 3:
         raise SingularConfiguration(f"need at least 3 views, got {len(Hs)}")
-    V = []
-    for H in Hs:
-        V.append(_conic_row(H, 0, 1))
-        V.append(_conic_row(H, 0, 0) - _conic_row(H, 1, 1))
-    V = np.asarray(V)
+    Hs = np.stack(Hs)
+    V = np.empty((2 * len(Hs), 6))
+    V[0::2] = _conic_rows(Hs, 0, 1)
+    V[1::2] = _conic_rows(Hs, 0, 0) - _conic_rows(Hs, 1, 1)
     _, s, Vt = np.linalg.svd(V)
     if s[4] < RANK_EPS * s[0]:
         raise SingularConfiguration(
@@ -298,6 +348,47 @@ def estimate_intrinsics_linear(homographies) -> IntrinsicParams:
     return IntrinsicParams(alpha=alpha, beta=beta, gamma=gamma, u0=u0, v0=v0)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of (..., 3) stacks, each component formed as np.cross forms it."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _poses(A: IntrinsicParams, H: np.ndarray) -> tuple[Extrinsics, ...]:
+    """estimate_extrinsics over a (V, 3, 3) stack of homography matrices.
+
+    Raises _ViewError for the first view in view order that has no pose.
+    """
+    # h[v, i] is column i of A^-1 H_v, one matrix-vector product each.
+    h = (A.matrix_inv @ H.transpose(0, 2, 1)[..., None])[..., 0]
+    h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
+    n1, n2 = _norm(h1), _norm(h2)
+    degenerate = _norm(_cross(h1, h2)) <= 1e-12 * n1 * n2
+    scale = 1.0 / np.where(degenerate, 1.0, n1)[:, None]
+    r1, r2, t = scale * h1, scale * h2, scale * h3
+    behind = np.abs(t[:, 2]) < DEPTH_EPS
+    failed = degenerate | behind
+    if failed.any():
+        i = int(failed.argmax())
+        if degenerate[i]:
+            error = DegenerateConfiguration(f"no pose explains homography {H[i].tolist()}")
+        else:
+            error = BehindCamera("target plane passes through the camera center")
+        raise _ViewError(i, error)
+    flip = t[:, 2:] < 0
+    r1, r2, t = np.where(flip, -r1, r1), np.where(flip, -r2, r2), np.where(flip, -t, t)
+    Q = np.stack([r1, r2, _cross(r1, r2)], axis=-1)
+    U, _, Vt = np.linalg.svd(Q)
+    R = U @ Vt
+    reflected = np.linalg.det(R) < 0
+    if reflected.any():
+        R[reflected] = U[reflected] @ np.diag([1.0, 1.0, -1.0]) @ Vt[reflected]
+    return tuple(
+        Extrinsics(rotation=rotation_from_matrix(Rv), translation=tv) for Rv, tv in zip(R, t)
+    )
+
+
 def estimate_extrinsics(A: IntrinsicParams, H: Homography) -> Extrinsics:
     """Decompose A^-1 H into a rotation and translation.
 
@@ -310,23 +401,10 @@ def estimate_extrinsics(A: IntrinsicParams, H: Homography) -> Extrinsics:
     being parallel or zero (|h1 x h2| <= 1e-12 |h1| |h2|), and BehindCamera
     when the depth sign cannot be fixed (plane through the projection center).
     """
-    Ainv = A.matrix_inv
-    h1, h2, h3 = (Ainv @ H.matrix[:, i] for i in range(3))
-    n1, n2 = float(np.linalg.norm(h1)), float(np.linalg.norm(h2))
-    if np.linalg.norm(np.cross(h1, h2)) <= 1e-12 * n1 * n2:
-        raise DegenerateConfiguration(f"no pose explains homography {H.matrix.tolist()}")
-    scale = 1.0 / n1
-    r1, r2, t = scale * h1, scale * h2, scale * h3
-    if abs(t[2]) < DEPTH_EPS:
-        raise BehindCamera("target plane passes through the camera center")
-    if t[2] < 0:
-        r1, r2, t = -r1, -r2, -t
-    Q = np.column_stack([r1, r2, np.cross(r1, r2)])
-    U, _, Vt = np.linalg.svd(Q)
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return Extrinsics(rotation=rotation_from_matrix(R), translation=t)
+    try:
+        return _poses(A, H.matrix[None])[0]
+    except _ViewError as exc:
+        raise exc.args[1] from None
 
 
 # ---------------------------------------------------------------------------
@@ -540,42 +618,50 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     df = (dN - f * dD) / D
 
     # Column i's u and v derivatives go to J[:, i, 0] and J[:, i, 1], each
-    # (V, P), so that no product broadcasts along a trailing axis of 2.
+    # (V, P), so that no product broadcasts along a trailing axis of 2; every
+    # row is written in place.
     n_views, n_points = x.shape
     J = np.zeros((n_views, m + 6, 2, n_points))
     if m > arity:
-        xd = x * f
-        yd = y * f
-        J[:, 0, 0] = xd
-        J[:, 1, 0] = yd
+        np.multiply(x, f, out=J[:, 0, 0])
+        np.multiply(y, f, out=J[:, 1, 0])
         J[:, 2, 0] = 1.0
-        J[:, 3, 1] = yd
+        J[:, 3, 1] = J[:, 1, 0]
         J[:, 4, 1] = 1.0
     # (alpha x + gamma y, beta y), the pixel offset from (u0, v0) per unit f,
     # times df/dk: r^p / D along a term of N, -f r^p / D along a term of D.
-    ray = np.stack([alpha * x + gamma * y, beta * y], axis=1)
+    # The ray goes to the first coefficient row, which is scaled last.
+    first = m - arity
+    ray = J[:, first]
+    np.add(alpha * x, gamma * y, out=ray[:, 0])
+    np.multiply(beta, y, out=ray[:, 1])
     powers = (r, r2, r2 * r2, r, r2)
-    for i, slot in enumerate(_TERMS[model_id], start=m - arity):
+    for i, slot in reversed(list(enumerate(_TERMS[model_id], start=first))):
         d = powers[slot] / D if slot < _D1 else -f * powers[slot] / D
         np.multiply(ray, d[:, None], out=J[:, i])
 
     # d(x_d, y_d)/d(x, y), with unit (x, y) / r zero at r = 0.
     safe = r + (r == 0.0)
     ex, ey = x / safe, y / safe
-    dxx = f + df * x * ex
-    dxy = df * x * ey
+    dfx = df * x
+    dxx = f + dfx * ex
+    dxy = dfx * ey
     dyy = f + df * y * ey
     # The pixel derivatives along x and along y, divided by Z, are those along
     # X and Y of P^c, and -(x, y) weighs them into the one along Z; dP^c/dt = I.
-    inv_z = (1.0 / Pc[:, 2])[:, None]
+    inv_z = 1.0 / Pc[:, 2]
     g0, g1, g2 = J[:, m + 3], J[:, m + 4], J[:, m + 5]
-    np.multiply(np.stack([alpha * dxx + gamma * dxy, beta * dxy], axis=1), inv_z, out=g0)
-    np.multiply(np.stack([alpha * dxy + gamma * dyy, beta * dyy], axis=1), inv_z, out=g1)
+    np.multiply(alpha * dxx + gamma * dxy, inv_z, out=g0[:, 0])
+    np.multiply(beta * dxy, inv_z, out=g0[:, 1])
+    np.multiply(alpha * dxy + gamma * dyy, inv_z, out=g1[:, 0])
+    np.multiply(beta * dyy, inv_z, out=g1[:, 1])
     np.negative(x[:, None] * g0 + y[:, None] * g1, out=g2)
 
     # d/d(delta_j) of g . P^c is e_j . (R P x g).
     X, Y, Z = (Pc - pose[:, 3:, None])[:, :, None].transpose(1, 0, 2, 3)
-    J[:, m : m + 3] = np.stack([Y * g2 - Z * g1, Z * g0 - X * g2, X * g1 - Y * g0], axis=1)
+    np.subtract(Y * g2, Z * g1, out=J[:, m])
+    np.subtract(Z * g0, X * g2, out=J[:, m + 1])
+    np.subtract(X * g1, Y * g0, out=J[:, m + 2])
     return J
 
 
@@ -745,14 +831,19 @@ def _start(
     """A refinement start for model_id with k = 0 and its objective J0.
 
     One homography per view gives the poses under A, and without A, the
-    intrinsics come from the homographies first.
+    intrinsics come from the homographies first. The DLT and the pose
+    decomposition each run once over all views; a view without a homography
+    or a pose raises as the one-view call does, prefixed "view i, " for the
+    first such view i.
     """
-    homographies = [
-        estimate_homography(data.model_points, obs) for obs in data.observations
-    ]
-    if A is None:
-        A = estimate_intrinsics_linear(homographies)
-    extrinsics = tuple(estimate_extrinsics(A, H) for H in homographies)
+    try:
+        homographies = _homographies(data.model_points, np.stack(data.observations))
+        if A is None:
+            A = estimate_intrinsics_linear(homographies)
+        extrinsics = _poses(A, np.stack([H.matrix for H in homographies]))
+    except _ViewError as exc:
+        i, error = exc.args
+        raise type(error)(f"view {i}, {error}") from None
     model = DistortionModel(model_id, (0.0,) * coefficient_arity(model_id))
     J0 = compute_objective(A, extrinsics, model, data)
     return CalibrationResult(

@@ -62,14 +62,18 @@ def reference_sessions() -> tuple[str, ...]:
     return tuple(_SESSIONS)
 
 
-def reference_report(session: str) -> ModelFitReport:
-    """The frozen ten-model report for one bundled session."""
+def _rows(session: str) -> tuple[tuple, ...]:
+    """One bundled session's rows; ValueError naming the sessions if unknown."""
     try:
-        rows = _SESSIONS[session]
+        return _SESSIONS[session]
     except KeyError:
         raise ValueError(
             f"unknown session {session!r}; available: {', '.join(_SESSIONS)}"
         ) from None
+
+
+def reference_report(session: str) -> ModelFitReport:
+    """The frozen ten-model report for one bundled session."""
     return ModelFitReport(
         rows=tuple(
             ModelFitRow(
@@ -79,15 +83,14 @@ def reference_report(session: str) -> ModelFitReport:
                 coefficients=k,
                 intrinsics=IntrinsicParams.from_tuple(intr),
             )
-            for mid, obj, rank, k, intr in rows
+            for mid, obj, rank, k, intr in _rows(session)
         )
     )
 
 
 def reference_coefficients(session: str, model_id: int) -> tuple[float, ...]:
-    """Fitted coefficients of one model in one bundled session."""
-    report = reference_report(session)
-    for row in report.rows:
-        if row.model_id == model_id:
-            return row.coefficients
+    """Fitted coefficients of one model in one bundled session, read from its row."""
+    for mid, _, _, k, _ in _rows(session):
+        if mid == model_id:
+            return k
     raise UnknownModel(f"model {model_id!r} not in session {session!r}")

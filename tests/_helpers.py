@@ -224,3 +224,53 @@ def assert_jacobian_close(model_id, params, pts3, m, central=False, bound=1e-6):
     scale = np.abs(flat(want)).max(axis=1)
     bad = np.flatnonzero(err > bound * scale)
     assert not len(bad), (model_id, bad, err[bad] / np.maximum(scale[bad], 1e-300))
+
+
+def loop_homography(model_points, image_points):
+    """The one-view normalized DLT written out view by view, as a reference.
+
+    Each step is the library's arithmetic in its order, through np.linalg
+    on one view, so the stacked DLT must give the same bits. Returns (H,
+    residual); H is normalized twice, as the library's Homography holds it.
+    """
+    mp, ip = np.asarray(model_points, float), np.asarray(image_points, float)
+
+    def normalization(pts):
+        centroid = pts.mean(axis=0)
+        s = math.sqrt(2.0) / float(np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean())
+        return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+
+    def unit(H):
+        H = H / np.linalg.norm(H)
+        return -H if H[2, 2] < 0 else H
+
+    Tm, Ti = normalization(mp), normalization(ip)
+    mh = np.column_stack([mp, np.ones(len(mp))]) @ Tm.T
+    ih = np.column_stack([ip, np.ones(len(ip))]) @ Ti.T
+    L = np.zeros((2 * len(mp), 9))
+    L[0::2, 3:6] = -mh
+    L[0::2, 6:9] = ih[:, 1:2] * mh
+    L[1::2, 0:3] = mh
+    L[1::2, 6:9] = -ih[:, 0:1] * mh
+    H = unit(np.linalg.inv(Ti) @ np.linalg.svd(L, full_matrices=False)[2][-1].reshape(3, 3) @ Tm)
+    ph = np.column_stack([mp, np.ones(len(mp))]) @ H.T
+    return unit(H), float(np.max(np.linalg.norm(ph[:, :2] / ph[:, 2:3] - ip, axis=1)))
+
+
+def loop_extrinsics(A, H):
+    """The one-view decomposition of A^-1 H with np.cross and np.linalg, as a reference.
+
+    Returns (R, t) for a pose that exists; the stacked decomposition must
+    give the same bits.
+    """
+    Ainv = A.matrix_inv
+    h1, h2, h3 = (Ainv @ H[:, i] for i in range(3))
+    scale = 1.0 / float(np.linalg.norm(h1))
+    r1, r2, t = scale * h1, scale * h2, scale * h3
+    if t[2] < 0:
+        r1, r2, t = -r1, -r2, -t
+    U, _, Vt = np.linalg.svd(np.column_stack([r1, r2, np.cross(r1, r2)]))
+    R = U @ Vt
+    if np.linalg.det(R) < 0:
+        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+    return R, t

@@ -14,6 +14,8 @@ from _helpers import (
     camera_small,
     jacobian,
     jacobian_columns,
+    loop_extrinsics,
+    loop_homography,
     poses_five_close,
     poses_three,
     poses_upside_down,
@@ -131,6 +133,17 @@ class TestEstimateHomography:
         with pytest.raises(ValueError):
             rc.estimate_homography(rc.planar_grid(2, 2), rc.planar_grid(3, 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["model_points", "image_points"])
+    def test_non_finite_point(self, which, bad):
+        # Rejected before any arithmetic: no SVD failure and no RuntimeWarning.
+        grid = rc.planar_grid(3, 3, 1.0)
+        points = {"model_points": grid.copy(), "image_points": 100.0 * grid + 5.0}
+        points[which][4, 1] = bad
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+                rc.estimate_homography(**points)
+
 
 class TestIntrinsicsLinear:
     def test_recovers_camera(self):
@@ -218,6 +231,110 @@ class TestEstimateExtrinsics:
         A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
         with pytest.raises(rc.DegenerateConfiguration, match="no pose explains"):
             rc.estimate_extrinsics(A, rc.Homography(matrix=np.array(H, dtype=float)))
+
+
+class TestStackedLinearStage:
+    """The linear stage runs once over all views: one DLT, one pose decomposition."""
+
+    @staticmethod
+    def sets():
+        yield trend_dataset()[0]
+        for seed in (1, 2, 20240817):
+            yield wide_dataset(seed)[0]
+
+    def test_stacked_dlt_matches_one_view_calls(self):
+        for data in self.sets():
+            stacked = calib_mod._homographies(data.model_points, np.stack(data.observations))
+            assert len(stacked) == data.n_views
+            for H, obs in zip(stacked, data.observations):
+                one = rc.estimate_homography(data.model_points, obs)
+                assert H.matrix.tobytes() == one.matrix.tobytes()
+                assert H.residual.hex() == one.residual.hex()
+                matrix, residual = loop_homography(data.model_points, obs)
+                assert H.matrix.tobytes() == matrix.tobytes()
+                assert H.residual.hex() == residual.hex()
+
+    def test_stacked_extrinsics_match_one_view_calls(self):
+        for data in self.sets():
+            Hs = calib_mod._homographies(data.model_points, np.stack(data.observations))
+            A = rc.estimate_intrinsics_linear(Hs)
+            stacked = calib_mod._poses(A, np.stack([H.matrix for H in Hs]))
+            for pose, H in zip(stacked, Hs):
+                one = rc.estimate_extrinsics(A, H)
+                assert pose.rotation.tobytes() == one.rotation.tobytes()
+                assert pose.translation.tobytes() == one.translation.tobytes()
+                R, t = loop_extrinsics(A, H.matrix)
+                assert pose.rotation.tobytes() == rc.rotation_from_matrix(R).tobytes()
+                assert pose.translation.tobytes() == t.tobytes()
+
+    # Four image points on the line v = u / 2 + 30, and four at one place.
+    COLLINEAR = np.array([[10.0, 35.0], [60.0, 60.0], [90.0, 75.0], [200.0, 130.0]])
+    COINCIDENT = np.tile([120.0, 80.0], (4, 1))
+
+    @staticmethod
+    def with_views(replaced):
+        """A noise-free five-view set of a four-point target, some views replaced.
+
+        Four correspondences fix a homography only if no three image points
+        are collinear, so one collinear view fails the DLT on its own.
+        """
+        data, _ = synth_dataset(
+            model_id=1, k=(0.0,), camera=camera_small(), poses=poses_five_close(), grid=2
+        )
+        obs = list(data.observations)
+        for i, o in replaced.items():
+            obs[i] = o
+        return rc.CalibrationDataset(model_points=data.model_points, observations=tuple(obs))
+
+    def fits(self, data):
+        A = camera_small()
+        yield lambda: rc.linear_initialize(data, 3)
+        yield lambda: rc.calibrate(data, 3)
+        yield lambda: rc.fit_distortion(data, A, 3)
+        yield lambda: rc.compare_models(data, range(10))
+
+    def test_failing_view_is_named(self):
+        data = self.with_views({2: self.COLLINEAR})
+        for fit in self.fits(data):
+            with pytest.raises(
+                rc.DegenerateConfiguration,
+                match=r"^view 2, correspondences underdetermine the homography",
+            ):
+                fit()
+
+    def test_coincident_view_is_named(self):
+        data = self.with_views({3: self.COINCIDENT})
+        for fit in self.fits(data):
+            with pytest.raises(rc.DegenerateConfiguration, match=r"^view 3, all points coincide$"):
+                fit()
+
+    def test_first_failing_view_wins(self):
+        # View 1's coincident points fail before its SVD, view 0's collinear
+        # points after it; view 0 comes first, with its own reason.
+        data = self.with_views({0: self.COLLINEAR, 1: self.COINCIDENT})
+        for fit in self.fits(data):
+            with pytest.raises(
+                rc.DegenerateConfiguration,
+                match=r"^view 0, correspondences underdetermine the homography",
+            ):
+                fit()
+
+    def test_first_failing_pose_wins(self):
+        A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+        plane = pose_homography(
+            A, rc.Extrinsics(rotation=(0.2, -0.1, 0.05), translation=(0.3, 0.2, 0.0))
+        ).matrix
+        good = pose_homography(A, poses_three()[0]).matrix
+        parallel = np.array([[1.0, 0, 0], [1, 0, 0], [0, 0, 1]])
+        with np.errstate(all="raise"):
+            for stack, view, kind in [
+                ((good, plane, parallel), 1, rc.BehindCamera),
+                ((good, parallel, plane), 1, rc.DegenerateConfiguration),
+            ]:
+                with pytest.raises(calib_mod._ViewError) as info:
+                    calib_mod._poses(A, np.stack(stack))
+                assert info.value.args[0] == view
+                assert type(info.value.args[1]) is kind
 
 
 class TestObjective:

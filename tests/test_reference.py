@@ -63,3 +63,18 @@ def test_unknown_session():
 def test_unknown_model():
     with pytest.raises(rc.UnknownModel):
         rc.reference_coefficients("microsoft", 12)
+
+
+def test_coefficients_read_the_session_row(monkeypatch):
+    # The accessor reads _SESSIONS itself, without building the ten-row report.
+    import radialcal.reference as reference_mod
+
+    def no_report(**_):
+        raise AssertionError("reference_coefficients built a report")
+
+    monkeypatch.setattr(reference_mod, "ModelFitReport", no_report)
+    assert rc.reference_coefficients("desktop", 9) == (0.2768, -0.0252, 0.6778)
+    with pytest.raises(ValueError, match=r"^unknown session 'garage'; available: microsoft"):
+        rc.reference_coefficients("garage", 3)
+    with pytest.raises(rc.UnknownModel, match=r"model 12 not in session 'odis'"):
+        rc.reference_coefficients("odis", 12)
