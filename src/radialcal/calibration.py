@@ -28,6 +28,7 @@ from .core import (
     Mat,
     Vec,
     _compose_rotation,
+    _no_nan,
     rotation_from_matrix,
     rotation_to_matrix,
 )
@@ -200,12 +201,6 @@ def apply_homography(H: Homography, points: Mat) -> Mat:
     return ph[:, :2] / ph[:, 2:3]
 
 
-class _ViewError(Exception):
-    """Raised by the stacked linear stage with args (i, error): the first view
-    i in view order that fails, and its error. A one-view call re-raises the
-    error; _start prefixes it "view i, "."""
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     """The lengths (...) of (..., n) vectors, each the root of one dot product
     as np.linalg.norm takes it (a sum of squares may differ in the last bit)."""
@@ -234,15 +229,18 @@ def _homographies(model_points: Mat, image_points: np.ndarray) -> tuple[Homograp
     matrices share one stacked SVD, and the fit residuals are taken over the
     stack. A view's residual is taken through H / ||H|| with H[2, 2] >= 0,
     the matrix a Homography holds, and the Homography built from that scales
-    it once more, so both keep the bits of the per-view fits. Raises
-    _ViewError for the first view in view order without a unique homography.
+    it once more, so both keep the bits of the per-view fits.
+
+    Raises DegenerateConfiguration for a target of fewer than 4 points or of
+    coincident points, and else for the first view in view order without a
+    unique homography, that view's index set as error.view.
     """
     mp, ip = model_points, image_points
     if len(mp) < 4:
-        raise _ViewError(0, DegenerateConfiguration(f"need at least 4 points, got {len(mp)}"))
+        raise DegenerateConfiguration(f"need at least 4 points, got {len(mp)}")
     Tm, coincide = _isotropic_normalization(mp)
     if coincide:
-        raise _ViewError(0, DegenerateConfiguration("all points coincide"))
+        raise DegenerateConfiguration("model points all coincide")
     Ti, coincide = _isotropic_normalization(ip)
     lifted = _lift(mp)
     mh = lifted @ Tm.T
@@ -262,7 +260,9 @@ def _homographies(model_points: Mat, image_points: np.ndarray) -> tuple[Homograp
         reason = "all points coincide" if coincide[i] else (
             "correspondences underdetermine the homography (collinear points?)"
         )
-        raise _ViewError(i, DegenerateConfiguration(reason))
+        error = DegenerateConfiguration(reason)
+        error.view = i
+        raise error
     H = np.linalg.inv(Ti) @ Vt[:, -1].reshape(-1, 3, 3) @ Tm
     H = H / _norm(H.reshape(-1, 9))[:, None, None]
     H = np.where(H[:, 2:, 2:] < 0, -H, H)
@@ -285,10 +285,7 @@ def estimate_homography(model_points: Mat, image_points: Mat) -> Homography:
     for name, pts in (("model_points", mp), ("image_points", ip)):
         if not np.isfinite(pts).all():
             raise ValueError(f"{name} must be finite")
-    try:
-        return _homographies(mp, ip[None])[0]
-    except _ViewError as exc:
-        raise exc.args[1] from None
+    return _homographies(mp, ip[None])[0]
 
 
 def _conic_rows(H: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -358,7 +355,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _poses(A: IntrinsicParams, H: np.ndarray) -> tuple[Extrinsics, ...]:
     """estimate_extrinsics over a (V, 3, 3) stack of homography matrices.
 
-    Raises _ViewError for the first view in view order that has no pose.
+    Raises the one-view call's error for the first view in view order that
+    has no pose, that view's index set as error.view.
     """
     # h[v, i] is column i of A^-1 H_v, one matrix-vector product each.
     h = (A.matrix_inv @ H.transpose(0, 2, 1)[..., None])[..., 0]
@@ -375,7 +373,8 @@ def _poses(A: IntrinsicParams, H: np.ndarray) -> tuple[Extrinsics, ...]:
             error = DegenerateConfiguration(f"no pose explains homography {H[i].tolist()}")
         else:
             error = BehindCamera("target plane passes through the camera center")
-        raise _ViewError(i, error)
+        error.view = i
+        raise error
     flip = t[:, 2:] < 0
     r1, r2, t = np.where(flip, -r1, r1), np.where(flip, -r2, r2), np.where(flip, -t, t)
     Q = np.stack([r1, r2, _cross(r1, r2)], axis=-1)
@@ -401,10 +400,7 @@ def estimate_extrinsics(A: IntrinsicParams, H: Homography) -> Extrinsics:
     being parallel or zero (|h1 x h2| <= 1e-12 |h1| |h2|), and BehindCamera
     when the depth sign cannot be fixed (plane through the projection center).
     """
-    try:
-        return _poses(A, H.matrix[None])[0]
-    except _ViewError as exc:
-        raise exc.args[1] from None
+    return _poses(A, H.matrix[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +513,17 @@ def project_distorted(
 ) -> Mat:
     """Distorted forward projection of (n, 3) world points, in pixels.
 
-    Raises NonPositiveDepth naming the first point below DEPTH_EPS or, with
-    none, SingularProfile when a profile denominator vanishes.
+    Raises ValueError for world_points of another shape or naming the first
+    point with a nan coordinate, NonPositiveDepth naming the first point
+    below DEPTH_EPS or, with none, SingularProfile when a profile
+    denominator vanishes.
     """
+    pts3 = np.asarray(world_points, dtype=float)
+    if pts3.ndim != 2 or pts3.shape[1] != 3:
+        raise ValueError(f"world_points must be an (n, 3) array, got shape {pts3.shape}")
+    _no_nan(pts3)
     params = _pack(A, model, (ext,))
-    frame = _frame(model.model_id, params, np.asarray(world_points, dtype=float))
+    frame = _frame(model.model_id, params, pts3)
     _check(model.model_id, frame)
     return _project(params, frame)[0]
 
@@ -832,18 +834,19 @@ def _start(
 
     One homography per view gives the poses under A, and without A, the
     intrinsics come from the homographies first. The DLT and the pose
-    decomposition each run once over all views; a view without a homography
-    or a pose raises as the one-view call does, prefixed "view i, " for the
-    first such view i.
+    decomposition each run once over all views. An error they mark with a
+    view (error.view, the first failing view i) is raised again prefixed
+    "view i, "; a failure of the target or of the conic solve names no view.
     """
     try:
         homographies = _homographies(data.model_points, np.stack(data.observations))
         if A is None:
             A = estimate_intrinsics_linear(homographies)
         extrinsics = _poses(A, np.stack([H.matrix for H in homographies]))
-    except _ViewError as exc:
-        i, error = exc.args
-        raise type(error)(f"view {i}, {error}") from None
+    except RadialCalError as error:
+        if not hasattr(error, "view"):
+            raise
+        raise type(error)(f"view {error.view}, {error}") from None
     model = DistortionModel(model_id, (0.0,) * coefficient_arity(model_id))
     J0 = compute_objective(A, extrinsics, model, data)
     return CalibrationResult(

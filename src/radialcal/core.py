@@ -230,14 +230,25 @@ def world_to_camera(ext: Extrinsics, P: Vec) -> Vec:
     return P @ ext.matrix.T + ext.translation
 
 
+def _no_nan(P: np.ndarray) -> None:
+    """ValueError naming the first (in C order) of (..., 3) world points with a nan coordinate."""
+    nan = np.ravel(np.isnan(P).any(axis=-1))
+    if nan.any():
+        j = int(nan.argmax())
+        raise ValueError(f"world point {j} has a nan coordinate: {P.reshape(-1, 3)[j].tolist()}")
+
+
 def project_ideal(A: IntrinsicParams, ext: Extrinsics, P: Vec) -> Vec:
     """Distortion-free projection of world points to pixels.
 
     P^c = R P + t, then A applied to (X^c, Y^c) / Z^c, for a single world point
-    or an (..., 3) array. NonPositiveDepth names the first point (in C order)
-    below DEPTH_EPS as project_distorted does.
+    or an (..., 3) array. ValueError names the first point (in C order) with
+    a nan coordinate, and NonPositiveDepth the first below DEPTH_EPS, as
+    project_distorted does.
     """
+    P = np.asarray(P, dtype=float)
     Pc = world_to_camera(ext, P)
+    _no_nan(P)  # after world_to_camera, which rejects a P of another shape
     z = Pc[..., 2]
     low = np.ravel(z < DEPTH_EPS)
     if low.any():

@@ -29,6 +29,7 @@ need per model from the slots its coefficients fill (_TERMS, _slots).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,16 +52,24 @@ DENOM_EPS = 1e-12
 
 
 def coefficient_arity(model_id: int) -> int:
-    """Number of distortion coefficients the model takes."""
+    """Number of distortion coefficients the model takes.
+
+    A model id is an integer (operator.index): any other raises UnknownModel.
+    """
     try:
-        return len(_TERMS[model_id])
+        return len(_TERMS[operator.index(model_id)])
     except (KeyError, TypeError):
         raise UnknownModel(f"no distortion model with id {model_id!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
 class DistortionModel:
-    """A model id together with its coefficient vector."""
+    """A model id together with its coefficient vector.
+
+    model_id is stored as an int: an id that is not an integer (1.0, "1")
+    raises UnknownModel, as one outside 0..9 does; True is stored as 1 and
+    an np.int64 as its int.
+    """
 
     model_id: int
     coefficients: tuple[float, ...]
@@ -70,6 +79,7 @@ class DistortionModel:
 
     def __post_init__(self):
         arity = coefficient_arity(self.model_id)
+        object.__setattr__(self, "model_id", operator.index(self.model_id))
         coeffs = tuple(float(k) for k in self.coefficients)
         if len(coeffs) != arity:
             raise ValueError(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,14 @@ class TestEstimateHomography:
         with pytest.raises(rc.DegenerateConfiguration):
             rc.estimate_homography(pts, img)
 
+    def test_coincidence_names_its_side(self):
+        grid = rc.planar_grid(2, 3, 1.0)
+        same = np.tile([1.0, 2.0], (6, 1))
+        with pytest.raises(rc.DegenerateConfiguration, match=r"^model points all coincide$"):
+            rc.estimate_homography(same, grid)
+        with pytest.raises(rc.DegenerateConfiguration, match=r"^all points coincide$"):
+            rc.estimate_homography(grid, same)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             rc.estimate_homography(rc.planar_grid(2, 2), rc.planar_grid(3, 2))
@@ -184,6 +193,15 @@ class TestIntrinsicsLinear:
         H = pose_homography(A, poses_three()[0])
         with pytest.raises(rc.SingularConfiguration):
             rc.estimate_intrinsics_linear([H, H, H])
+
+    # Three random matrices give a conic that no camera explains: at seed 0
+    # B11 B22 - B12^2 is negative, at seed 1 the scale lambda is.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_indefinite_conic_rejected(self, seed):
+        rng = np.random.default_rng(seed)
+        Hs = [rc.Homography(rng.normal(size=(3, 3))) for _ in range(3)]
+        with pytest.raises(rc.SingularConfiguration, match="^recovered conic is not positive"):
+            rc.estimate_intrinsics_linear(Hs)
 
 
 class TestEstimateExtrinsics:
@@ -319,6 +337,28 @@ class TestStackedLinearStage:
             ):
                 fit()
 
+    @pytest.mark.parametrize(
+        "target, reason",
+        [
+            (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), r"^need at least 4 points, got 3$"),
+            (np.tile([0.5, -0.5], (4, 1)), r"^model points all coincide$"),
+        ],
+        ids=["too-few", "coincident"],
+    )
+    def test_target_failure_names_no_view(self, target, reason):
+        views = self.with_views({}).observations
+        data = rc.CalibrationDataset(
+            model_points=target, observations=tuple(o[: len(target)] for o in views)
+        )
+        for fit in self.fits(data):
+            with pytest.raises(rc.DegenerateConfiguration, match=reason):
+                fit()
+
+    def test_one_view_call_raises_the_bare_error(self):
+        with pytest.raises(rc.DegenerateConfiguration, match=r"^correspondences") as info:
+            rc.estimate_homography(self.with_views({}).model_points, self.COLLINEAR)
+        assert info.value.view == 0
+
     def test_first_failing_pose_wins(self):
         A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
         plane = pose_homography(
@@ -331,10 +371,10 @@ class TestStackedLinearStage:
                 ((good, plane, parallel), 1, rc.BehindCamera),
                 ((good, parallel, plane), 1, rc.DegenerateConfiguration),
             ]:
-                with pytest.raises(calib_mod._ViewError) as info:
+                with pytest.raises(kind) as info:
                     calib_mod._poses(A, np.stack(stack))
-                assert info.value.args[0] == view
-                assert type(info.value.args[1]) is kind
+                assert info.value.view == view
+                assert type(info.value) is kind
 
 
 class TestObjective:
@@ -444,6 +484,24 @@ class TestProjectDistorted:
         with pytest.raises(rc.NonPositiveDepth, match=r"point 1"):
             rc.project_distorted(A, ext, model, world)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (3,), (2, 3, 3)])
+    def test_world_points_must_be_n_by_3(self, shape):
+        ext = rc.Extrinsics(rotation=(0.0, 0.0, 0.0), translation=(0.0, 0.0, 5.0))
+        model = rc.DistortionModel(model_id=1, coefficients=(-0.1,))
+        want = rf"^world_points must be an \(n, 3\) array, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=want):
+            rc.project_distorted(camera_830(), ext, model, np.zeros(shape))
+
+    @pytest.mark.parametrize("model_id", [0, 1, 4, 9])
+    def test_nan_point_is_named(self, model_id):
+        # Model 0 has no denominator: a nan point is not a SingularProfile.
+        ext = rc.Extrinsics(rotation=(0.0, 0.0, 0.0), translation=(0.0, 0.0, 5.0))
+        model = rc.DistortionModel(model_id, (0.01,) * rc.coefficient_arity(model_id))
+        world = np.zeros((3, 3))
+        world[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^world point 1 has a nan coordinate"):
+            rc.project_distorted(camera_830(), ext, model, world)
+
     # A pose is finite, so Z^c = -inf comes from a world point at Z = -inf.
     # That pose tilts, so that no entry of R's third column is 0 (0 * inf is nan).
     @pytest.mark.parametrize(
@@ -532,6 +590,21 @@ class TestRefine:
         assert not res.converged
         assert res.evaluations <= 30
         assert res.objective <= res.objective_trace[0]
+
+    def test_evaluation_cap_between_iterations(self, trend):
+        # One iteration of model 3 takes n evaluations; a cap of n stops the
+        # fit before the second, at the point the one-iteration fit returns.
+        one = rc.calibrate(trend[0], 3, rc.OptimizerOptions(max_iterations=1))
+        n = one.evaluations
+        capped = rc.calibrate(trend[0], 3, rc.OptimizerOptions(max_function_evaluations=n))
+        assert capped.status == "max_function_evaluations"
+        assert (capped.iterations, capped.evaluations) == (1, n)
+        assert capped.objective_trace == one.objective_trace
+        assert capped.intrinsics == one.intrinsics
+        assert capped.model == one.model
+        for a, b in zip(capped.extrinsics, one.extrinsics):
+            assert a.rotation.tobytes() == b.rotation.tobytes()
+            assert a.translation.tobytes() == b.translation.tobytes()
 
     def test_freeze_intrinsics(self, exact3):
         data, spec = exact3

@@ -395,6 +395,14 @@ class TestExitCodes:
         assert res.returncode == 2
         assert len(res.stderr) < 300
 
+    def test_one_point_target_names_no_view(self, tmp_path):
+        out = tmp_path / "one-point"
+        res = run_cli("synth", "--out", str(out), "--model", "1", "--views", "3", "--grid", "1")
+        assert res.returncode == 0, res.stderr
+        res = run_cli("calibrate", "--data", str(out), "--model", "1")
+        assert res.returncode == 1
+        assert res.stderr == "error: need at least 4 points, got 1\n"
+
     def test_missing_required_argument(self):
         assert run_cli("calibrate", "--model", "1").returncode == 2
 

@@ -157,6 +157,14 @@ class TestRotation:
         ext = rc.Extrinsics(rotation=w, translation=np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(ext.matrix, rc.rotation_to_matrix(w))
 
+    def test_identity_gives_zero_vector(self):
+        w = rc.rotation_from_matrix(np.eye(3))
+        assert w.tolist() == [0.0, 0.0, 0.0]
+
+    def test_extrinsics_reject_wrong_length(self):
+        with pytest.raises(ValueError, match="must be 3-vectors"):
+            rc.Extrinsics(rotation=[0.1, -0.2], translation=[0.0, 0.0, 5.0])
+
     def test_extrinsics_reject_nonfinite_entries(self):
         # Z^c = inf would put every point at the principal point, silently.
         for field in ("rotation", "translation"):
@@ -269,6 +277,14 @@ class TestProjection:
             with pytest.raises(rc.NonPositiveDepth) as exc:
                 rc.project_ideal(A, ext, np.array(P))
             assert str(exc.value) == "point 0: Z^c = -1.0"
+
+    def test_nan_point_is_named(self):
+        # Without the check a nan point projects to nan pixels silently.
+        A = rc.IntrinsicParams(alpha=1.0, gamma=0.0, u0=0.0, beta=1.0, v0=0.0)
+        ext = rc.Extrinsics(rotation=np.zeros(3), translation=np.zeros(3))
+        for P, j in (([0.0, np.nan, 1.0], 0), ([[0.0, 0.0, 1.0], [0.0, 0.0, np.nan]], 1)):
+            with pytest.raises(ValueError, match=rf"^world point {j} has a nan coordinate"):
+                rc.project_ideal(A, ext, np.array(P))
 
     def test_world_to_camera_is_rigid_motion(self):
         rng = np.random.default_rng(23)

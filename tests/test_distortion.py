@@ -84,6 +84,17 @@ class TestProfile:
             with pytest.raises(rc.UnknownModel):
                 rc.coefficient_arity(bad)
 
+    def test_model_id_is_an_integer(self):
+        # 1.0 would hash as 1 and be written to a report row as "1.0".
+        for bad in (1.0, 2.5, "1"):
+            with pytest.raises(rc.UnknownModel):
+                rc.coefficient_arity(bad)
+            with pytest.raises(rc.UnknownModel):
+                rc.DistortionModel(model_id=bad, coefficients=(0.1,))
+        for given, stored in ((True, 1), (np.int64(3), 3)):
+            model = rc.DistortionModel(given, (0.1,) * rc.coefficient_arity(given))
+            assert type(model.model_id) is int and model.model_id == stored
+
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             rc.DistortionModel(model_id=3, coefficients=(0.1,))

@@ -127,6 +127,13 @@ class TestPolyReal:
         roots = rc.solve_poly_real((-3.0, 2.0))
         assert len(roots) == 1 and abs(roots[0] - 1.5) < 1e-14
 
+    def test_quadratic_without_real_roots(self):
+        assert rc.solve_poly_real((1.0, 0.0, 1.0)) == []
+
+    def test_double_root(self):
+        # (x - 1)^2 has a zero slope at its root: the Newton polish keeps x.
+        assert rc.solve_poly_real((1.0, -2.0, 1.0)) == [1.0, 1.0]
+
     def test_constructed_cubic(self):
         want = [0.1, 0.2, -0.3]
         coeffs = tuple(np.poly(want)[::-1])
