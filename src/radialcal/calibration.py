@@ -17,6 +17,7 @@ ranking models by final J.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,11 +29,21 @@ from .core import (
     Mat,
     Vec,
     _compose_rotation,
+    _count,
     _no_nan,
     rotation_from_matrix,
     rotation_to_matrix,
 )
-from .distortion import _D1, _TERMS, DistortionModel, _checked, _profile, _slots, coefficient_arity
+from .distortion import (
+    _D1,
+    _TERMS,
+    DistortionModel,
+    _checked,
+    _profile,
+    _rational,
+    _slots,
+    coefficient_arity,
+)
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -124,7 +135,8 @@ class OptimizerOptions:
     two consecutive accepted steps. max_function_evaluations counts residual
     evaluations: the start, each Jacobian and each trial step count one each.
     An infinite tolerance, which would stop a fit at once as converged, raises
-    ValueError as nan does. The CLI reads its optimizer defaults from here.
+    ValueError as nan does, and so does a count that is not an integer
+    (operator.index). The CLI reads its optimizer defaults from here.
     """
 
     step_tolerance: float = 1e-5
@@ -139,10 +151,13 @@ class OptimizerOptions:
             "max_iterations",
             "max_function_evaluations",
         ):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
-            if name.endswith("tolerance") and not math.isfinite(getattr(self, name)):
+            if name.endswith("tolerance") and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        for name in ("max_iterations", "max_function_evaluations"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,24 +360,18 @@ def estimate_intrinsics_linear(homographies) -> IntrinsicParams:
     return IntrinsicParams(alpha=alpha, beta=beta, gamma=gamma, u0=u0, v0=v0)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of (..., 3) stacks, each component formed as np.cross forms it."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def _poses(A: IntrinsicParams, H: np.ndarray) -> tuple[Extrinsics, ...]:
     """estimate_extrinsics over a (V, 3, 3) stack of homography matrices.
 
-    Raises the one-view call's error for the first view in view order that
-    has no pose, that view's index set as error.view.
+    Each cross product is one np.cross over the stack. Raises the one-view
+    call's error for the first view in view order that has no pose, that
+    view's index set as error.view.
     """
     # h[v, i] is column i of A^-1 H_v, one matrix-vector product each.
     h = (A.matrix_inv @ H.transpose(0, 2, 1)[..., None])[..., 0]
     h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
     n1, n2 = _norm(h1), _norm(h2)
-    degenerate = _norm(_cross(h1, h2)) <= 1e-12 * n1 * n2
+    degenerate = _norm(np.cross(h1, h2)) <= 1e-12 * n1 * n2
     scale = 1.0 / np.where(degenerate, 1.0, n1)[:, None]
     r1, r2, t = scale * h1, scale * h2, scale * h3
     behind = np.abs(t[:, 2]) < DEPTH_EPS
@@ -377,7 +386,7 @@ def _poses(A: IntrinsicParams, H: np.ndarray) -> tuple[Extrinsics, ...]:
         raise error
     flip = t[:, 2:] < 0
     r1, r2, t = np.where(flip, -r1, r1), np.where(flip, -r2, r2), np.where(flip, -t, t)
-    Q = np.stack([r1, r2, _cross(r1, r2)], axis=-1)
+    Q = np.stack([r1, r2, np.cross(r1, r2)], axis=-1)
     U, _, Vt = np.linalg.svd(Q)
     R = U @ Vt
     reflected = np.linalg.det(R) < 0
@@ -434,13 +443,16 @@ def _unpack(theta: np.ndarray, model_id: int, n_views: int):
 
 
 def _frame(model_id: int, params: np.ndarray, pts3: Mat):
-    """One packed row's forward pass over pts3 (P, 3): P^c (V, 3, P), then x, y, r, f (V, P).
+    """One packed row's forward pass over pts3 (P, 3): P^c (V, 3, P), then x,
+    y, r, f (V, P) and the pixels (V, P, 2).
 
     P^c = R P + t, column j of R times coordinate j (a planar target skips
-    the third), (x, y) = (X, Y) / Z, r = hypot(x, y), and f(r) from the row's
-    slots, nan below DEPTH_EPS (as are x, y and r) or at a vanishing profile
-    denominator. refine hands an accepted trial's frame on to _jacobian.
+    the third), (x, y) = (X, Y) / Z, r = hypot(x, y), f(r) from the row's
+    slots and the pixel A f (x, y): all nan below DEPTH_EPS, and f and the
+    pixel at a vanishing profile denominator. refine hands an accepted
+    trial's frame on to _jacobian.
     """
+    alpha, gamma, u0, beta, v0 = params[:5]
     k = params[5 : 5 + coefficient_arity(model_id)]
     pose = params[5 + len(k) :].reshape(-1, 6)
     R = rotation_to_matrix(pose[:, :3])
@@ -454,25 +466,16 @@ def _frame(model_id: int, params: np.ndarray, pts3: Mat):
     x = Pc[:, 0] / z
     y = Pc[:, 1] / z
     r = np.hypot(x, y)
-    return Pc, x, y, r, _profile(_slots(model_id, k), r)
-
-
-def _project(params: np.ndarray, frame):
-    """Pixels (V, P, 2) of one packed row over its _frame: A applied to f (x, y).
-
-    A point with a nan f has nan pixels; the other points keep theirs.
-    """
-    alpha, gamma, u0, beta, v0 = params[:5]
-    _, x, y, _, f = frame
+    f = _profile(_slots(model_id, k), r)
     xd = x * f
     yd = y * f
-    return np.stack([alpha * xd + gamma * yd + u0, beta * yd + v0], axis=-1)
+    return Pc, x, y, r, f, np.stack([alpha * xd + gamma * yd + u0, beta * yd + v0], axis=-1)
 
 
 def _check(model_id: int, frame) -> None:
     """NonPositiveDepth for a frame's first point below DEPTH_EPS, else
     SingularProfile for its first nan f; points are taken in view order."""
-    Pc, _, _, r, f = frame
+    Pc, _, _, r, f, _ = frame
     low = Pc[:, 2] < DEPTH_EPS
     if low.any():
         v, j = np.argwhere(low)[0]
@@ -484,13 +487,13 @@ def _residuals(params: np.ndarray, frame, observations) -> np.ndarray:
     """The residual kernel: predicted minus observed pixels, shape (V, P, 2).
 
     params is one packed row, frame its _frame and observations the (V, P,
-    2) stack of pixel observations. A point that _project leaves without a
-    pixel has nan residuals, and so has every point when the focal scale
-    alpha or beta is <= 0.
+    2) stack of pixel observations. A point whose pixel the frame holds as
+    nan has nan residuals, and so has every point when the focal scale alpha
+    or beta is <= 0.
     """
     if params[0] <= 0.0 or params[3] <= 0.0:
         return np.full(observations.shape, np.nan)
-    return _project(params, frame) - observations
+    return frame[5] - observations
 
 
 def _objective(r: np.ndarray) -> float:
@@ -522,10 +525,9 @@ def project_distorted(
     if pts3.ndim != 2 or pts3.shape[1] != 3:
         raise ValueError(f"world_points must be an (n, 3) array, got shape {pts3.shape}")
     _no_nan(pts3)
-    params = _pack(A, model, (ext,))
-    frame = _frame(model.model_id, params, pts3)
+    frame = _frame(model.model_id, _pack(A, model, (ext,)), pts3)
     _check(model.model_id, frame)
-    return _project(params, frame)[0]
+    return frame[5][0]
 
 
 def _views(A: IntrinsicParams, extrinsics, model: DistortionModel, pts3: Mat) -> np.ndarray:
@@ -534,8 +536,7 @@ def _views(A: IntrinsicParams, extrinsics, model: DistortionModel, pts3: Mat) ->
     The first view i with a point without a pixel raises as project_distorted
     does, prefixed "view i, ".
     """
-    params = _pack(A, model, extrinsics)
-    frame = _frame(model.model_id, params, pts3)
+    frame = _frame(model.model_id, _pack(A, model, extrinsics), pts3)
     bad = np.isnan(frame[4]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -543,7 +544,7 @@ def _views(A: IntrinsicParams, extrinsics, model: DistortionModel, pts3: Mat) ->
             _check(model.model_id, tuple(a[i : i + 1] for a in frame))
         except RadialCalError as exc:
             raise type(exc)(f"view {i}, {exc}") from None
-    return _project(params, frame)
+    return frame[5]
 
 
 def compute_objective(
@@ -586,8 +587,9 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     pose coordinate i - m (rotation, then translation), which no other view
     depends on.
 
-    With f = N / D, (x_d, y_d) = f (x, y) and (u, v) = (alpha x_d + gamma
-    y_d + u0, beta y_d + v0), the chain runs:
+    With f = N / D from distortion._rational (0 in an absent slot), (x_d,
+    y_d) = f (x, y) and (u, v) = (alpha x_d + gamma y_d + u0, beta y_d +
+    v0), the chain runs:
 
     * intrinsics: d(u, v)/d(alpha, gamma, u0, beta, v0) is (x_d, 0),
       (y_d, 0), (1, 0), (0, y_d), (0, 1);
@@ -601,22 +603,20 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
       = 0 is e_j x R P.
 
     At an accepted theta every depth is at least DEPTH_EPS and every |D| at
-    least DENOM_EPS, so every entry is finite.
+    least DENOM_EPS, so r and every entry are finite, and an absent slot's
+    0 term changes no bit.
     """
     arity = coefficient_arity(model_id)
     alpha, gamma, u0, beta, v0 = params[:5]
     pose = params[5 + arity :].reshape(-1, 6)
-    Pc, x, y, r, f = frame
+    Pc, x, y, r, f, _ = frame
 
-    # D and the slopes N' and D' in r from the model's slots; D = 1 + d1 r +
-    # d2 r^2 has N's form, so _profile sums it term by term as it does in f.
-    slots = _slots(model_id, params[5 : 5 + arity])
-    n1, n2, n4, d1, d2 = slots
-    D = _profile(slots[3:] + (None, None, None), r)
+    # D and the slopes N' and D' in r.
+    (_, n1, n2, _, n4), (_, d1, d2) = _rational(_slots(model_id, params[5 : 5 + arity]))
     r2 = r * r
-    dN = (0.0 if n1 is None else n1) + (0.0 if n2 is None else 2.0 * n2 * r)
-    dN = dN + (0.0 if n4 is None else 4.0 * n4 * (r2 * r))
-    dD = (0.0 if d1 is None else d1) + (0.0 if d2 is None else 2.0 * d2 * r)
+    D = 1.0 + d1 * r + d2 * r2
+    dN = n1 + 2.0 * n2 * r + 4.0 * n4 * (r2 * r)
+    dD = d1 + 2.0 * d2 * r
     df = (dN - f * dD) / D
 
     # Column i's u and v derivatives go to J[:, i, 0] and J[:, i, 1], each
@@ -911,9 +911,13 @@ def compare_models(
     from the identical intrinsics/extrinsics with its coefficients at zero,
     where every profile is exactly 1, so J0 is every row's initial objective.
     A model whose refinement fails is recorded with converged=False instead
-    of aborting the report. An empty model_ids raises ValueError.
+    of aborting the report. An empty model_ids raises ValueError, and an id
+    that is not an integer in 0..9 UnknownModel, as in calibrate.
     """
-    model_ids = sorted(set(int(m) for m in model_ids))
+    model_ids = list(model_ids)
+    for m in model_ids:
+        coefficient_arity(m)  # UnknownModel unless m is an integer in 0..9
+    model_ids = sorted(set(map(operator.index, model_ids)))
     if not model_ids:
         raise ValueError("compare_models needs at least one model id")
     base = linear_initialize(data, model_ids[0])

@@ -13,6 +13,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TypeAlias
 
@@ -225,9 +226,22 @@ def _denormalize_pair(A: IntrinsicParams, x, y):
 
 
 def world_to_camera(ext: Extrinsics, P: Vec) -> Vec:
-    """Apply P^c = R P^w + t. Accepts (..., 3) arrays."""
+    """Apply P^c = R P^w + t. Accepts a single point or an (..., 3) array; any
+    other shape raises ValueError."""
     P = np.asarray(P, dtype=float)
+    if P.ndim == 0 or P.shape[-1] != 3:
+        raise ValueError(
+            f"world_points must be a point or an (..., 3) array, got shape {P.shape}"
+        )
     return P @ ext.matrix.T + ext.translation
+
+
+def _count(name: str, value) -> int:
+    """value as an int (operator.index), or ValueError naming the field name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _no_nan(P: np.ndarray) -> None:
@@ -242,8 +256,9 @@ def project_ideal(A: IntrinsicParams, ext: Extrinsics, P: Vec) -> Vec:
     """Distortion-free projection of world points to pixels.
 
     P^c = R P + t, then A applied to (X^c, Y^c) / Z^c, for a single world point
-    or an (..., 3) array. ValueError names the first point (in C order) with
-    a nan coordinate, and NonPositiveDepth the first below DEPTH_EPS, as
+    or an (..., 3) array; world_to_camera raises ValueError for any other
+    shape. ValueError names the first point (in C order) with a nan
+    coordinate, and NonPositiveDepth the first below DEPTH_EPS, as
     project_distorted does.
     """
     P = np.asarray(P, dtype=float)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationDataset, ModelFitReport, _views
-from .core import Extrinsics, IntrinsicParams, Mat
+from .core import Extrinsics, IntrinsicParams, Mat, _count
 from .distortion import DistortionModel
 from .errors import CountMismatch, ParseError
 
@@ -159,7 +159,11 @@ def write_intrinsics(path, A: IntrinsicParams) -> None:
 
 
 def planar_grid(rows: int = 8, cols: int = 8, spacing: float = 1.0) -> Mat:
-    """Centered rows x cols target grid in world units, shape (rows*cols, 2)."""
+    """Centered rows x cols target grid in world units, shape (rows*cols, 2).
+
+    rows and cols are integers (operator.index); any other raises ValueError.
+    """
+    rows, cols = _count("rows", rows), _count("cols", cols)
     if rows < 1 or cols < 1 or not 0 < spacing < math.inf:
         raise ValueError("grid needs positive dimensions and a finite positive spacing")
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
@@ -170,7 +174,11 @@ def planar_grid(rows: int = 8, cols: int = 8, spacing: float = 1.0) -> Mat:
 
 @dataclass(frozen=True, slots=True)
 class SynthSpec:
-    """Everything that determines a synthetic dataset, including the seed."""
+    """Everything that determines a synthetic dataset, including the seed.
+
+    seed is a non-negative integer (operator.index), as numpy's generators
+    take it; any other raises ValueError.
+    """
 
     intrinsics: IntrinsicParams
     extrinsics: tuple[Extrinsics, ...]
@@ -185,6 +193,9 @@ class SynthSpec:
             raise ValueError("need at least one view")
         if not (self.sigma >= 0) or not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite and >= 0")
+        object.__setattr__(self, "seed", _count("seed", self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model_points is not None:
             pts = np.asarray(self.model_points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2:

@@ -1052,8 +1052,8 @@ class TestObjectiveKernel:
         assert np.isfinite(np.delete(r[2], j, axis=0)).all()
         assert calib_mod._objective(r) == math.inf
 
-        u, v = np.moveaxis(calib_mod._project(behind, calib_mod._frame(5, behind, pts3)), -1, 0)
-        u0, v0 = np.moveaxis(calib_mod._project(valid, calib_mod._frame(5, valid, pts3)), -1, 0)
+        u, v = np.moveaxis(calib_mod._frame(5, behind, pts3)[5], -1, 0)
+        u0, v0 = np.moveaxis(calib_mod._frame(5, valid, pts3)[5], -1, 0)
         assert np.array_equal(u[others], u0[others])
         assert np.array_equal(v[others], v0[others])
         assert not np.isfinite(u[2, j]) and not np.isfinite(v[2, j])
@@ -1197,6 +1197,16 @@ class TestCompareModels:
         report = rc.compare_models(data, [3, 0, 3], self.CHEAP)
         assert [r.model_id for r in report.rows] == [0, 3]
 
+    def test_model_ids_are_integers(self, noisy3):
+        # As in calibrate: int() would fit 2.5 as model 2 and "3" as model 3.
+        data, _ = noisy3
+        for bad in (2.5, "3"):
+            with pytest.raises(rc.UnknownModel, match="no distortion model with id"):
+                rc.compare_models(data, [0, bad], self.CHEAP)
+        report = rc.compare_models(data, [np.int64(3), 3], self.CHEAP)
+        assert [r.model_id for r in report.rows] == [3]
+        assert type(report.rows[0].model_id) is int
+
 
 class TestNestedModels:
     """A richer model started from a nested simpler optimum never does worse."""
@@ -1266,6 +1276,15 @@ class TestTypes:
         ]:
             with pytest.raises(ValueError, match="must be positive"):
                 rc.OptimizerOptions(**bad)
+
+    @pytest.mark.parametrize("name", ["max_iterations", "max_function_evaluations"])
+    def test_counts_are_integers(self, name):
+        # 2.5 iterations would run 2, and 3.5 evaluations allow 4.
+        for bad in (2.5, 3.5, 4.0):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                rc.OptimizerOptions(**{name: bad})
+        opts = rc.OptimizerOptions(**{name: np.int64(3)})
+        assert getattr(opts, name) == 3 and type(getattr(opts, name)) is int
 
     @pytest.mark.parametrize("name", ["step_tolerance", "objective_tolerance"])
     def test_infinite_tolerance_rejected(self, name):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ class TestProjection:
         for P, j in (([0.0, np.nan, 1.0], 0), ([[0.0, 0.0, 1.0], [0.0, 0.0, np.nan]], 1)):
             with pytest.raises(ValueError, match=rf"^world point {j} has a nan coordinate"):
                 rc.project_ideal(A, ext, np.array(P))
+
+    def test_world_points_of_another_shape_are_named(self):
+        # Without the check numpy's matmul raises about its core dimension.
+        A = rc.IntrinsicParams(alpha=1.0, gamma=0.0, u0=0.0, beta=1.0, v0=0.0)
+        ext = rc.Extrinsics(rotation=np.zeros(3), translation=np.array([0.0, 0.0, 5.0]))
+        for P in (np.zeros((4, 2)), np.zeros((4, 4)), 1.0):
+            wording = f"world_points must be a point or an (..., 3) array, got shape {np.shape(P)}"
+            message = f"^{re.escape(wording)}$"
+            with pytest.raises(ValueError, match=message):
+                rc.world_to_camera(ext, P)
+            with pytest.raises(ValueError, match=message):
+                rc.project_ideal(A, ext, P)
 
     def test_world_to_camera_is_rigid_motion(self):
         rng = np.random.default_rng(23)

@@ -345,6 +345,13 @@ class TestPlanarGrid:
             with pytest.raises(ValueError):
                 rc.planar_grid(4, 4, spacing)
 
+    def test_counts_are_integers(self):
+        # 2.5 rows would give 3 rows off centre (y = -0.75, 0.25, 1.25).
+        for args, name in (((2.5, 2), "rows"), ((2, 3.0), "cols"), (("2", 2), "rows")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                rc.planar_grid(*args)
+        assert np.array_equal(rc.planar_grid(np.int64(2), 3), rc.planar_grid(2, 3))
+
 
 class TestSynthetic:
     def test_noise_free_truth_has_zero_objective(self):
@@ -435,6 +442,20 @@ class TestSynthetic:
                 model=model,
                 model_points=np.zeros((4, 3)),
             )
+
+    def test_seed_is_a_non_negative_integer(self):
+        # With sigma 0 no generator is drawn from, so nothing else would see
+        # the seed before truth.json records it.
+        spec = dict(intrinsics=camera_830(), extrinsics=poses_three(),
+                    model=rc.DistortionModel(model_id=1, coefficients=(0.0,)))
+        for sigma in (0.0, 0.5):
+            for seed, message in ((-1, "^seed must be >= 0, got -1$"),
+                                  (1.5, "^seed must be an integer, got 1.5$"),
+                                  ("3", "^seed must be an integer, got '3'$")):
+                with pytest.raises(ValueError, match=message):
+                    rc.SynthSpec(**spec, sigma=sigma, seed=seed)
+        resolved = rc.SynthSpec(**spec, seed=np.int64(7))
+        assert resolved.seed == 7 and type(resolved.seed) is int
 
     def test_truth_record_is_json_ready(self):
         _, spec = synth_dataset(sigma=0.5, seed=9)
