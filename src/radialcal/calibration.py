@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .core import (
     Vec,
     _compose_rotation,
     _count,
+    _finite_points,
     _no_nan,
+    _real,
     rotation_from_matrix,
     rotation_to_matrix,
 )
@@ -70,11 +72,9 @@ class CalibrationDataset:
     observations: tuple[Mat, ...]
 
     def __post_init__(self):
-        pts = np.asarray(self.model_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        pts = _finite_points("model_points", self.model_points)
+        if not len(pts):
             raise ValueError("model_points must be an (n, 2) array")
-        if not np.isfinite(pts).all():
-            raise ValueError("model_points must be finite")
         obs = tuple(np.asarray(o, dtype=float) for o in self.observations)
         if not obs:
             raise ValueError("dataset needs at least one view")
@@ -83,8 +83,7 @@ class CalibrationDataset:
                 raise ValueError(
                     f"view {i} has shape {o.shape}, expected {pts.shape}"
                 )
-            if not np.isfinite(o).all():
-                raise ValueError(f"view {i} observations must be finite")
+            _finite_points(f"view {i} observations", o)
         object.__setattr__(self, "model_points", pts)
         object.__setattr__(self, "observations", obs)
 
@@ -134,9 +133,10 @@ class OptimizerOptions:
     axis-angle entry, and objective_tolerance the relative fall of J over
     two consecutive accepted steps. max_function_evaluations counts residual
     evaluations: the start, each Jacobian and each trial step count one each.
-    An infinite tolerance, which would stop a fit at once as converged, raises
-    ValueError as nan does, and so does a count that is not an integer
-    (operator.index). The CLI reads its optimizer defaults from here.
+    A field that is nan or not a real number (numbers.Real), an infinite
+    tolerance, which would stop a fit at once as converged, and a count that
+    is not an integer (operator.index) raise ValueError naming the field. The
+    CLI reads its optimizer defaults from here.
     """
 
     step_tolerance: float = 1e-5
@@ -145,13 +145,8 @@ class OptimizerOptions:
     max_function_evaluations: int = 8000
 
     def __post_init__(self):
-        for name in (
-            "step_tolerance",
-            "objective_tolerance",
-            "max_iterations",
-            "max_function_evaluations",
-        ):
-            value = getattr(self, name)
+        for name in [f.name for f in fields(self)]:
+            value = _real(name, getattr(self, name))
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
             if name.endswith("tolerance") and not math.isfinite(value):
@@ -293,13 +288,10 @@ def estimate_homography(model_points: Mat, image_points: Mat) -> Homography:
     the correspondences do not determine a unique homography (too few points,
     collinear or duplicated points).
     """
-    mp = np.asarray(model_points, dtype=float)
-    ip = np.asarray(image_points, dtype=float)
-    if mp.shape != ip.shape or mp.ndim != 2 or mp.shape[1] != 2:
+    mp = _finite_points("model_points", model_points)
+    ip = _finite_points("image_points", image_points)
+    if mp.shape != ip.shape:
         raise ValueError("point sets must share shape (n, 2)")
-    for name, pts in (("model_points", mp), ("image_points", ip)):
-        if not np.isfinite(pts).all():
-            raise ValueError(f"{name} must be finite")
     return _homographies(mp, ip[None])[0]
 
 

@@ -13,6 +13,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import TypeAlias
@@ -33,7 +34,8 @@ class IntrinsicParams:
     """The five intrinsic parameters forming the matrix A.
 
     alpha, beta are the focal scales along u and v in pixels, gamma is the
-    skew coefficient, (u0, v0) the principal point.
+    skew coefficient, (u0, v0) the principal point. Each is a finite real
+    number (numbers.Real, else ValueError naming it), and alpha, beta > 0.
     """
 
     alpha: float
@@ -43,7 +45,8 @@ class IntrinsicParams:
     v0: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
+        values = map(_real, ("alpha", "gamma", "u0", "beta", "v0"), self.as_tuple())
+        if not all(map(math.isfinite, values)):
             raise ValueError(
                 f"intrinsics must be finite, got (alpha, gamma, u0, beta, v0) = {self.as_tuple()}"
             )
@@ -242,6 +245,27 @@ def _count(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """value as a float if a numbers.Real (an int past the float range as ±inf),
+    else ValueError naming the field name, also for a string float() parses."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite_points(name: str, value) -> Mat:
+    """value as a float (n, 2) array of finite points, or ValueError naming name."""
+    pts = np.asarray(value, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"{name} must be an (n, 2) array")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must be finite")
+    return pts
 
 
 def _no_nan(P: np.ndarray) -> None:

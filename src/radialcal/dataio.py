@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationDataset, ModelFitReport, _views
-from .core import Extrinsics, IntrinsicParams, Mat, _count
+from .core import Extrinsics, IntrinsicParams, Mat, _count, _finite_points, _real
 from .distortion import DistortionModel
 from .errors import CountMismatch, ParseError
 
@@ -83,8 +83,7 @@ def load_dataset(path) -> CalibrationDataset:
     if not model_file.is_file():
         raise FileNotFoundError(f"missing {model_file}")
     model_points = _read_rows(model_file, 2, "point")
-    if not np.isfinite(model_points).all():
-        raise ValueError(f"{model_file}: model_points must be finite")
+    model_points = _finite_points(f"{model_file}: model_points", model_points)
     views: dict[int, Path] = {}
     for f in sorted(d.glob("image*.txt")):
         match = re.fullmatch(r"image([0-9]+)\.txt", f.name)
@@ -102,9 +101,7 @@ def load_dataset(path) -> CalibrationDataset:
         pts = _read_rows(f, 2, "point")
         if len(pts) != len(model_points):
             raise CountMismatch(str(f), len(model_points), len(pts))
-        if not np.isfinite(pts).all():
-            raise ValueError(f"{f}: view {i} observations must be finite")
-        observations.append(pts)
+        observations.append(_finite_points(f"{f}: view {i} observations", pts))
     return CalibrationDataset(
         model_points=model_points, observations=tuple(observations)
     )
@@ -161,10 +158,11 @@ def write_intrinsics(path, A: IntrinsicParams) -> None:
 def planar_grid(rows: int = 8, cols: int = 8, spacing: float = 1.0) -> Mat:
     """Centered rows x cols target grid in world units, shape (rows*cols, 2).
 
-    rows and cols are integers (operator.index); any other raises ValueError.
+    rows and cols are integers (operator.index) and spacing a real number
+    (numbers.Real); any other raises ValueError naming it.
     """
     rows, cols = _count("rows", rows), _count("cols", cols)
-    if rows < 1 or cols < 1 or not 0 < spacing < math.inf:
+    if rows < 1 or cols < 1 or not 0 < _real("spacing", spacing) < math.inf:
         raise ValueError("grid needs positive dimensions and a finite positive spacing")
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
@@ -177,7 +175,8 @@ class SynthSpec:
     """Everything that determines a synthetic dataset, including the seed.
 
     seed is a non-negative integer (operator.index), as numpy's generators
-    take it; any other raises ValueError.
+    take it, sigma a finite real number >= 0 and model_points None or a finite
+    (n, 2) array; any other value raises ValueError naming the field.
     """
 
     intrinsics: IntrinsicParams
@@ -191,15 +190,13 @@ class SynthSpec:
         object.__setattr__(self, "extrinsics", tuple(self.extrinsics))
         if not self.extrinsics:
             raise ValueError("need at least one view")
-        if not (self.sigma >= 0) or not math.isfinite(self.sigma):
+        if not 0 <= _real("sigma", self.sigma) < math.inf:
             raise ValueError("sigma must be finite and >= 0")
         object.__setattr__(self, "seed", _count("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model_points is not None:
-            pts = np.asarray(self.model_points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValueError("model_points must be an (n, 2) array")
+            pts = _finite_points("model_points", self.model_points)
             object.__setattr__(self, "model_points", pts)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IntrinsicParams, Vec, _as_points, denormalize, normalize
+from .core import IntrinsicParams, Vec, _as_points, _real, denormalize, normalize
 from .errors import SingularProfile, UnknownModel
 
 MODEL_IDS = tuple(range(10))
@@ -68,7 +68,8 @@ class DistortionModel:
 
     model_id is stored as an int: an id that is not an integer (1.0, "1")
     raises UnknownModel, as one outside 0..9 does; True is stored as 1 and
-    an np.int64 as its int.
+    an np.int64 as its int. coefficients are stored as floats: one that is
+    not a real number (numbers.Real, so not "0.1") raises ValueError.
     """
 
     model_id: int
@@ -80,7 +81,7 @@ class DistortionModel:
     def __post_init__(self):
         arity = coefficient_arity(self.model_id)
         object.__setattr__(self, "model_id", operator.index(self.model_id))
-        coeffs = tuple(float(k) for k in self.coefficients)
+        coeffs = tuple(_real("coefficients", k) for k in self.coefficients)
         if len(coeffs) != arity:
             raise ValueError(
                 f"model {self.model_id} takes {arity} coefficient(s), got {len(coeffs)}"

@@ -1235,8 +1235,9 @@ class TestNestedModels:
 class TestTypes:
     def test_dataset_shape_checks(self):
         good = rc.planar_grid(3, 3)
-        with pytest.raises(ValueError):
-            rc.CalibrationDataset(model_points=np.zeros((4, 3)), observations=(np.zeros((4, 3)),))
+        for shape in ((4, 3), (0, 2)):
+            with pytest.raises(ValueError, match=r"^model_points must be an \(n, 2\) array$"):
+                rc.CalibrationDataset(model_points=np.zeros(shape), observations=(np.zeros(shape),))
         with pytest.raises(ValueError):
             rc.CalibrationDataset(model_points=good, observations=())
         with pytest.raises(ValueError, match="view 1"):
@@ -1285,12 +1286,16 @@ class TestTypes:
                 rc.OptimizerOptions(**{name: bad})
         opts = rc.OptimizerOptions(**{name: np.int64(3)})
         assert getattr(opts, name) == 3 and type(getattr(opts, name)) is int
+        # An int past the float range is a count all the same.
+        assert getattr(rc.OptimizerOptions(**{name: 10**400}), name) == 10**400
 
     @pytest.mark.parametrize("name", ["step_tolerance", "objective_tolerance"])
     def test_infinite_tolerance_rejected(self, name):
-        # An infinite tolerance would stop a fit at once, reported converged.
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            rc.OptimizerOptions(**{name: math.inf})
+        # An infinite tolerance would stop a fit at once, reported converged;
+        # an int past the float range counts as one.
+        for big in (math.inf, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                rc.OptimizerOptions(**{name: big})
 
     def test_report_ordering_enforced(self):
         A = camera_830()

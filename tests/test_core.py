@@ -6,7 +6,7 @@ import pytest
 
 import radialcal as rc
 import radialcal.core as core_mod
-from _helpers import random_intrinsics
+from _helpers import camera_830, poses_three, random_intrinsics
 
 EPS = np.finfo(float).eps
 
@@ -38,7 +38,7 @@ class TestIntrinsicParams:
     def test_rejects_nonfinite_fields(self):
         good = dict(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
         for field in good:
-            for bad in (math.inf, -math.inf, math.nan):
+            for bad in (math.inf, -math.inf, math.nan, 10**400, -(10**400)):
                 with pytest.raises(ValueError, match="must be finite"):
                     rc.IntrinsicParams(**{**good, field: bad})
 
@@ -66,6 +66,42 @@ class TestIntrinsicParams:
         back = rc.IntrinsicParams.from_tuple(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert back == A
         assert all(type(v) is float for v in back.as_tuple())
+
+
+_INTRINSICS = dict(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+_SYNTH = dict(
+    intrinsics=camera_830(),
+    extrinsics=poses_three(),
+    model=rc.DistortionModel(model_id=1, coefficients=(0.0,)),
+)
+
+# Every scalar setting checked as a real number, with a call that passes the
+# value to it: a string (which float() would parse) or None is not one.
+REAL_FIELDS = {
+    **{
+        name: lambda v, name=name: rc.OptimizerOptions(**{name: v})
+        for name in (
+            "step_tolerance",
+            "objective_tolerance",
+            "max_iterations",
+            "max_function_evaluations",
+        )
+    },
+    "spacing": lambda v: rc.planar_grid(2, 2, v),
+    "sigma": lambda v: rc.SynthSpec(**_SYNTH, sigma=v),
+    **{
+        name: lambda v, name=name: rc.IntrinsicParams(**{**_INTRINSICS, name: v})
+        for name in _INTRINSICS
+    },
+    "coefficients": lambda v: rc.DistortionModel(model_id=3, coefficients=(0.1, v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_FIELDS))
+@pytest.mark.parametrize("bad", ["1", None])
+def test_scalar_settings_are_real_numbers(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
+        REAL_FIELDS[name](bad)
 
 
 class TestRotation:

@@ -443,6 +443,18 @@ class TestSynthetic:
                 model_points=np.zeros((4, 3)),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("model_id", [0, 1])
+    def test_non_finite_target_point(self, model_id, bad):
+        # Caught at construction, before any projection could blame the profile
+        # or the depth for it.
+        target = rc.planar_grid(2, 2)
+        target[1, 0] = bad
+        model = rc.DistortionModel(model_id, (0.0,) * rc.coefficient_arity(model_id))
+        with pytest.raises(ValueError, match="^model_points must be finite$"):
+            rc.SynthSpec(intrinsics=camera_830(), extrinsics=poses_three(), model=model,
+                         model_points=target)
+
     def test_seed_is_a_non_negative_integer(self):
         # With sigma 0 no generator is drawn from, so nothing else would see
         # the seed before truth.json records it.
