@@ -1,5 +1,5 @@
-# Shell helpers for the workflow's console entry point steps; each step
-# sources this file from the repository root.
+# Shell helpers for the workflow's console entry point step, which sources
+# this file from the repository root.
 
 # expect_exit CODE NAME COMMAND...: run COMMAND with its stdout in
 # $RUNNER_TEMP/NAME.out and its stderr in $RUNNER_TEMP/NAME.err, show both,

@@ -206,8 +206,9 @@ def _lift(pts: np.ndarray) -> np.ndarray:
 
 
 def apply_homography(H: Homography, points: Mat) -> Mat:
-    """Map (n, 2) points through H and dehomogenize."""
-    ph = _lift(np.asarray(points, dtype=float)) @ H.matrix.T
+    """Map (n, 2) points through H and dehomogenize; ValueError unless points
+    is an (n, 2) array of finite points."""
+    ph = _lift(_finite_points("points", points)) @ H.matrix.T
     return ph[:, :2] / ph[:, 2:3]
 
 

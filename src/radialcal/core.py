@@ -83,8 +83,9 @@ class IntrinsicParams:
 
     @classmethod
     def from_tuple(cls, values) -> IntrinsicParams:
-        """The inverse of as_tuple: five numbers in that order, as floats."""
-        alpha, gamma, u0, beta, v0 = map(float, values)
+        """The inverse of as_tuple: five real numbers in that order, as floats;
+        ValueError names the first that is not one, as the constructor does."""
+        alpha, gamma, u0, beta, v0 = map(_real, ("alpha", "gamma", "u0", "beta", "v0"), values)
         return cls(alpha=alpha, gamma=gamma, u0=u0, beta=beta, v0=v0)
 
 

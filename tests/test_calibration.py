@@ -86,6 +86,16 @@ class TestHomographyType:
         out = rc.apply_homography(rc.Homography(matrix=np.eye(3)), pts)
         assert np.allclose(out, pts, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [(np.zeros(2), r"an \(n, 2\) array"), (np.zeros((4, 3)), r"an \(n, 2\) array"),
+         ([[np.nan, 0.0]], "finite"), ([[0.0, np.inf]], "finite")],
+        ids=["pair", "three-columns", "nan", "inf"],
+    )
+    def test_apply_checks_points(self, points, message):
+        with pytest.raises(ValueError, match=f"^points must be {message}$"):
+            rc.apply_homography(rc.Homography(matrix=np.eye(3)), points)
+
 
 class TestEstimateHomography:
     def test_recovers_pose_map(self):

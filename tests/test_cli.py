@@ -1,3 +1,15 @@
+"""Tests of the command-line surface.
+
+Most tests run the CLI in this process through run_cli, which calls cli.main
+with stdin, stdout and stderr swapped for in-memory text streams. That spares
+a new interpreter and numpy import per call, and the test run's warning
+filters (such as -W error::RuntimeWarning) hold inside the CLI too. A handful
+start a fresh `python -m radialcal` through run_process, where the process
+boundary is what they check: stdin decoded from bytes (CRLF line ends, a
+byte-order mark), stdout encoded to bytes, and consecutive in-process calls
+giving what a new process gives.
+"""
+
 import io
 import json
 import subprocess
@@ -12,13 +24,28 @@ from radialcal import cli
 DEFAULT_CAMERA = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
 
 
-def run_cli(*args, stdin=None, cwd=None):
+def run_cli(*args, stdin=None):
+    """Run cli.main(args) in this process on the text stdin, as a fresh
+    process would: argparse's SystemExit becomes the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, stdin=b""):
+    """Run `python -m radialcal args` in a fresh process, bytes in and out,
+    with RuntimeWarning an error."""
     return subprocess.run(
-        [sys.executable, "-m", "radialcal", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "radialcal", *args],
         input=stdin,
         capture_output=True,
-        text=True,
-        cwd=cwd,
     )
 
 
@@ -28,16 +55,38 @@ def parse_table(text):
     return [line.split("\t") for line in lines[1:]]
 
 
-@pytest.fixture(scope="module")
-def synth_dir(tmp_path_factory):
-    """Noise-free model-1 dataset generated through the CLI itself."""
-    out = tmp_path_factory.mktemp("data") / "m1"
-    res = run_cli(
-        "synth", "--out", str(out), "--model", "1", "--coeffs", "-0.05",
-        "--views", "3", "--sigma", "0",
-    )
+def synth(tmp_path_factory, *args):
+    """A dataset directory generated through the CLI itself."""
+    out = tmp_path_factory.mktemp("data") / "set"
+    res = run_cli("synth", "--out", str(out), *args)
     assert res.returncode == 0, res.stderr
     return out
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    """Noise-free model-1 dataset."""
+    return synth(
+        tmp_path_factory, "--model", "1", "--coeffs", "-0.05", "--views", "3", "--sigma", "0"
+    )
+
+
+@pytest.fixture(scope="module")
+def m9_dir(tmp_path_factory):
+    """Model-9 dataset: five views at 0.3 px noise."""
+    return synth(
+        tmp_path_factory, "--model", "9", "--coeffs=0.4,-0.01,0.6", "--views", "5",
+        "--sigma", "0.3", "--seed", "1",
+    )
+
+
+@pytest.fixture(scope="module")
+def low_noise_dir(tmp_path_factory):
+    """Model-3 dataset: three views at 0.01 px noise."""
+    return synth(
+        tmp_path_factory, "--model", "3", "--coeffs=-0.1,-0.15", "--views", "3",
+        "--sigma", "0.01", "--seed", "1",
+    )
 
 
 class TestSynth:
@@ -81,55 +130,61 @@ class TestSynth:
     )
     def test_negative_coefficient_list_as_separate_value(self, coeffs, want, tmp_path):
         out = tmp_path / "d"
-        code = cli.main(["synth", "--out", str(out), "--model", "3", "--coeffs", coeffs])
-        assert code == 0
+        res = run_cli("synth", "--out", str(out), "--model", "3", "--coeffs", coeffs)
+        assert res.returncode == 0
         assert json.loads((out / "truth.json").read_text())["coefficients"] == want
 
-    def test_fewer_views_over_a_dataset_exit_one(self, tmp_path, capsys):
+    def test_fewer_views_over_a_dataset_exit_one(self, tmp_path):
         # A three-view set over a five-view one would leave image004 and
         # image005 to load as its views: nothing is written, exit 1.
         out = tmp_path / "d"
-        assert cli.main(["synth", "--out", str(out), "--model", "1", "--views", "5"]) == 0
+        assert run_cli("synth", "--out", str(out), "--model", "1", "--views", "5").returncode == 0
         before = {f.name: f.read_bytes() for f in out.iterdir()}
-        capsys.readouterr()
-        code = cli.main(["synth", "--out", str(out), "--model", "9", "--views", "3"])
-        got, err = capsys.readouterr()
-        assert code == 1 and got == ""
+        res = run_cli("synth", "--out", str(out), "--model", "9", "--views", "3")
+        assert res.returncode == 1 and res.stdout == ""
+        err = res.stderr
         assert err.startswith("error: ") and err.endswith("image004.txt, image005.txt\n")
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
-    def test_negative_sigma_is_usage_error(self, tmp_path, capsys):
+    def test_negative_sigma_is_usage_error(self, tmp_path):
         out = tmp_path / "d"
-        code = cli.main(["synth", "--out", str(out), "--model", "1", "--sigma", "-1e-3"])
-        _, err = capsys.readouterr()
-        assert code == 2
-        assert err == "usage error: sigma must be finite and >= 0\n"
+        res = run_cli("synth", "--out", str(out), "--model", "1", "--sigma", "-1e-3")
+        assert res.returncode == 2
+        assert res.stderr == "usage error: sigma must be finite and >= 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("spacing", ["nan", "inf"])
-    def test_non_finite_spacing_is_usage_error(self, spacing, tmp_path, capsys):
+    def test_non_finite_spacing_is_usage_error(self, spacing, tmp_path):
         out = tmp_path / "d"
-        code = cli.main(["synth", "--out", str(out), "--model", "1", "--spacing", spacing])
-        _, err = capsys.readouterr()
-        assert code == 2
-        assert err == (
+        res = run_cli("synth", "--out", str(out), "--model", "1", "--spacing", spacing)
+        assert res.returncode == 2
+        assert res.stderr == (
             "usage error: grid needs positive dimensions and a finite positive spacing\n"
         )
         assert not out.exists()
 
 
 class TestCalibrate:
-    def test_single_model_table(self, synth_dir):
-        res = run_cli("calibrate", "--data", str(synth_dir), "--model", "1")
-        assert res.returncode == 0, res.stderr
-        rows = parse_table(res.stdout)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row[0] == "1" and row[2] == "0"
-        assert float(row[1]) < 1e-3
-        assert abs(float(row[3]) + 0.05) < 5e-3
-        assert row[4] == "" and row[5] == ""
-        assert abs(float(row[6]) - 800.0) < 8.0
+    def test_single_model_table(self, synth_dir, m9_dir, low_noise_dir):
+        # Each fit converges: one row, and no warning. The low-noise fit asks
+        # for tolerances below double resolution, so it runs until no damped
+        # step lowers J and stops stationary.
+        for data, model, options in (
+            (synth_dir, "1", ()),
+            (m9_dir, "9", ()),
+            (low_noise_dir, "3", ("--tol-x", "1e-15", "--tol-fun", "1e-15")),
+        ):
+            res = run_cli("calibrate", "--data", str(data), "--model", model, *options)
+            assert res.returncode == 0 and res.stderr == ""
+            rows = parse_table(res.stdout)
+            assert len(rows) == 1
+            row = rows[0]
+            assert row[0] == model and row[2] == "0"
+            assert abs(float(row[6]) - 800.0) < 8.0
+            if model == "1":  # noise-free: the generating coefficient
+                assert float(row[1]) < 1e-3
+                assert abs(float(row[3]) + 0.05) < 5e-3
+                assert row[4] == "" and row[5] == ""
 
     def test_compare_ranks(self, synth_dir):
         res = run_cli("compare", "--data", str(synth_dir), "--models", "1,2")
@@ -151,45 +206,75 @@ class TestCalibrate:
 
 
 class TestFitDistortion:
-    def test_intrinsics_pinned(self, synth_dir, tmp_path):
+    def test_intrinsics_pinned(self, synth_dir, m9_dir, tmp_path):
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)
-        res = run_cli(
-            "fit-distortion", "--data", str(synth_dir), "--model", "1",
-            "--intrinsics", str(cam),
-        )
-        assert res.returncode == 0, res.stderr
-        row = parse_table(res.stdout)[0]
-        assert row[6] == "800.0000" and row[9] == "800.0000"
-        assert row[7] == "0.0000" and row[8] == "320.0000" and row[10] == "240.0000"
-        assert abs(float(row[3]) + 0.05) < 1e-3
-        assert float(row[1]) < 1e-6
+        for data, model in ((synth_dir, "1"), (m9_dir, "9")):
+            res = run_cli(
+                "fit-distortion", "--data", str(data), "--model", model,
+                "--intrinsics", str(cam),
+            )
+            assert res.returncode == 0 and res.stderr == ""  # converged
+            rows = parse_table(res.stdout)
+            assert len(rows) == 1
+            row = rows[0]
+            assert row[0] == model
+            assert row[6] == "800.0000" and row[9] == "800.0000"
+            assert row[7] == "0.0000" and row[8] == "320.0000" and row[10] == "240.0000"
+            if model == "1":  # noise-free: the generating coefficient
+                assert abs(float(row[3]) + 0.05) < 1e-3
+                assert float(row[1]) < 1e-6
+
+
+# F = r / (1 + 1e250 r) rises to F_max = 1e-250, and f(r_b) underflows to 0
+# at r_b = 1e100: under this camera (1, 0) px, 1e-251 normalized, still inverts.
+CAMERA_1E251 = rc.IntrinsicParams(alpha=1e251, gamma=0.0, u0=0.0, beta=1e251, v0=0.0)
 
 
 class TestUndistortPoints:
     def test_inverts_distorted_pixels(self, tmp_path):
-        cam = tmp_path / "cam.txt"
-        A = rc.IntrinsicParams(alpha=640.0, gamma=0.4, u0=311.0, beta=655.0, v0=242.0)
-        rc.write_intrinsics(cam, A)
-        model = rc.DistortionModel(model_id=7, coefficients=(0.1, -0.25))
+        # Distortions of 40 known preimages under a skewed camera, then the
+        # principal point and one pixel: model 0 goes the numeric route and
+        # model 9 solves a cubic, also with coefficients of 1e300, whose N and
+        # D overflow at the end of the domain.
         rng = np.random.default_rng(31)
         ideal = np.column_stack(
             [rng.uniform(150.0, 480.0, 40), rng.uniform(120.0, 360.0, 40)]
         )
-        distorted = np.array([rc.distort_pixel(A, model, p) for p in ideal])
-        text = "# distorted input\n" + "\n".join(
-            f"{u:.17g} {v:.17g}" for u, v in distorted
-        ) + "\n\n# end\n"
-        res = run_cli(
-            "undistort-points", "--model", "7", "--coeffs", "0.1,-0.25",
-            "--intrinsics", str(cam), stdin=text,
-        )
-        assert res.returncode == 0, res.stderr
-        got = np.array(
-            [[float(t) for t in line.split()] for line in res.stdout.strip().split("\n")]
-        )
-        assert got.shape == ideal.shape
-        assert np.max(np.abs(got - ideal)) < 1e-6
+        pair = [[320.0, 240.0], [400.5, 300.25]]
+        tiny = [[0.0, 0.0], [1.0, 0.0]]
+        for A, model_id, coeffs, pixels in (
+            (rc.IntrinsicParams(alpha=640.0, gamma=0.4, u0=311.0, beta=655.0, v0=242.0),
+             7, "0.1,-0.25", None),
+            (DEFAULT_CAMERA, 0, "-0.2,0.05", pair),
+            (DEFAULT_CAMERA, 9, "0.4,-0.01,0.6", pair),
+            (DEFAULT_CAMERA, 9, "1e300,1e300,1e300", pair),
+            (CAMERA_1E251, 4, "1e250", tiny),
+            (CAMERA_1E251, 8, "0,1e250,0", tiny),
+        ):
+            cam = tmp_path / "cam.txt"
+            rc.write_intrinsics(cam, A)
+            model = rc.DistortionModel(model_id, tuple(map(float, coeffs.split(","))))
+            if pixels is None:
+                distorted = np.array([rc.distort_pixel(A, model, p) for p in ideal])
+            else:
+                distorted = np.array(pixels)
+            text = "# distorted input\n" + "\n".join(
+                f"{u:.17g} {v:.17g}" for u, v in distorted
+            ) + "\n\n# end\n"
+            res = run_cli(
+                "undistort-points", "--model", str(model_id), f"--coeffs={coeffs}",
+                "--intrinsics", str(cam), stdin=text,
+            )
+            assert res.returncode == 0, res.stderr
+            got = np.array(
+                [[float(t) for t in line.split()] for line in res.stdout.strip().split("\n")]
+            )
+            assert got.shape == distorted.shape
+            if pixels is None:
+                assert np.max(np.abs(got - ideal)) < 1e-6
+            # Each point re-distorts onto its input.
+            assert np.max(np.abs(rc.distort_pixel(A, model, got) - distorted)) < 1e-6
 
     def test_negative_coefficient_list_as_separate_value(self, tmp_path):
         # The form shown in the help text: a list whose first entry is
@@ -258,10 +343,9 @@ class TestUndistortPoints:
             DEFAULT_CAMERA, model,
             np.array([[400.5, 300.25], [10.0, 20.5], [-300.0, 7.0], [320.0, 240.0]]),
         )
-        res = subprocess.run(
-            [sys.executable, "-m", "radialcal", "undistort-points", "--model", "3",
-             "--coeffs=-0.0215,-0.1566", "--intrinsics", str(cam)],
-            input=text.encode(), capture_output=True,
+        res = run_process(
+            "undistort-points", "--model", "3", "--coeffs=-0.0215,-0.1566",
+            "--intrinsics", str(cam), stdin=text.encode(),
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist()).encode()
@@ -287,32 +371,29 @@ class TestUndistortPoints:
         # One leading UTF-8 BOM is dropped; on a later line it fails the line.
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)
-        argv = [sys.executable, "-m", "radialcal", "undistort-points", "--model", "2",
-                "--coeffs=-0.19", "--intrinsics", str(cam)]
+        argv = ("undistort-points", "--model", "2", "--coeffs=-0.19", "--intrinsics", str(cam))
         bom = b"\xef\xbb\xbf"
-        res = subprocess.run(argv, input=bom + b"400.5 300.25\n320 240\n", capture_output=True)
+        res = run_process(*argv, stdin=bom + b"400.5 300.25\n320 240\n")
         assert res.returncode == 0, res.stderr
         want = rc.undistort_pixel(
             DEFAULT_CAMERA, rc.DistortionModel(2, (-0.19,)),
             np.array([[400.5, 300.25], [320.0, 240.0]]),
         )
         assert res.stdout == "".join(f"{u!r} {v!r}\n" for u, v in want.tolist()).encode()
-        res = subprocess.run(argv, input=b"400.5 300.25\n" + bom + b"320 240\n",
-                             capture_output=True)
+        res = run_process(*argv, stdin=b"400.5 300.25\n" + bom + b"320 240\n")
         assert res.returncode == 1 and res.stdout == b""
         assert res.stderr == b"error: <stdin>:2: not a decimal number\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_radicals_bisect(self, tmp_path):
         # With k = 1e103 model 3's cubic radicals overflow a float; the point
         # is bisected instead, with no warning. Its preimage lies about
         # 1e-49 px from the principal point, so it prints as (320, 240).
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)
-        res = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "radialcal",
-             "undistort-points", "--model", "3", "--coeffs=1e103,1e103",
-             "--intrinsics", str(cam)],
-            input="320 240\n400.5 300.25\n", capture_output=True, text=True,
+        res = run_cli(
+            "undistort-points", "--model", "3", "--coeffs=1e103,1e103",
+            "--intrinsics", str(cam), stdin="320 240\n400.5 300.25\n",
         )
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
@@ -344,15 +425,17 @@ class TestUndistortPoints:
 
 class TestRoundtripCheck:
     def test_passes_at_default_tolerance(self):
-        res = run_cli("roundtrip-check", "--samples", "200")
-        assert res.returncode == 0, res.stderr
-        lines = res.stdout.strip().split("\n")
-        data_lines = [l for l in lines if "\t" in l and not l.startswith("model")]
-        assert len(data_lines) == 9
-        for line in data_lines:
-            mid, err = line.split("\t")
-            assert int(mid) in range(1, 10)
-            assert float(err) < 1e-9
+        # Models 1-9 by default; model 0 goes the numeric route.
+        for options, models in (((), range(1, 10)), (("--models", "0-9"), range(10))):
+            res = run_cli("roundtrip-check", "--samples", "200", *options)
+            assert res.returncode == 0, res.stderr
+            lines = res.stdout.strip().split("\n")
+            data_lines = [l for l in lines if "\t" in l and not l.startswith("model")]
+            assert len(data_lines) == len(models)
+            for line in data_lines:
+                mid, err = line.split("\t")
+                assert int(mid) in models
+                assert float(err) < 1e-9
 
     def test_impossible_tolerance_fails_with_full_table(self):
         res = run_cli("roundtrip-check", "--samples", "50", "--tol", "1e-30")
@@ -369,12 +452,11 @@ class TestRoundtripCheck:
          ("--radius", "nan"), ("--radius", "inf"), ("--tol", "nan"), ("--tol", "-0.5"),
          ("--tol", "inf"), ("--tol", "-1e-9"), ("--tol", "-inf"), ("--radius", "-nan")],
     )
-    def test_out_of_range_option_is_usage_error(self, option, value, capsys):
-        code = cli.main(["roundtrip-check", "--samples", "5", option, value])
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"usage error: {option} must be ")
+    def test_out_of_range_option_is_usage_error(self, option, value):
+        res = run_cli("roundtrip-check", "--samples", "5", option, value)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"usage error: {option} must be ")
 
 
 class TestExitCodes:
@@ -468,35 +550,31 @@ class TestExitCodes:
          ("fit-distortion", "--tol-x", "step_tolerance")],
     )
     def test_nan_optimizer_tolerance_is_usage_error(
-        self, synth_dir, tmp_path, capsys, command, option, name
+        self, synth_dir, tmp_path, command, option, name
     ):
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)
         argv = [command, "--data", str(synth_dir), option, "nan"]
         argv += ["--models", "1"] if command == "compare" else ["--model", "1"]
         argv += ["--intrinsics", str(cam)] if command == "fit-distortion" else []
-        code = cli.main(argv)
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err == f"usage error: {name} must be positive\n"
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"usage error: {name} must be positive\n"
 
     @pytest.mark.parametrize(
         "command, option, name",
         [("calibrate", "--tol-x", "step_tolerance"),
          ("compare", "--tol-fun", "objective_tolerance")],
     )
-    def test_infinite_optimizer_tolerance_is_usage_error(
-        self, synth_dir, capsys, command, option, name
-    ):
+    def test_infinite_optimizer_tolerance_is_usage_error(self, synth_dir, command, option, name):
         # A fit would stop at once and report converged.
         argv = [command, "--data", str(synth_dir), option, "inf"]
         argv += ["--models", "1"] if command == "compare" else ["--model", "1"]
-        code = cli.main(argv)
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err == f"usage error: {name} must be finite\n"
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"usage error: {name} must be finite\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -531,17 +609,13 @@ class TestExitCodes:
 
 
 class TestInProcess:
-    """Consecutive cli.main calls in one process share one parser."""
-
-    @staticmethod
-    def main(capsys, monkeypatch, *args, stdin=""):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        return cli.main(list(args)), capsys.readouterr().out
+    """Consecutive cli.main calls in one process share one parser and give
+    what a fresh process gives."""
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_consecutive_undistort_points_calls(self, tmp_path, capsys, monkeypatch):
+    def test_consecutive_undistort_points_calls(self, tmp_path):
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)
         stdin = "# u v\n400.5 300.25\n\n100 50\n320 240\n"
@@ -551,33 +625,32 @@ class TestInProcess:
             ("undistort-points", "--model", "0", "--coeffs", "-0.05,0.01",
              "--intrinsics", str(cam)),
         ):
-            code, out = self.main(capsys, monkeypatch, *argv, stdin=stdin)
             res = run_cli(*argv, stdin=stdin)
-            assert code == res.returncode == 0
-            assert out == res.stdout
-            assert len(out.splitlines()) == 3
+            fresh = run_process(*argv, stdin=stdin.encode())
+            assert res.returncode == fresh.returncode == 0
+            assert res.stdout == fresh.stdout.decode()
+            assert len(res.stdout.splitlines()) == 3
 
-    def test_usage_error_then_valid_call(self, tmp_path, capsys, monkeypatch):
+    def test_usage_error_then_valid_call(self, tmp_path):
         cam = tmp_path / "cam.txt"
         rc.write_intrinsics(cam, DEFAULT_CAMERA)
-        with pytest.raises(SystemExit) as exc:
-            self.main(capsys, monkeypatch, "undistort-points", "--model", "12",
-                      "--coeffs", "0.1", "--intrinsics", str(cam))
-        assert exc.value.code == 2
+        res = run_cli("undistort-points", "--model", "12", "--coeffs", "0.1",
+                      "--intrinsics", str(cam))
+        assert res.returncode == 2
         argv = ("undistort-points", "--model", "2", "--coeffs=-0.19",
                 "--intrinsics", str(cam))
-        code, out = self.main(capsys, monkeypatch, *argv, stdin="400.5 300.25\n")
         res = run_cli(*argv, stdin="400.5 300.25\n")
-        assert code == res.returncode == 0
-        assert out == res.stdout != ""
+        fresh = run_process(*argv, stdin=b"400.5 300.25\n")
+        assert res.returncode == fresh.returncode == 0
+        assert res.stdout == fresh.stdout.decode() != ""
 
-    def test_compare_default_models_after_a_model_list(self, synth_dir, capsys, monkeypatch):
+    def test_compare_default_models_after_a_model_list(self, synth_dir):
         for argv, models in (
             (("compare", "--data", str(synth_dir), "--models", "0,3"), [0, 3]),
             (("compare", "--data", str(synth_dir)), list(range(10))),
         ):
-            code, out = self.main(capsys, monkeypatch, *argv)
             res = run_cli(*argv)
-            assert code == res.returncode == 0
-            assert out == res.stdout
-            assert sorted(int(row[0]) for row in parse_table(out)) == models
+            fresh = run_process(*argv)
+            assert res.returncode == fresh.returncode == 0
+            assert res.stdout == fresh.stdout.decode()
+            assert sorted(int(row[0]) for row in parse_table(res.stdout)) == models

@@ -67,6 +67,13 @@ class TestIntrinsicParams:
         assert back == A
         assert all(type(v) is float for v in back.as_tuple())
 
+    def test_from_tuple_takes_real_numbers(self):
+        # As the constructor: a string float() would parse is not a number.
+        with pytest.raises(ValueError, match="^alpha must be a real number, got '800'$"):
+            rc.IntrinsicParams.from_tuple(("800", "0", "320", "800", "240"))
+        with pytest.raises(ValueError, match="^v0 must be a real number, got None$"):
+            rc.IntrinsicParams.from_tuple((800.0, 0.0, 320.0, 800.0, None))
+
 
 _INTRINSICS = dict(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
 _SYNTH = dict(
