@@ -2,12 +2,16 @@
 
 Subcommands: calibrate, compare, fit-distortion, undistort-points, synth,
 roundtrip-check. Reports go to standard output as complete TSV tables;
-diagnostics go to the error stream. Exit status 0 on success, 1 on domain
-errors (unreadable data, degenerate geometry, tolerance violations), 2 on
-usage errors. main parses with one parser built once per process, so an
-in-process caller pays for the argparse tree only on its first call. A token
-that starts with '-' and then a digit, '.' and a digit, "inf" or "nan" is the
-value of the option before it; the optimizer options default to OptimizerOptions'.
+diagnostics go to the error stream. Exit status is 0 on success. A bad option
+value is a usage error, exit 2: a value that argparse's own type rejects
+prints argparse's error, and one that a library type (or roundtrip-check's
+range check) rejects prints "usage error: <its message>". A domain error (a
+bad data or camera file, degenerate geometry, a tolerance violation) prints
+"error: <its message>" and exits 1. main parses with one parser built once
+per process, so an in-process caller pays for the argparse tree only on its
+first call. A token that starts with '-' and then a digit, '.' and a digit,
+"inf" or "nan" is the value of the option before it; the optimizer options
+default to OptimizerOptions'.
 """
 
 from __future__ import annotations
@@ -100,23 +104,23 @@ def _parse_coeff_list(text: str) -> tuple[float, ...]:
         ) from None
 
 
+def _usage(make, *args, **kwargs):
+    """make(*args, **kwargs), a library object built from option values: a
+    value it rejects with a ValueError is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _opts(args: argparse.Namespace) -> OptimizerOptions:
-    try:
-        return OptimizerOptions(
-            step_tolerance=args.tol_x,
-            objective_tolerance=args.tol_fun,
-            max_iterations=args.max_iter,
-            max_function_evaluations=args.max_fevals,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _make_model(model_id: int, coefficients: tuple[float, ...]) -> DistortionModel:
-    try:
-        return DistortionModel(model_id=model_id, coefficients=coefficients)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _usage(
+        OptimizerOptions,
+        step_tolerance=args.tol_x,
+        objective_tolerance=args.tol_fun,
+        max_iterations=args.max_iter,
+        max_function_evaluations=args.max_fevals,
+    )
 
 
 def _single_row_report(result: CalibrationResult) -> int:
@@ -146,7 +150,7 @@ def _cmd_fit_distortion(args: argparse.Namespace) -> int:
 
 def _cmd_undistort_points(args: argparse.Namespace) -> int:
     A = load_intrinsics(args.intrinsics)
-    model = _make_model(args.model, args.coeffs)
+    model = _usage(DistortionModel, model_id=args.model, coefficients=args.coeffs)
     # Every line parses before any point is inverted, in one array call.
     undistorted = undistort_pixel(A, model, _parse_rows(sys.stdin, 2, "<stdin>"))
     sys.stdout.write(("%r %r\n" * len(undistorted)) % tuple(undistorted.ravel().tolist()))
@@ -184,18 +188,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     coeffs = args.coeffs
     if coeffs is None:
         coeffs = (0.0,) * coefficient_arity(args.model)
-    model = _make_model(args.model, coeffs)
-    try:
-        spec = SynthSpec(
-            intrinsics=A,
-            extrinsics=_default_poses(args.views),
-            model=model,
-            sigma=args.sigma,
-            seed=args.seed,
-            model_points=planar_grid(args.grid, args.grid, args.spacing),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    spec = _usage(
+        SynthSpec,
+        intrinsics=A,
+        extrinsics=_default_poses(args.views),
+        model=_usage(DistortionModel, model_id=args.model, coefficients=coeffs),
+        sigma=args.sigma,
+        seed=args.seed,
+        model_points=_usage(planar_grid, args.grid, args.grid, args.spacing),
+    )
     dataset, resolved = generate_synthetic(spec)
     out = Path(args.out)
     write_dataset(out, dataset)
@@ -253,8 +254,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     defaults = OptimizerOptions()
-    opt = argparse.ArgumentParser(add_help=False)
-    group = opt.add_argument_group("optimizer options")
+    fitting = argparse.ArgumentParser(add_help=False)
+    group = fitting.add_argument_group("optimizer options")
     group.add_argument("--tol-x", type=float, default=defaults.step_tolerance, metavar="T",
                        help="relative step tolerance (default %(default)g)")
     group.add_argument("--tol-fun", type=float, default=defaults.objective_tolerance,
@@ -264,6 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--max-fevals", type=int, default=defaults.max_function_evaluations,
                        metavar="N", help="residual evaluation cap, a Jacobian counting as "
                        "one (default %(default)d)")
+    fitting.add_argument("--data", required=True, help="dataset directory")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", type=int, required=True, choices=sorted(MODEL_IDS))
+    camera = argparse.ArgumentParser(add_help=False)
+    camera.add_argument("--intrinsics", required=True,
+                        help="file with one 'alpha gamma u0 beta v0' line")
 
     parser = _Parser(
         prog="radialcal",
@@ -272,39 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", parents=[opt],
+    p = sub.add_parser("calibrate", parents=[fitting, model],
                        help="fit one model to a dataset directory")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--model", type=int, required=True, choices=sorted(MODEL_IDS))
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("compare", parents=[opt],
+    p = sub.add_parser("compare", parents=[fitting],
                        help="fit several models and rank them by objective")
-    p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--models", type=_parse_model_ids, default="0-9",
                    help="model ids, e.g. '0-9' or '0,3,8' (default 0-9)")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("fit-distortion", parents=[opt],
+    p = sub.add_parser("fit-distortion", parents=[fitting, model, camera],
                        help="fit coefficients and poses under fixed intrinsics")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--model", type=int, required=True, choices=sorted(MODEL_IDS))
-    p.add_argument("--intrinsics", required=True,
-                   help="file with one 'alpha gamma u0 beta v0' line")
     p.set_defaults(func=_cmd_fit_distortion)
 
-    p = sub.add_parser("undistort-points",
+    p = sub.add_parser("undistort-points", parents=[model, camera],
                        help="undistort 'u v' pixel pairs from standard input")
-    p.add_argument("--model", type=int, required=True, choices=sorted(MODEL_IDS))
     p.add_argument("--coeffs", type=_parse_coeff_list, required=True,
                    help="comma-separated coefficients, e.g. '-0.0215,-0.1566'")
-    p.add_argument("--intrinsics", required=True,
-                   help="file with one 'alpha gamma u0 beta v0' line")
     p.set_defaults(func=_cmd_undistort_points)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset directory")
+    p = sub.add_parser("synth", parents=[model],
+                       help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--model", type=int, required=True, choices=sorted(MODEL_IDS))
     p.add_argument("--coeffs", type=_parse_coeff_list, default=None,
                    help="comma-separated coefficients (default all zero)")
     p.add_argument("--views", type=int, default=3)

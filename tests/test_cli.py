@@ -163,6 +163,26 @@ class TestSynth:
         )
         assert not out.exists()
 
+    def test_intrinsics_file_sets_the_camera(self, tmp_path):
+        cam = tmp_path / "cam.txt"
+        cam.write_text("700 0.5 310 710 250\n", encoding="utf-8")
+        out = tmp_path / "d"
+        res = run_cli("synth", "--out", str(out), "--model", "1", "--intrinsics", str(cam))
+        assert res.returncode == 0, res.stderr
+        truth = json.loads((out / "truth.json").read_text())
+        assert truth["intrinsics"] == {
+            "alpha": 700.0, "gamma": 0.5, "u0": 310.0, "beta": 710.0, "v0": 250.0
+        }
+
+    def test_nonfinite_intrinsics_file_is_domain_error(self, tmp_path):
+        cam = tmp_path / "cam.txt"
+        cam.write_text("700 0 nan 700 250\n", encoding="utf-8")
+        out = tmp_path / "d"
+        res = run_cli("synth", "--out", str(out), "--model", "1", "--intrinsics", str(cam))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {cam}: intrinsics must be finite")
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_single_model_table(self, synth_dir, m9_dir, low_noise_dir):
@@ -185,6 +205,13 @@ class TestCalibrate:
                 assert float(row[1]) < 1e-3
                 assert abs(float(row[3]) + 0.05) < 5e-3
                 assert row[4] == "" and row[5] == ""
+
+    def test_unconverged_fit_warns(self, m9_dir):
+        # One iteration cannot reach the noisy optimum: the row still prints.
+        res = run_cli("calibrate", "--data", str(m9_dir), "--model", "9", "--max-iter", "1")
+        assert res.returncode == 0
+        assert [row[0] for row in parse_table(res.stdout)] == ["9"]
+        assert res.stderr == "warning: did not converge (max_iterations)\n"
 
     def test_compare_ranks(self, synth_dir):
         res = run_cli("compare", "--data", str(synth_dir), "--models", "1,2")
@@ -477,6 +504,26 @@ class TestExitCodes:
         assert res.returncode == 2
         assert len(res.stderr) < 300
 
+    def test_reversed_model_range(self, synth_dir):
+        res = run_cli("compare", "--data", str(synth_dir), "--models", "5-3")
+        assert res.returncode == 2
+        assert res.stderr.endswith(
+            "argument --models: bad model list '5-3'; use forms like '0-9' or '0,3,8'\n"
+        )
+
+    def test_bad_coefficient_list(self, tmp_path):
+        cam = tmp_path / "cam.txt"
+        rc.write_intrinsics(cam, DEFAULT_CAMERA)
+        res = run_cli(
+            "undistort-points", "--model", "3", "--coeffs", "0.1,abc",
+            "--intrinsics", str(cam), stdin="100 100\n",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.endswith(
+            "argument --coeffs: bad coefficient list '0.1,abc'; use comma-separated numbers\n"
+        )
+
     def test_one_point_target_names_no_view(self, tmp_path):
         out = tmp_path / "one-point"
         res = run_cli("synth", "--out", str(out), "--model", "1", "--views", "3", "--grid", "1")
@@ -654,3 +701,38 @@ class TestInProcess:
             assert res.returncode == fresh.returncode == 0
             assert res.stdout == fresh.stdout.decode()
             assert sorted(int(row[0]) for row in parse_table(res.stdout)) == models
+
+
+_DEFAULTS = rc.OptimizerOptions()
+OPTIMIZER_DEFAULTS = {
+    "tol_x": _DEFAULTS.step_tolerance, "tol_fun": _DEFAULTS.objective_tolerance,
+    "max_iter": _DEFAULTS.max_iterations, "max_fevals": _DEFAULTS.max_function_evaluations,
+}
+
+# A minimal command line of each subcommand and what it parses to, defaults
+# included.
+MINIMAL_PARSES = [
+    (["calibrate", "--data", "d", "--model", "1"],
+     {**OPTIMIZER_DEFAULTS, "data": "d", "model": 1}),
+    (["compare", "--data", "d"],
+     {**OPTIMIZER_DEFAULTS, "data": "d", "models": list(range(10))}),
+    (["fit-distortion", "--data", "d", "--model", "1", "--intrinsics", "cam.txt"],
+     {**OPTIMIZER_DEFAULTS, "data": "d", "model": 1, "intrinsics": "cam.txt"}),
+    (["undistort-points", "--model", "2", "--coeffs=-0.19", "--intrinsics", "cam.txt"],
+     {"model": 2, "coeffs": (-0.19,), "intrinsics": "cam.txt"}),
+    (["synth", "--out", "o", "--model", "1"],
+     {"out": "o", "model": 1, "coeffs": None, "views": 3, "grid": 8, "spacing": 1.0,
+      "sigma": 0.0, "seed": 0, "intrinsics": None}),
+    (["roundtrip-check"],
+     {"models": list(range(1, 10)), "samples": 10000, "radius": 0.5, "tol": 1e-09, "seed": 0}),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, want", MINIMAL_PARSES, ids=[argv[0] for argv, _ in MINIMAL_PARSES]
+    )
+    def test_minimal_command_line(self, argv, want):
+        got = vars(cli.build_parser().parse_args(argv))
+        del got["func"]
+        assert got == {"command": argv[0], **want}

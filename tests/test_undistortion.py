@@ -117,6 +117,13 @@ class TestClosedCubic:
         with pytest.raises(rc.DegenerateLeadingCoefficient):
             rc.solve_cubic_closed(rc.CubicProblem(y=0.002, p=1e103, q=1e103))
 
+    def test_triple_root(self):
+        # x + p x^2 + q x^3 - y is (x - x0)^3 / (3 x0^2). At this x0 the
+        # bracket rounds to exactly zero: the three roots are -p/(3q).
+        x0 = 0.41932550412258496
+        roots = rc.solve_cubic_closed(rc.CubicProblem(y=x0 / 3, p=-1 / x0, q=1 / (3 * x0**2)))
+        assert roots == (x0 + 0j,) * 3
+
 
 class TestPolyReal:
     def test_quadratic(self):
@@ -149,6 +156,10 @@ class TestPolyReal:
     def test_zero_polynomial(self):
         with pytest.raises(rc.ZeroPolynomial):
             rc.solve_poly_real((1e-16, 0.0, 0.0))
+
+    def test_constant_has_no_roots(self):
+        assert rc.solve_poly_real([2.0, 1e-13]) == []
+        assert rc.solve_poly_real([2.0]) == []
 
     def test_residual_after_polish(self):
         rng = np.random.default_rng(103)
