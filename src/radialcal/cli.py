@@ -11,12 +11,15 @@ bad data or camera file, degenerate geometry, a tolerance violation) prints
 per process, so an in-process caller pays for the argparse tree only on its
 first call. A token that starts with '-' and then a digit, '.' and a digit,
 "inf" or "nan" is the value of the option before it; the optimizer options
-default to OptimizerOptions'.
+default to OptimizerOptions'. Every subcommand builds its library objects
+from the option values before it reads a file, so a bad option value is a
+usage error whatever the files hold.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -132,25 +135,27 @@ def _single_row_report(result: CalibrationResult) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    return _single_row_report(calibrate(load_dataset(args.data), args.model, _opts(args)))
+    opts = _opts(args)
+    return _single_row_report(calibrate(load_dataset(args.data), args.model, opts))
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    data = load_dataset(args.data)
-    report = compare_models(data, args.models, _opts(args))
+    opts = _opts(args)
+    report = compare_models(load_dataset(args.data), args.models, opts)
     sys.stdout.write(render_report(report))
     return 0
 
 
 def _cmd_fit_distortion(args: argparse.Namespace) -> int:
+    opts = _opts(args)
     data = load_dataset(args.data)
     A = load_intrinsics(args.intrinsics)
-    return _single_row_report(fit_distortion(data, A, args.model, _opts(args)))
+    return _single_row_report(fit_distortion(data, A, args.model, opts))
 
 
 def _cmd_undistort_points(args: argparse.Namespace) -> int:
-    A = load_intrinsics(args.intrinsics)
     model = _usage(DistortionModel, model_id=args.model, coefficients=args.coeffs)
+    A = load_intrinsics(args.intrinsics)
     # Every line parses before any point is inverted, in one array call.
     undistorted = undistort_pixel(A, model, _parse_rows(sys.stdin, 2, "<stdin>"))
     sys.stdout.write(("%r %r\n" * len(undistorted)) % tuple(undistorted.ravel().tolist()))
@@ -181,22 +186,20 @@ def _default_poses(n: int) -> tuple[Extrinsics, ...]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.intrinsics:
-        A = load_intrinsics(args.intrinsics)
-    else:
-        A = IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
     coeffs = args.coeffs
     if coeffs is None:
         coeffs = (0.0,) * coefficient_arity(args.model)
     spec = _usage(
         SynthSpec,
-        intrinsics=A,
+        intrinsics=IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0),
         extrinsics=_default_poses(args.views),
         model=_usage(DistortionModel, model_id=args.model, coefficients=coeffs),
         sigma=args.sigma,
         seed=args.seed,
         model_points=_usage(planar_grid, args.grid, args.grid, args.spacing),
     )
+    if args.intrinsics:
+        spec = dataclasses.replace(spec, intrinsics=load_intrinsics(args.intrinsics))
     dataset, resolved = generate_synthetic(spec)
     out = Path(args.out)
     write_dataset(out, dataset)

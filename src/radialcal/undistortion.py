@@ -31,10 +31,13 @@ pixel. _pair does steps 1 and 2 once, then bisects, after a closed-form
 miss on the analytic route. An array is inverted in one vectorised pass
 (_invert_points): _closed_form_ray solves every row with the same formulas,
 the cubic radicals over complex arrays, and _numeric_ray brackets and
-bisects in lock step. Rows the vectorised formulas do not cover (a collapsed
-polynomial degree, a non-finite coordinate, a root missing, non-finite,
-past r_b or off the point) and rows outside the domain go through _pair, so
-an array raises what the pair call raises, naming its first failing point.
+bisects in lock step. Both compute every row and keep each answer by mask,
+and arithmetic on the rows they drop warns nothing. The origin rows read
+(0.0, 0.0) by one mask. Rows the vectorised formulas do not cover (a
+collapsed polynomial degree, a non-finite coordinate, a root missing,
+non-finite, past r_b or off the point) and rows outside the domain go
+through _pair, so an array raises what the pair call raises, naming its
+first failing point.
 """
 
 from __future__ import annotations
@@ -265,15 +268,15 @@ def solve_poly_real(coeffs) -> list[float]:
 
 def _newton_polish(c, x):
     """One Newton step on the polynomial c at x; x may be an array of roots
-    with one array per coefficient in c."""
+    with one array per coefficient in c, whose caller silences the warnings
+    of the rows it drops."""
     val = 0.0
     dval = 0.0
     for coef in reversed(c):
         dval = dval * x + val
         val = val * x + coef
     if isinstance(x, np.ndarray):
-        step = np.abs(dval) >= 1e-300
-        return np.where(step, x - val / np.where(step, dval, 1.0), x)
+        return np.where(np.abs(dval) >= 1e-300, x - val / dval, x)
     if abs(dval) < 1e-300:
         return x
     return x - val / dval
@@ -308,59 +311,51 @@ def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> 
     """_pair's closed form on every ray y = c x: the principal preimage x, or
     nan where _pair bisects or hands the row to solve_poly_real.
 
-    Each row's branch polynomial is solved by its degree with _pair's
-    formulas; a non-finite root, where the radicals overflow, is no candidate.
+    Every row's branch polynomial is solved with _pair's formulas for the
+    model's degree, and a mask keeps the rows that _pair would solve so:
+    arithmetic on the others warns nothing and its result is dropped. A
+    non-finite root, where the radicals overflow, is no candidate.
     """
     plan = _plan(model)
-    sigma = np.where(x_d > 0.0, 1.0, -1.0)
-    t = 1.0 + c * c
-    s = np.sqrt(t)
-    b = _branch_coefficients(plan, x_d, s, t, sigma)
-    deg = len(b) - 1
-    keep = np.abs(b[-1]) >= COEFF_EPS
-    if deg == 3:
-        keep &= np.abs(b[1]) >= COEFF_EPS
-    rows = np.flatnonzero(keep)
-    a = [v[rows] for v in b]
-    if deg == 3:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sigma = np.where(x_d > 0.0, 1.0, -1.0)
+        t = 1.0 + c * c
+        s = np.sqrt(t)
+        a = _branch_coefficients(plan, x_d, s, t, sigma)
+        solvable = np.abs(a[-1]) >= COEFF_EPS
+        if len(a) == 4:
             # _pair's y = x + p x^2 + q x^3, solved by _radicals' formulas.
             y, p, q = -a[0] / a[1], a[2] / a[1], a[3] / a[1]
-            fits = np.abs(q) >= COEFF_EPS
-            rows, y, p, q = rows[fits], y[fits], p[fits], q[fits]
+            solvable &= (np.abs(a[1]) >= COEFF_EPS) & (np.abs(q) >= COEFF_EPS)
             inner = 4.0 * q - p * p + 18.0 * p * q * y + 27.0 * y * y * q * q - 4.0 * y * p**3
             sq = 12.0 * _SQRT3 * q * np.sqrt(inner.astype(complex))
             base = 36.0 * p * q + 108.0 * y * q * q - 8.0 * p**3
             plus, minus = base + sq, base - sq
             bracket = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
             # A zero bracket is the triple root (_radicals' e1 == 0).
-            triple = bracket == 0
-            e1 = np.where(triple, 1.0, bracket) ** (1.0 / 3.0)
-            z = np.where(triple, -p / (3.0 * q), np.array(_back_substitute(e1, p, q)))
-        roots = z.real
-        real = np.abs(z.imag) <= IMAG_EPS * np.maximum(1.0, np.abs(roots))
-    elif deg == 2:
-        disc = a[1] * a[1] - 4.0 * a[2] * a[0]
-        real = np.broadcast_to(disc >= 0.0, (2, rows.size))
-        sd = np.sqrt(np.where(real[0], disc, 0.0))
-        qq = np.where(a[1] >= 0.0, -0.5 * (a[1] + sd), -0.5 * (a[1] - sd))
-        other = np.where(qq != 0.0, a[0] / np.where(qq != 0.0, qq, 1.0), 0.0)
-        roots = np.array([_newton_polish(a, x) for x in (qq / a[2], other)])
-    else:
-        real = np.ones((1, rows.size), dtype=bool)
-        roots = _newton_polish(a, -a[0] / a[1])[None]
-    admissible = real & (roots * sigma[rows] > 0.0)
-    nearest = np.argmin(np.where(admissible, np.abs(roots), np.inf), axis=0)
-    x = np.full(sigma.shape, np.nan)
-    x[rows] = np.where(admissible.any(axis=0), roots[nearest, np.arange(rows.size)], np.nan)
-    r_b, f_max = plan[:2]
-    r_d = s * np.abs(x_d)
-    r = s * np.abs(x)
-    # A non-finite root fails r < r_b.
-    ok = (r_d < f_max) & (r < r_b)
-    r = np.where(ok, r, 0.0)
-    F = r * _profile(model._slots, r)
-    ok &= np.abs(F - r_d) <= _REDISTORT_TOL * r_d
+            z = np.where(bracket == 0, -p / (3.0 * q),
+                         np.array(_back_substitute(bracket ** (1.0 / 3.0), p, q)))
+            roots = z.real
+            real = np.abs(z.imag) <= IMAG_EPS * np.maximum(1.0, np.abs(roots))
+        elif len(a) == 3:
+            disc = a[1] * a[1] - 4.0 * a[2] * a[0]
+            real = disc >= 0.0
+            sd = np.sqrt(disc)
+            qq = np.where(a[1] >= 0.0, -0.5 * (a[1] + sd), -0.5 * (a[1] - sd))
+            other = np.where(qq != 0.0, a[0] / qq, 0.0)
+            roots = np.array([_newton_polish(a, x) for x in (qq / a[2], other)])
+        else:
+            real = True
+            roots = _newton_polish(a, -a[0] / a[1])[None]
+        admissible = solvable & real & (roots * sigma > 0.0)
+        # An admissible root has sigma's sign, so the nearest is sigma times
+        # the least |root|; with none, x is infinite and fails r < r_b.
+        x = sigma * np.min(np.where(admissible, np.abs(roots), np.inf), axis=0)
+        r_b, f_max = plan[:2]
+        r_d = s * np.abs(x_d)
+        r = s * np.abs(x)
+        F = r * _profile(model._slots, r)
+        ok = (r_d < f_max) & (r < r_b) & (np.abs(F - r_d) <= _REDISTORT_TOL * r_d)
     return np.where(ok, x, np.nan)
 
 
@@ -368,55 +363,55 @@ def _numeric_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.n
     """undistort_numeric's bracket and bisection on every ray in lock step.
 
     Each point runs the pair route's arithmetic, so the results are bit for
-    bit the same. nan marks a point outside the invertible domain.
+    bit the same. Every row is evaluated and a mask picks the rows that move;
+    arithmetic on the others warns nothing. nan marks a point outside the
+    invertible domain.
     """
-    xd = np.abs(x_d)
-    s = np.sqrt(1.0 + c * c)
     r_b, f_max = _plan(model)[:2]
-    top = r_b / s
-    lo = np.where(s * xd < f_max, 0.0, np.nan)
-    hi = xd.copy()
-    todo = np.flatnonzero(lo == 0.0)
-    while todo.size:
-        todo = todo[hi[todo] < top[todo]]
-        short = hi[todo] * _profile(model._slots, s[todo] * hi[todo]) - xd[todo] < 0.0
-        todo = todo[short]
-        lo[todo] = hi[todo]
-        hi[todo] *= 2.0
-    hi = np.minimum(hi, top)
-    x = 0.5 * (lo + hi)
-    act = (lo < x) & (x < hi)
-    while act.any():
-        fx = x * _profile(model._slots, s * x) - xd
-        lo = np.where(act & (fx <= 0.0), x, lo)
-        hi = np.where(act & ~(fx < 0.0), x, hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xd = np.abs(x_d)
+        s = np.sqrt(1.0 + c * c)
+        top = r_b / s
+        lo = np.where(s * xd < f_max, 0.0, np.nan)
+        hi = xd.copy()
+        grow = lo == 0.0
+        while grow.any():
+            grow &= (hi < top) & (hi * _profile(model._slots, s * hi) - xd < 0.0)
+            lo = np.where(grow, hi, lo)
+            hi = np.where(grow, 2.0 * hi, hi)
+        hi = np.minimum(hi, top)
         x = 0.5 * (lo + hi)
         act = (lo < x) & (x < hi)
+        while act.any():
+            fx = x * _profile(model._slots, s * x) - xd
+            lo = np.where(act & (fx <= 0.0), x, lo)
+            hi = np.where(act & ~(fx < 0.0), x, hi)
+            x = 0.5 * (lo + hi)
+            act = (lo < x) & (x < hi)
     return np.where(x_d < 0.0, -x, x)
 
 
 def _invert_points(model: DistortionModel, pd: np.ndarray, closed: bool) -> np.ndarray:
     """Invert an (..., 2) array with the closed-form or numeric ray solver.
 
-    The origin maps to itself. Each other point is solved along its ray
-    from the larger coordinate, as in _pair. Rows with a non-finite
-    coordinate, and rows the ray solver leaves nan, go through _pair in
-    array order: it returns what the vectorised formulas do not cover and
-    raises for the first point without a preimage.
+    Each point is solved along its ray from the larger coordinate, as in
+    _pair; every row is computed, and arithmetic on the origin and on
+    non-finite rows warns nothing. The origin rows, signed zeros too, read
+    (0.0, 0.0) as in _pair. Rows the ray solver leaves nan, the non-finite
+    ones among them, go through _pair in array order: it returns what the
+    vectorised formulas do not cover and raises for the first point without
+    a preimage.
     """
     flat = pd.reshape(-1, 2)
-    finite = np.isfinite(flat).all(axis=1)
-    out = np.zeros(flat.shape)
-    out[~finite] = np.nan
-    live = np.flatnonzero(finite & (flat != 0.0).any(axis=1))
-    u, v = flat[live, 0], flat[live, 1]
+    u, v = flat.T
     swap = np.abs(u) < np.abs(v)
     x_d = np.where(swap, v, u)
-    c = np.where(swap, u, v) / x_d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = np.where(swap, u, v) / x_d  # nan at the origin
     x = (_closed_form_ray if closed else _numeric_ray)(model, x_d, c)
     y = c * x
-    out[live, 0] = np.where(swap, y, x)
-    out[live, 1] = np.where(swap, x, y)
+    out = np.stack([np.where(swap, y, x), np.where(swap, x, y)], axis=1)
+    out[(flat == 0.0).all(axis=1)] = 0.0
     for i in np.flatnonzero(np.isnan(out[:, 0])):
         try:
             out[i] = _pair(model, *flat[i].tolist(), closed)

@@ -624,6 +624,33 @@ class TestExitCodes:
         assert res.stderr == f"usage error: {name} must be finite\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [(["fit-distortion", "--data", "D", "--model", "9", "--intrinsics", "nan.txt",
+           "--tol-x", "nan"], "step_tolerance must be positive"),
+         (["undistort-points", "--model", "2", "--coeffs=inf", "--intrinsics", "nan.txt"],
+          "model 2 coefficients must be finite, got (inf,)"),
+         (["calibrate", "--data", "missing", "--model", "9", "--max-iter", "0"],
+          "max_iterations must be positive"),
+         (["compare", "--data", "missing", "--max-fevals", "0"],
+          "max_function_evaluations must be positive"),
+         (["synth", "--out", "X", "--model", "2", "--intrinsics", "nan.txt", "--sigma", "-1"],
+          "sigma must be finite and >= 0")],
+    )
+    def test_option_values_are_checked_before_any_file_is_read(
+        self, synth_dir, tmp_path, argv, message
+    ):
+        # Every file here is bad or missing: the bad option value still
+        # decides the exit status.
+        (tmp_path / "nan.txt").write_text("800 0 nan 800 240\n", encoding="utf-8")
+        paths = {"D": str(synth_dir), "nan.txt": str(tmp_path / "nan.txt"),
+                 "missing": str(tmp_path / "missing"), "X": str(tmp_path / "X")}
+        res = run_cli(*(paths.get(a, a) for a in argv), stdin="400.5 300.25\n")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"usage error: {message}\n"
+        assert not (tmp_path / "X").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [["calibrate", "--model", "1"], ["compare"],
          ["fit-distortion", "--model", "1", "--intrinsics", "cam.txt"]],

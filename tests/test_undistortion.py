@@ -781,15 +781,25 @@ class TestPairRoute:
 
 
 def batch_with_special_rows(rng, model, n):
-    """n disk points re-distorted, with origin, axis and steep rows mixed in."""
+    """n disk points re-distorted, with origin (signed zeros too), axis and
+    steep rows mixed in."""
     pts = disk_points(rng, n, radius=0.5)
-    pts[:6] = [[0.0, 0.0], [0.0, 0.3], [0.0, -0.2], [0.25, 0.0], [0.01, 0.45], [-0.02, -0.4]]
+    pts[:8] = [[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.3], [0.0, -0.2], [0.25, 0.0],
+               [0.01, 0.45], [-0.02, -0.4]]
     rng.shuffle(pts)
     return rc.distort_normalized(model, pts)
 
 
 def stacked_pairs(invert, model, pd):
     return np.array([invert(model, q) for q in pd.reshape(-1, 2)]).reshape(pd.shape)
+
+
+def assert_origin_bytes(got, want, pd):
+    """The origin rows, signed zeros included, give the pair route's bytes:
+    np.array_equal treats -0.0 as 0.0."""
+    origin = (pd == 0.0).all(axis=-1)
+    assert origin.any()
+    assert got[origin].tobytes() == want[origin].tobytes()
 
 
 # Models whose array route runs the pair route's float operations exactly;
@@ -810,6 +820,7 @@ class TestArrayRoute:
                 got = rc.undistort_normalized(model, pd)
                 want = stacked_pairs(rc.undistort_normalized, model, pd)
                 assert got.shape == pd.shape
+                assert_origin_bytes(got, want, pd)
                 if mid in BIT_EXACT:
                     assert np.array_equal(got, want), (session, mid)
                 else:
@@ -826,7 +837,9 @@ class TestArrayRoute:
                 )
                 pd = batch_with_special_rows(rng, model, 60)
                 got = rc.undistort_numeric(model, pd)
-                assert np.array_equal(got, stacked_pairs(rc.undistort_numeric, model, pd))
+                want = stacked_pairs(rc.undistort_numeric, model, pd)
+                assert np.array_equal(got, want)
+                assert_origin_bytes(got, want, pd)
 
     def test_pixel_array_matches_pairs(self):
         rng = np.random.default_rng(167)
@@ -861,19 +874,23 @@ class TestArrayRoute:
     def test_degenerate_rows_take_the_pair_route(self):
         # Zero coefficients collapse every row's degree (the identity map),
         # and a model-4 row with a vanishing linear coefficient has no root.
+        # The vectorised formulas still run on those rows, masked out, and
+        # must warn nothing.
         rng = np.random.default_rng(179)
-        for mid, k in ((2, (0.0,)), (3, (0.0, 0.0)), (9, (0.0, 0.1, 0.2))):
-            model = rc.DistortionModel(model_id=mid, coefficients=k)
-            pd = batch_with_special_rows(rng, model, 20)
-            assert np.array_equal(
-                rc.undistort_normalized(model, pd),
-                stacked_pairs(rc.undistort_normalized, model, pd),
-            )
-        model = rc.DistortionModel(model_id=4, coefficients=(2.0,))
-        with pytest.raises(rc.NoRealCandidate) as pair:
-            rc.undistort_normalized(model, np.array([0.5, 0.0]))
-        with pytest.raises(rc.NoRealCandidate) as batch:
-            rc.undistort_normalized(model, np.array([[0.1, 0.0], [0.5, 0.0]]))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for mid, k in ((2, (0.0,)), (3, (0.0, 0.0)), (9, (0.0, 0.1, 0.2))):
+                model = rc.DistortionModel(model_id=mid, coefficients=k)
+                pd = batch_with_special_rows(rng, model, 20)
+                assert np.array_equal(
+                    rc.undistort_normalized(model, pd),
+                    stacked_pairs(rc.undistort_normalized, model, pd),
+                )
+            model = rc.DistortionModel(model_id=4, coefficients=(2.0,))
+            with pytest.raises(rc.NoRealCandidate) as pair:
+                rc.undistort_normalized(model, np.array([0.5, 0.0]))
+            with pytest.raises(rc.NoRealCandidate) as batch:
+                rc.undistort_normalized(model, np.array([[0.1, 0.0], [0.5, 0.0]]))
         assert str(batch.value) == str(pair.value)
 
     def test_masked_lanes_raise_no_floating_point_error(self):
