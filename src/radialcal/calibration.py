@@ -11,7 +11,10 @@ projections:
 
 compare_models runs the linear stage once and refines every requested
 distortion model from that identical starting point (coefficients at zero),
-ranking models by final J.
+ranking models by final J. The fits run in lock step: each round makes one
+forward pass and one Jacobian over a leading model axis for every fit still
+running, while each fit keeps its own damping, acceptance test and stop
+rule, so every fit takes the bits it takes alone. refine is a batch of one.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from .core import (
 )
 from .distortion import (
     _D1,
+    _N4,
     _TERMS,
     DistortionModel,
     _checked,
     _profile,
-    _rational,
     _slots,
     coefficient_arity,
 )
@@ -421,6 +424,25 @@ def _pack(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
     return np.array(parts)
 
 
+def _row_index(model_id: int, n_views: int) -> np.ndarray:
+    """Where each entry of a packed theta sits in a batch row.
+
+    A batch row is the layout every model shares: [alpha, gamma, u0, beta,
+    v0, n1, n2, n4, d1, d2, w_1, t_1, ..., w_N, t_N], the five slots of
+    distortion._slots with 0 in an absent one.
+    """
+    return np.concatenate(
+        [np.arange(5), np.add(5, _TERMS[model_id]), np.arange(10, 10 + 6 * n_views)]
+    )
+
+
+def _row(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
+    """The batch row of (A, model, extrinsics)."""
+    row = np.zeros(10 + 6 * len(extrinsics))
+    row[_row_index(model.model_id, len(extrinsics))] = _pack(A, model, extrinsics)
+    return row
+
+
 def _unpack(theta: np.ndarray, model_id: int, n_views: int):
     """The inverse of _pack: (intrinsics, model, extrinsics) of a packed theta.
 
@@ -435,23 +457,50 @@ def _unpack(theta: np.ndarray, model_id: int, n_views: int):
     )
 
 
-def _frame(model_id: int, params: np.ndarray, pts3: Mat):
-    """One packed row's forward pass over pts3 (P, 3): P^c (V, 3, P), then x,
-    y, r, f (V, P) and the pixels (V, P, 2).
+def _per_fit(rows: np.ndarray, n_views: int):
+    """The ten global entries of M batch rows, each as values that broadcast
+    over the fits' stacked (M V, P) view rows: the row's own numbers in a
+    batch of one, else (M V, 1) columns, a fit's value repeated per view
+    (a number and its (1, 1) array give the same bits; the array costs a
+    broadcast)."""
+    if len(rows) == 1:
+        return rows[0, :10]
+    return np.repeat(rows[:, :10], n_views, axis=0).T[:, :, None]
 
-    P^c = R P + t, column j of R times coordinate j (a planar target skips
-    the third), (x, y) = (X, Y) / Z, r = hypot(x, y), f(r) from the row's
-    slots and the pixel A f (x, y): all nan below DEPTH_EPS, and f and the
-    pixel at a vanishing profile denominator. refine hands an accepted
-    trial's frame on to _jacobian.
+
+def _target(pts3: Mat):
+    """(P, 3) world points as the contiguous coordinate rows X, Y, Z that
+    _frame takes, Z None when every point lies on the plane Z = 0."""
+    X, Y, Z = np.array(pts3, dtype=float).T.copy()
+    return X, Y, (Z if Z.any() else None)
+
+
+def _frame(models, rows: np.ndarray, target):
+    """The forward pass of M fits over a target of P points (see _target):
+    P^c (M V, 3, P), then x, y, r, f (M V, P) and the pixels (M V, P, 2).
+
+    models holds the fits' model ids and rows their (M, 10 + 6V) batch rows
+    (see _row_index); fit i's views are rows i V to (i + 1) V - 1 of each
+    part, so a batch of one gives its (V, ...) arrays. P^c = R P + t,
+    column j of R times coordinate j (a planar target skips the third),
+    (x, y) = (X, Y) / Z, r = hypot(x, y), f(r) from the row's slots and the
+    pixel A f (x, y): all nan below DEPTH_EPS, and f and the pixel at a
+    vanishing profile denominator. _lock_step hands an accepted trial's
+    frame on to _jacobian.
+
+    Every step is elementwise, so a fit's slice holds the bits of its M = 1
+    call: a slot no fit uses is skipped, as _profile skips an absent one,
+    and an absent slot's 0 term adds nothing, except where r * r overflows
+    and 0 r^2 reads nan; f is then taken fit by fit from its own slots.
     """
-    alpha, gamma, u0, beta, v0 = params[:5]
-    k = params[5 : 5 + coefficient_arity(model_id)]
-    pose = params[5 + len(k) :].reshape(-1, 6)
+    pose = rows[:, 10:].reshape(-1, 6)
+    n_views = len(pose) // len(rows)
+    alpha, gamma, u0, beta, v0, *slots = _per_fit(rows, n_views)
     R = rotation_to_matrix(pose[:, :3])
-    Pc = R[..., 0, None] * pts3[:, 0] + R[..., 1, None] * pts3[:, 1] + pose[:, 3:, None]
-    if pts3[:, 2].any():
-        Pc += R[..., 2, None] * pts3[:, 2]
+    X, Y, Z = target
+    Pc = R[..., 0, None] * X + R[..., 1, None] * Y + pose[:, 3:, None]
+    if Z is not None:
+        Pc += R[..., 2, None] * Z
     z = Pc[:, 2]
     low = z < DEPTH_EPS
     if low.any():
@@ -459,10 +508,24 @@ def _frame(model_id: int, params: np.ndarray, pts3: Mat):
     x = Pc[:, 0] / z
     y = Pc[:, 1] / z
     r = np.hypot(x, y)
-    f = _profile(_slots(model_id, k), r)
+    terms = {_TERMS[m] for m in models}
+    used = set().union(*terms)
+    f = _profile([k if s in used else None for s, k in enumerate(slots)], r)
+    if len(terms) > 1 and (r > 1e154).any():
+        per_fit = r.reshape(len(rows), n_views, -1)
+        f = np.concatenate([_profile(_slots(m, row[np.add(5, _TERMS[m])]), rm)
+                            for m, row, rm in zip(models, rows, per_fit)])
     xd = x * f
     yd = y * f
-    return Pc, x, y, r, f, np.stack([alpha * xd + gamma * yd + u0, beta * yd + v0], axis=-1)
+    pixels = np.empty(x.shape + (2,))
+    np.add(alpha * xd + gamma * yd, u0, out=pixels[..., 0])
+    np.add(beta * yd, v0, out=pixels[..., 1])
+    return Pc, x, y, r, f, pixels
+
+
+def _frame_of(A: IntrinsicParams, model: DistortionModel, extrinsics, pts3: Mat):
+    """The _frame of one fit over (P, 3) world points, a batch of one."""
+    return _frame((model.model_id,), _row(A, model, extrinsics)[None], _target(pts3))
 
 
 def _check(model_id: int, frame) -> None:
@@ -476,17 +539,17 @@ def _check(model_id: int, frame) -> None:
     _checked(model_id, r, f)
 
 
-def _residuals(params: np.ndarray, frame, observations) -> np.ndarray:
+def _residuals(params: np.ndarray, pixels, observations) -> np.ndarray:
     """The residual kernel: predicted minus observed pixels, shape (V, P, 2).
 
-    params is one packed row, frame its _frame and observations the (V, P,
-    2) stack of pixel observations. A point whose pixel the frame holds as
-    nan has nan residuals, and so has every point when the focal scale alpha
-    or beta is <= 0.
+    params is one packed or batch row, pixels its _frame's pixels and
+    observations the (V, P, 2) stack of pixel observations. A point whose
+    pixel is nan has nan residuals, and so has every point when the focal
+    scale alpha or beta is <= 0.
     """
     if params[0] <= 0.0 or params[3] <= 0.0:
         return np.full(observations.shape, np.nan)
-    return frame[5] - observations
+    return pixels - observations
 
 
 def _objective(r: np.ndarray) -> float:
@@ -496,10 +559,9 @@ def _objective(r: np.ndarray) -> float:
     J a function of the per-view sums alone, so refine's J of a result and
     compute_objective's agree bit for bit.
     """
-    du = r[..., 0]
-    dv = r[..., 1]
+    squares = r * r
     J = 0.0
-    for term in np.sum(du * du + dv * dv, axis=-1).tolist():
+    for term in np.add(squares[..., 0], squares[..., 1]).sum(axis=-1).tolist():
         J += term
     return math.inf if math.isnan(J) else J
 
@@ -518,7 +580,7 @@ def project_distorted(
     if pts3.ndim != 2 or pts3.shape[1] != 3:
         raise ValueError(f"world_points must be an (n, 3) array, got shape {pts3.shape}")
     _no_nan(pts3)
-    frame = _frame(model.model_id, _pack(A, model, (ext,)), pts3)
+    frame = _frame_of(A, model, (ext,), pts3)
     _check(model.model_id, frame)
     return frame[5][0]
 
@@ -529,7 +591,7 @@ def _views(A: IntrinsicParams, extrinsics, model: DistortionModel, pts3: Mat) ->
     The first view i with a point without a pixel raises as project_distorted
     does, prefixed "view i, ".
     """
-    frame = _frame(model.model_id, _pack(A, model, extrinsics), pts3)
+    frame = _frame_of(A, model, extrinsics, pts3)
     bad = np.isnan(frame[4]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -567,27 +629,31 @@ def compute_objective(
 # scaled gradient step -b_i / N_ii, the relative resolution of a double.
 _DAMPING_START = 1e-3
 _DAMPING_LIMIT = 1e16
+_EPS = float(np.finfo(float).eps)
 
 
-def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
-    """Analytic Jacobian of the residuals at one packed row params, per view.
+def _jacobian(rows: np.ndarray, frame, slots, first: int = 0) -> np.ndarray:
+    """Analytic Jacobian of M fits' residuals, per fit and view.
 
-    params is laid out as theta above and frame is its _frame; the last m
-    entries before the 6V pose entries are the free globals (the
-    coefficients, after the intrinsics unless these are frozen). Returns J
-    of shape (V, m + 6, 2, P): J[v, i, c] is the derivative of view v's
-    pixel coordinate c (u, then v) along global i < m, then along view v's
-    pose coordinate i - m (rotation, then translation), which no other view
-    depends on.
+    rows are the fits' batch rows (see _row_index), frame the first five
+    parts of their _frame, slots the ascending slots whose coefficient
+    columns are taken and first 0 to take the five intrinsics' columns
+    before them, or 5 to leave them out. Returns J of shape (M V, w + 6, 2,
+    P), w = 5 - first + len(slots), fit i's views in rows i V to (i + 1) V
+    - 1 as in _frame: J[k, j, c] is the derivative of view row k's pixel
+    coordinate c (u, then v) along global j < w (the intrinsics, then the
+    slots' coefficients), then along that view's pose coordinate j - w
+    (rotation, then translation), which no other view depends on. A fit
+    takes its own columns (_columns).
 
-    With f = N / D from distortion._rational (0 in an absent slot), (x_d,
-    y_d) = f (x, y) and (u, v) = (alpha x_d + gamma y_d + u0, beta y_d +
-    v0), the chain runs:
+    With f = N / D (0 in an absent slot, as distortion._rational holds it),
+    (x_d, y_d) = f (x, y) and (u, v) = (alpha x_d + gamma y_d + u0, beta y_d
+    + v0), the chain runs:
 
     * intrinsics: d(u, v)/d(alpha, gamma, u0, beta, v0) is (x_d, 0),
       (y_d, 0), (1, 0), (0, y_d), (0, 1);
-    * coefficients, one per slot in distortion._TERMS: df/dk = r^p / D for
-      the slot of a term r^p of N and -f r^p / D for one of D;
+    * coefficients, one per slot: df/dk = r^p / D for the slot of a term
+      r^p of N and -f r^p / D for one of D;
     * distortion map: d(x_d, y_d)/d(x, y) = f I + f' (x, y)^T (x, y) / r
       with f' = (N' - f D') / D, which is f I at r = 0;
     * projection: (x, y) = (X / Z, Y / Z) of P^c;
@@ -597,15 +663,14 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
 
     At an accepted theta every depth is at least DEPTH_EPS and every |D| at
     least DENOM_EPS, so r and every entry are finite, and an absent slot's
-    0 term changes no bit.
+    0 term changes no bit. Every step is elementwise, so a fit's columns
+    hold the bits of its M = 1 call.
     """
-    arity = coefficient_arity(model_id)
-    alpha, gamma, u0, beta, v0 = params[:5]
-    pose = params[5 + arity :].reshape(-1, 6)
-    Pc, x, y, r, f, _ = frame
+    pose = rows[:, 10:].reshape(-1, 6)
+    alpha, gamma, u0, beta, v0, n1, n2, n4, d1, d2 = _per_fit(rows, len(pose) // len(rows))
+    Pc, x, y, r, f = frame
 
     # D and the slopes N' and D' in r.
-    (_, n1, n2, _, n4), (_, d1, d2) = _rational(_slots(model_id, params[5 : 5 + arity]))
     r2 = r * r
     D = 1.0 + d1 * r + d2 * r2
     dN = n1 + 2.0 * n2 * r + 4.0 * n4 * (r2 * r)
@@ -613,11 +678,14 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     df = (dN - f * dD) / D
 
     # Column i's u and v derivatives go to J[:, i, 0] and J[:, i, 1], each
-    # (V, P), so that no product broadcasts along a trailing axis of 2; every
-    # row is written in place.
-    n_views, n_points = x.shape
-    J = np.zeros((n_views, m + 6, 2, n_points))
-    if m > arity:
+    # (M V, P), so that no product broadcasts along a trailing axis of 2;
+    # every entry is written in place, the intrinsics' zero halves too.
+    n_rows, n_points = x.shape
+    m = 5 - first + len(slots)
+    J = np.empty((n_rows, m + 6, 2, n_points))
+    if first == 0:
+        J[:, :3, 1] = 0.0
+        J[:, 3:5, 0] = 0.0
         np.multiply(x, f, out=J[:, 0, 0])
         np.multiply(y, f, out=J[:, 1, 0])
         J[:, 2, 0] = 1.0
@@ -626,12 +694,11 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     # (alpha x + gamma y, beta y), the pixel offset from (u0, v0) per unit f,
     # times df/dk: r^p / D along a term of N, -f r^p / D along a term of D.
     # The ray goes to the first coefficient row, which is scaled last.
-    first = m - arity
-    ray = J[:, first]
+    ray = J[:, 5 - first]
     np.add(alpha * x, gamma * y, out=ray[:, 0])
     np.multiply(beta, y, out=ray[:, 1])
-    powers = (r, r2, r2 * r2, r, r2)
-    for i, slot in reversed(list(enumerate(_TERMS[model_id], start=first))):
+    powers = (r, r2, r2 * r2 if _N4 in slots else None, r, r2)
+    for i, slot in reversed(list(enumerate(slots, start=5 - first))):
         d = powers[slot] / D if slot < _D1 else -f * powers[slot] / D
         np.multiply(ray, d[:, None], out=J[:, i])
 
@@ -660,6 +727,14 @@ def _jacobian(model_id: int, params: np.ndarray, frame, m: int) -> np.ndarray:
     return J
 
 
+def _columns(model_id: int, free: int, slots, first: int = 0) -> list[int]:
+    """A fit's columns of a _jacobian taken over slots from first, in theta's
+    order: its intrinsics from entry free on, its coefficients and its pose."""
+    m = 5 - first + len(slots)
+    coefficients = [5 - first + slots.index(s) for s in _TERMS[model_id]]
+    return [*range(free - first, 5 - first), *coefficients, *range(m, m + 6)]
+
+
 def _normal_equations(J: np.ndarray, r: np.ndarray):
     """J^T J and J^T r from _jacobian's (V, m + 6, 2, P) blocks and the (V, P, 2) r.
 
@@ -682,6 +757,186 @@ def _normal_equations(J: np.ndarray, r: np.ndarray):
     views = np.arange(n_views)
     N[m:, m:].reshape(n_views, 6, n_views, 6)[views, :, views, :] = G[:, m:, m:]
     return N, np.concatenate([g[:, :m].sum(axis=0), g[:, m:].ravel()])
+
+
+def _fit(
+    initial: CalibrationResult,
+    data: CalibrationDataset,
+    opts: OptimizerOptions | None = None,
+    free: int = 0,
+):
+    """refine's Levenberg-Marquardt loop for one fit, as a generator.
+
+    theta is the fit's batch row (see _row_index); a step moves its packed
+    entries from the free-th on. The fit yields each evaluation it needs and
+    receives its result: a row for the forward pass there (its _frame
+    pixels), or None for its Jacobian columns (see _columns) at the row last
+    evaluated for it. Its normal equations, solve, damping, acceptance test,
+    stop rules and evaluation count are its own; it returns its
+    CalibrationResult. _lock_step drives the fits.
+    """
+    opts = opts or OptimizerOptions()
+    model_id = initial.model.model_id
+    n_views = data.n_views
+    observations = np.stack(data.observations)
+    index = _row_index(model_id, n_views)
+    stepped = index[free:]
+
+    theta = _row(initial.intrinsics, initial.model, initial.extrinsics)
+    r = _residuals(theta, (yield theta), observations)
+    J = _objective(r)
+    evals = 1
+    if not math.isfinite(J):
+        raise ValueError("initial parameters do not give a finite objective")
+    trace = [J]
+    # theta's rotations as floats, the ones each trial composes its turns with
+    rotations = theta[10:].reshape(n_views, 6)[:, :3].tolist()
+    status = "max_iterations"
+    lam, nu = _DAMPING_START, 2.0
+    flat_streak = 0
+    while len(trace) <= opts.max_iterations:
+        if evals >= opts.max_function_evaluations:
+            status = "max_function_evaluations"
+            break
+        N, b = _normal_equations((yield None), r)
+        evals += 1
+        if 2.0 * float(np.abs(b).max()) <= 1e-9 * max(1.0, J):
+            status = "stationary"
+            break
+        # J's rounding floor: a residual p - m carries the rounding of the pixel
+        # p, about eps |m|, which moves J by 2 eps |r| |m|. No smaller fall counts.
+        floor = _EPS * (J + 2.0 * float(np.abs(r * observations).sum()))
+        scale = np.diag(N).copy()
+        scale[scale <= 0.0] = 1.0
+        first_predicted = math.inf  # the first finite decrease a trial predicts
+        while lam <= _DAMPING_LIMIT and evals < opts.max_function_evaluations:
+            step = np.linalg.solve(N + np.diag(lam * scale), -b)
+            trial = theta.copy()
+            trial[stepped] += step
+            turns = step[-6 * n_views :].reshape(n_views, 6)[:, :3].tolist()
+            turned = list(map(_compose_rotation, turns, rotations))
+            trial[10:].reshape(n_views, 6)[:, :3] = turned
+            # A far trial may overflow; J then reads inf or nan and is rejected.
+            # _lock_step runs the trial and sends its pixels under np.errstate
+            # ignoring overflow and invalid values, so this warns nothing.
+            pixels = yield trial
+            predicted = float(step @ (lam * scale * step - b))
+            trial_r = _residuals(trial, pixels, observations)
+            point = trial, trial_r, _objective(trial_r)
+            evals += 1
+            if first_predicted == math.inf and math.isfinite(predicted):
+                first_predicted = predicted
+            if J - point[-1] > floor:
+                break
+            lam *= nu
+            nu *= 2.0
+        else:  # no trial was accepted
+            if evals >= opts.max_function_evaluations:
+                status = "max_function_evaluations"
+            elif first_predicted < floor:
+                # The first trial promised less than that floor: J is at the
+                # optimum to double resolution, not stuck on a bad residual.
+                status = "stationary"
+            else:
+                status = "line_search_failure"
+            break
+        rel_step = float((np.abs(step) / np.maximum(1.0, np.abs(theta[stepped]))).max())
+        rel_dJ = (J - point[-1]) / max(1.0, point[-1])
+        rho = min(1.0, (J - point[-1]) / predicted) if predicted > 0.0 else 1.0
+        theta, r, J = point
+        rotations = turned  # the floats the accepted trial stored
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = 2.0
+        trace.append(J)
+        if rel_step < opts.step_tolerance:
+            status = "step_tolerance"
+            break
+        flat_streak = flat_streak + 1 if rel_dJ < opts.objective_tolerance else 0
+        if flat_streak >= 2:
+            status = "objective_tolerance"
+            break
+
+    A, model, extrinsics = _unpack(theta[index], model_id, n_views)
+    return CalibrationResult(
+        intrinsics=A,
+        extrinsics=extrinsics,
+        model=model,
+        objective=J,
+        iterations=len(trace) - 1,
+        converged=status in ("stationary", "step_tolerance", "objective_tolerance"),
+        status=status,
+        evaluations=evals,
+        objective_trace=tuple(trace),
+    )
+
+
+def _lock_step(data: CalibrationDataset, opts: OptimizerOptions | None, starts) -> list:
+    """Refine every (initial, free) pair of starts on data as one _fit each,
+    the fits in lock step.
+
+    A fit asks for a Jacobian after its start and after each accepted
+    trial, then for a trial's forward pass, so each round serves in that
+    order: one _jacobian call for every fit that asks for one, from the
+    frame of the previous round, where its row was evaluated; then one
+    _frame call, under np.errstate ignoring overflow and invalid values as a
+    trial's evaluation needs, for every fit's row, whose pixels each fit
+    also takes under it. Both run over a leading model axis, and every fit
+    receives its own slice at once: its columns of the Jacobian in theta's
+    order, or its pixels. Every step is elementwise or per fit, so a fit
+    takes the bits it takes alone.
+
+    A fit leaves the batch when it returns or raises a RadialCalError; the
+    result or the error comes back in starts' order. Any other error
+    propagates.
+    """
+    fits = [_fit(initial, data, opts, free) for initial, free in starts]
+    models = [initial.model.model_id for initial, _ in starts]
+    target = _target(data.world_points)
+    V = data.n_views
+    outcomes = [None] * len(fits)
+    requests = {}  # each live fit's next request: a row, or None for its Jacobian
+
+    def send(i, reply):
+        try:
+            requests[i] = fits[i].send(reply)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+            del requests[i]
+        except RadialCalError as error:
+            outcomes[i] = error
+            del requests[i]
+
+    for i in range(len(fits)):
+        requests[i] = None
+        send(i, None)
+    evaluated = rows = frame = None  # the fits, rows and _frame of the last forward pass
+    while requests:
+        jacobian = [i for i, request in requests.items() if request is None]
+        if jacobian:
+            if jacobian != evaluated:
+                at = np.array([evaluated.index(i) for i in jacobian])
+                views = (V * at[:, None] + np.arange(V)).ravel()
+                rows, frame = rows[at], [a[views] for a in frame[:5]]
+            slots = sorted({s for i in jacobian for s in _TERMS[models[i]]})
+            first = min(starts[i][1] for i in jacobian)  # 0 while a fit steps its intrinsics
+            J = _jacobian(rows, frame[:5], slots, first)
+            for j, i in enumerate(jacobian):
+                free = starts[i][1]
+                if free == first and len(_TERMS[models[i]]) == len(slots):
+                    columns = slice(None)  # all of them, without a copy
+                else:
+                    columns = _columns(models[i], free, slots, first)
+                send(i, J[j * V : (j + 1) * V, columns])
+            # No view of J outlives the round, so the next round's J can reuse
+            # its memory.
+            del J
+        if requests:
+            evaluated, rows = list(requests), np.array(list(requests.values()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                frame = _frame([models[i] for i in evaluated], rows, target)
+                for j, i in enumerate(evaluated):
+                    send(i, frame[5][j * V : (j + 1) * V])
+    return outcomes
 
 
 def refine(
@@ -724,100 +979,17 @@ def refine(
     point reached. iterations is the number of accepted steps, and the
     accepted-step objective sequence (objective_trace, one entry longer) is
     decreasing by construction.
+
+    The loop is one fit of the lock-step batch (_fit, _lock_step) that
+    compare_models runs over several models; refine runs a batch of one,
+    and a fit keeps its own damping and stop rule in either.
     """
-    opts = opts or OptimizerOptions()
-    model_id = initial.model.model_id
-    n_views = data.n_views
-    if len(initial.extrinsics) != n_views:
+    if len(initial.extrinsics) != data.n_views:
         raise ValueError("initial extrinsics count does not match the dataset")
-
-    free = 5 if freeze_intrinsics else 0  # the packed row's first stepped entry
-    pts3 = data.world_points
-    observations = np.stack(data.observations)
-
-    def evaluate(theta: np.ndarray):  # one evaluated point: the row, its _frame, r and J
-        frame = _frame(model_id, theta, pts3)
-        r = _residuals(theta, frame, observations)
-        return theta, frame, r, _objective(r)
-
-    theta, frame, r, J = evaluate(_pack(initial.intrinsics, initial.model, initial.extrinsics))
-    m = len(theta) - free - 6 * n_views
-    evals = 1
-    if not math.isfinite(J):
-        raise ValueError("initial parameters do not give a finite objective")
-    trace = [J]
-    status = "max_iterations"
-    lam, nu = _DAMPING_START, 2.0
-    flat_streak = 0
-    while len(trace) <= opts.max_iterations:
-        if evals >= opts.max_function_evaluations:
-            status = "max_function_evaluations"
-            break
-        N, b = _normal_equations(_jacobian(model_id, theta, frame, m), r)
-        evals += 1
-        if 2.0 * float(np.max(np.abs(b))) <= 1e-9 * max(1.0, J):
-            status = "stationary"
-            break
-        # J's rounding floor: a residual p - m carries the rounding of the pixel
-        # p, about eps |m|, which moves J by 2 eps |r| |m|. No smaller fall counts.
-        floor = np.finfo(float).eps * (J + 2.0 * float(np.abs(r * observations).sum()))
-        scale = np.diag(N).copy()
-        scale[scale <= 0.0] = 1.0
-        first_predicted = math.inf  # the first finite decrease a trial predicts
-        while lam <= _DAMPING_LIMIT and evals < opts.max_function_evaluations:
-            step = np.linalg.solve(N + np.diag(lam * scale), -b)
-            trial = theta.copy()
-            trial[free:] += step
-            turns = [v[-6 * n_views :].reshape(n_views, 6)[:, :3].tolist() for v in (step, theta)]
-            trial[-6 * n_views :].reshape(n_views, 6)[:, :3] = list(map(_compose_rotation, *turns))
-            # A far trial may overflow; J then reads inf or nan and is rejected.
-            with np.errstate(over="ignore", invalid="ignore"):
-                predicted = float(step @ (lam * scale * step - b))
-                point = evaluate(trial)
-            evals += 1
-            if first_predicted == math.inf and math.isfinite(predicted):
-                first_predicted = predicted
-            if J - point[-1] > floor:
-                break
-            lam *= nu
-            nu *= 2.0
-        else:  # no trial was accepted
-            if evals >= opts.max_function_evaluations:
-                status = "max_function_evaluations"
-            elif first_predicted < floor:
-                # The first trial promised less than that floor: J is at the
-                # optimum to double resolution, not stuck on a bad residual.
-                status = "stationary"
-            else:
-                status = "line_search_failure"
-            break
-        rel_step = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(theta[free:]))))
-        rel_dJ = (J - point[-1]) / max(1.0, point[-1])
-        rho = min(1.0, (J - point[-1]) / predicted) if predicted > 0.0 else 1.0
-        theta, frame, r, J = point
-        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        nu = 2.0
-        trace.append(J)
-        if rel_step < opts.step_tolerance:
-            status = "step_tolerance"
-            break
-        flat_streak = flat_streak + 1 if rel_dJ < opts.objective_tolerance else 0
-        if flat_streak >= 2:
-            status = "objective_tolerance"
-            break
-
-    A, model, extrinsics = _unpack(theta, model_id, n_views)
-    return CalibrationResult(
-        intrinsics=A,
-        extrinsics=extrinsics,
-        model=model,
-        objective=J,
-        iterations=len(trace) - 1,
-        converged=status in ("stationary", "step_tolerance", "objective_tolerance"),
-        status=status,
-        evaluations=evals,
-        objective_trace=tuple(trace),
-    )
+    (outcome,) = _lock_step(data, opts, [(initial, 5 if freeze_intrinsics else 0)])
+    if isinstance(outcome, RadialCalError):
+        raise outcome
+    return outcome
 
 
 def _start(
@@ -903,9 +1075,13 @@ def compare_models(
     The linear stage and its objective J0 run once; each model is refined
     from the identical intrinsics/extrinsics with its coefficients at zero,
     where every profile is exactly 1, so J0 is every row's initial objective.
-    A model whose refinement fails is recorded with converged=False instead
-    of aborting the report. An empty model_ids raises ValueError, and an id
-    that is not an integer in 0..9 UnknownModel, as in calibrate.
+    The models are refined in lock step as one batch (_lock_step): each fit
+    keeps its own damping and stop rule and leaves the batch when it stops,
+    so a row holds the bits of calibrate on that model. A model whose
+    refinement raises a RadialCalError is recorded with converged=False
+    instead of aborting the report, and the other fits run on. An empty
+    model_ids raises ValueError, and an id that is not an integer in 0..9
+    UnknownModel, as in calibrate.
     """
     model_ids = list(model_ids)
     for m in model_ids:
@@ -914,13 +1090,16 @@ def compare_models(
     if not model_ids:
         raise ValueError("compare_models needs at least one model id")
     base = linear_initialize(data, model_ids[0])
-    results: dict[int, CalibrationResult] = {}
-    for mid in model_ids:
-        start = replace(base, model=DistortionModel(mid, (0.0,) * coefficient_arity(mid)))
-        try:
-            results[mid] = refine(start, data, opts)
-        except RadialCalError:
-            results[mid] = replace(start, converged=False, status="failed")
+    starts = [
+        replace(base, model=DistortionModel(mid, (0.0,) * coefficient_arity(mid)))
+        for mid in model_ids
+    ]
+    outcomes = _lock_step(data, opts, [(start, 0) for start in starts])
+    results = {
+        s.model.model_id: replace(s, converged=False, status="failed")
+        if isinstance(out, RadialCalError) else out
+        for s, out in zip(starts, outcomes)
+    }
     order = sorted(model_ids, key=lambda m: (results[m].objective, m))
     ranks = {mid: rank for rank, mid in enumerate(order)}
     rows = tuple(_fit_row(results[mid], ranks[mid]) for mid in model_ids)

@@ -136,16 +136,32 @@ def random_intrinsics(rng) -> rc.IntrinsicParams:
     )
 
 
+def batch_row(model_id, params):
+    """One packed row (see calibration._pack) as its batch row (calibration._row_index)."""
+    n_views = (len(params) - 5 - rc.coefficient_arity(model_id)) // 6
+    row = np.zeros(10 + 6 * n_views)
+    row[calibration._row_index(model_id, n_views)] = params
+    return row
+
+
+def forward_pass(model_id, params, pts3):
+    """calibration._frame of one packed row over (P, 3) points, as a batch of one."""
+    row = batch_row(model_id, params)[None]
+    return calibration._frame((model_id,), row, calibration._target(pts3))
+
+
 def residuals(model_id, params, pts3, observations):
-    """calibration._residuals of one packed row over (P, 3) points, from the row's frame."""
-    frame = calibration._frame(model_id, params, pts3)
-    return calibration._residuals(params, frame, observations)
+    """calibration._residuals of one packed row over (P, 3) points, from its pixels."""
+    return calibration._residuals(params, forward_pass(model_id, params, pts3)[5], observations)
 
 
 def jacobian(model_id, params, pts3, m):
-    """calibration._jacobian of one packed row over (P, 3) points, from the row's frame."""
-    frame = calibration._frame(model_id, params, pts3)
-    return calibration._jacobian(model_id, params, frame, m)
+    """calibration._jacobian of one packed row over (P, 3) points, from the row's
+    frame: the (V, m + 6, 2, P) columns of its last m globals and its poses."""
+    row = batch_row(model_id, params)[None]
+    slots = list(calibration._TERMS[model_id])
+    free = 5 + len(slots) - m
+    return calibration._jacobian(row, forward_pass(model_id, params, pts3)[:5], slots, free)
 
 
 def difference_jacobian(model_id, params, pts3, m, central=False):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from _helpers import (
     assert_jacobian_close,
     camera_830,
     camera_small,
+    forward_pass,
     jacobian,
     jacobian_columns,
     loop_extrinsics,
@@ -33,6 +35,31 @@ def pose_homography(A, ext, scale=1.0):
     R = ext.matrix
     M = A.matrix @ np.column_stack([R[:, 0], R[:, 1], ext.translation])
     return rc.Homography(matrix=scale * M)
+
+
+def ramp_residuals(J0, alpha=830.0):
+    """A stand-in for calibration._residuals with J = J0 + (1 + s if s > 0
+    else -s), s = params[0] - alpha, in one residual of view 0: from a start
+    at that alpha the model's Jacobian predicts a descent that no actual
+    trial point can realize."""
+
+    def ramp(params, pixels, observations):
+        s = params[0] - alpha
+        r = np.zeros(observations.shape)
+        r[0, 0, 0] = math.sqrt(J0 + (1.0 + s if s > 0.0 else -s))
+        return r
+
+    return ramp
+
+
+def row_bytes(row):
+    """A ModelFitRow's fields with every float as its 8 bytes."""
+    pack = lambda v: struct.pack("<d", v) if isinstance(v, float) else v
+    return (
+        row.model_id, pack(row.objective), row.rank, tuple(map(pack, row.coefficients)),
+        tuple(map(pack, row.intrinsics.as_tuple())), row.converged, row.iterations,
+        pack(row.initial_objective),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -626,17 +653,7 @@ class TestRefine:
     @staticmethod
     def refine_on_a_ramp(exact3, monkeypatch, J0):
         data, spec = exact3
-
-        def ramp(params, frame, observations):
-            # J = J0 + (1 + s if s > 0 else -s) in one residual of view 0: the
-            # model's Jacobian predicts a descent that no actual trial point
-            # can realize.
-            s = params[0] - 830.0
-            r = np.zeros(observations.shape)
-            r[0, 0, 0] = math.sqrt(J0 + (1.0 + s if s > 0.0 else -s))
-            return r
-
-        monkeypatch.setattr(calib_mod, "_residuals", ramp)
+        monkeypatch.setattr(calib_mod, "_residuals", ramp_residuals(J0))
         initial = rc.CalibrationResult(
             intrinsics=spec.intrinsics,
             extrinsics=spec.extrinsics,
@@ -973,7 +990,7 @@ class TestJacobian:
         data, _ = trend
         start = rc.linear_initialize(data, 4)
         params = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
-        r_max = calib_mod._frame(4, params, data.world_points)[3].max()
+        r_max = forward_pass(4, params, data.world_points)[3].max()
         params[5] = -(1.0 - 0.01) / r_max
         assert_jacobian_close(4, params, data.world_points, 6, central=True)
         # Closer in, down to just above DENOM_EPS, every entry stays finite.
@@ -1013,6 +1030,75 @@ class TestJacobian:
             assert_jacobian_close(model_id, params, pts3, m, central=True)
 
         check()
+
+
+class TestModelAxis:
+    """_frame and _jacobian over a model axis against M = 1 calls, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, jacobian_points):
+        # Models 0-9, each three iterations from the trend set's linear start,
+        # so every row holds its own nonzero coefficients and poses.
+        data, base, _ = jacobian_points["trend"]
+        opts = rc.OptimizerOptions(max_iterations=3)
+        rows = []
+        for m in range(10):
+            zero = rc.DistortionModel(m, (0.0,) * rc.coefficient_arity(m))
+            fit = rc.refine(replace(base, model=zero), data, opts)
+            rows.append(calib_mod._row(fit.intrinsics, fit.model, fit.extrinsics))
+        return data, np.array(rows)
+
+    @staticmethod
+    def assert_fit_slice(stacked, alone, i):
+        """Fit i's view rows of each stacked part hold the bytes of its M = 1 part."""
+        for a, b in zip(stacked, alone, strict=True):
+            got = a[i * len(b) : (i + 1) * len(b)]
+            assert got.shape == b.shape and got.tobytes() == b.tobytes()
+
+    def test_frame_slices_match_single_calls(self, batch):
+        data, rows = batch
+        models = list(range(10))
+        for pts3 in (data.world_points, data.world_points + [0.0, 0.0, 0.3]):
+            target = calib_mod._target(pts3)
+            stacked = calib_mod._frame(models, rows, target)
+            for m in models:
+                self.assert_fit_slice(stacked, calib_mod._frame((m,), rows[m : m + 1], target), m)
+
+    @pytest.mark.parametrize("free", [0, 5], ids=["free", "frozen"])
+    def test_jacobian_columns_match_single_calls(self, batch, free):
+        # The stacked Jacobian over all five slots and the intrinsics against
+        # each fit's own: with the intrinsics too, and, for a frozen fit,
+        # without them as a batch of frozen fits takes it.
+        data, rows = batch
+        models = list(range(10))
+        target = calib_mod._target(data.world_points)
+        slots = list(range(5))
+        stacked = calib_mod._jacobian(rows, calib_mod._frame(models, rows, target)[:5], slots)
+        for m in models:
+            own = list(calib_mod._TERMS[m])
+            frame = calib_mod._frame((m,), rows[m : m + 1], target)[:5]
+            alone = calib_mod._jacobian(rows[m : m + 1], frame, own, free)
+            got = stacked[:, calib_mod._columns(m, free, slots)]
+            assert np.isfinite(got).all()
+            assert calib_mod._columns(m, free, own, free) == list(range(alone.shape[1]))
+            self.assert_fit_slice([got], [alone], m)
+
+    def test_overflowing_radius_takes_each_fits_own_slots(self, batch):
+        # View 0 of a model-5 row moved 1e150 to the side at depth 1e-6: r is
+        # about 1e156, so r * r overflows. f = 1 / (1 + k r^2) is then 0 and
+        # the pixel the finite principal point, as alone, though model 0's
+        # slots beside it read 0 r^2 = nan in model 5's absent n2 and n4.
+        data, rows = batch
+        far = rows[5].copy()
+        far[10:16] = [0.0, 0.0, 0.0, 1e150, 0.0, 1e-6]
+        target = calib_mod._target(data.world_points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = calib_mod._frame((0, 5), np.array([rows[0], far]), target)
+            alone = calib_mod._frame((5,), far[None], target)
+        assert (alone[3][0] > math.sqrt(np.finfo(float).max)).all()
+        assert np.isfinite(alone[5]).all()
+        self.assert_fit_slice(stacked, calib_mod._frame((0,), rows[:1], target), 0)
+        self.assert_fit_slice(stacked, alone, 1)
 
 
 class TestObjectiveKernel:
@@ -1062,8 +1148,8 @@ class TestObjectiveKernel:
         assert np.isfinite(np.delete(r[2], j, axis=0)).all()
         assert calib_mod._objective(r) == math.inf
 
-        u, v = np.moveaxis(calib_mod._frame(5, behind, pts3)[5], -1, 0)
-        u0, v0 = np.moveaxis(calib_mod._frame(5, valid, pts3)[5], -1, 0)
+        u, v = np.moveaxis(forward_pass(5, behind, pts3)[5], -1, 0)
+        u0, v0 = np.moveaxis(forward_pass(5, valid, pts3)[5], -1, 0)
         assert np.array_equal(u[others], u0[others])
         assert np.array_equal(v[others], v0[others])
         assert not np.isfinite(u[2, j]) and not np.isfinite(v[2, j])
@@ -1164,16 +1250,30 @@ class TestCompareModels:
         for rank, row in enumerate(want):
             assert row.rank == rank
 
+    @staticmethod
+    def fail_model_5(monkeypatch, jacobians):
+        """Make model 5's fit raise SingularProfile once it has asked for
+        `jacobians` Jacobians (0: before its first request is served); other
+        fits run as they are. The fits are the generators _lock_step drives."""
+        real = calib_mod._fit
+
+        def flaky(initial, data_, opts=None, free=0):
+            fit = real(initial, data_, opts, free)
+            request, asked = next(fit), 0
+            while True:
+                asked += request is None
+                if initial.model.model_id == 5 and asked >= jacobians:
+                    raise rc.SingularProfile("synthetic failure")
+                try:
+                    request = fit.send((yield request))
+                except StopIteration as stop:
+                    return stop.value
+
+        monkeypatch.setattr(calib_mod, "_fit", flaky)
+
     def test_failed_model_recorded(self, noisy3, monkeypatch):
         data, _ = noisy3
-        real = calib_mod.refine
-
-        def flaky(initial, data_, opts=None, freeze_intrinsics=False):
-            if initial.model.model_id == 5:
-                raise rc.SingularProfile("synthetic failure")
-            return real(initial, data_, opts, freeze_intrinsics)
-
-        monkeypatch.setattr(calib_mod, "refine", flaky)
+        self.fail_model_5(monkeypatch, 0)
         opts = rc.OptimizerOptions(max_iterations=20, max_function_evaluations=4000)
         report = rc.compare_models(data, [3, 5, 7], opts)
         rows = {r.model_id: r for r in report.rows}
@@ -1182,6 +1282,50 @@ class TestCompareModels:
         assert rows[5].rank == 2
         assert rows[3].objective < rows[5].objective
         assert rows[7].objective < rows[5].objective
+
+    def test_failure_after_first_step_is_isolated(self, noisy3, monkeypatch):
+        # Model 5 fails once its first step is accepted, while the batch runs
+        # on: the other rows are their solo fits, bit for bit.
+        data, _ = noisy3
+        opts = rc.OptimizerOptions(max_iterations=20, max_function_evaluations=4000)
+        solo = {m: rc.calibrate(data, m, opts) for m in (3, 7)}
+        self.fail_model_5(monkeypatch, 2)
+        report = rc.compare_models(data, [3, 5, 7], opts)
+        rows = {r.model_id: r for r in report.rows}
+        assert not rows[5].converged and rows[5].rank == 2
+        assert rows[5].objective == rows[5].initial_objective
+        for m, fit in solo.items():
+            assert fit.iterations > 1
+            assert row_bytes(rows[m]) == row_bytes(calib_mod._fit_row(fit, rows[m].rank))
+
+    @pytest.mark.parametrize("stop", ["default", "max_iterations", "max_function_evaluations",
+                                      "line_search_failure"])
+    @pytest.mark.parametrize("name", ["trend", "noisy3"])
+    def test_rows_equal_solo_fits(self, name, stop, trend, noisy3, monkeypatch):
+        # Each row of the lock-step batch is _fit_row of calibrate alone, every
+        # float by its bytes: at the defaults; at 12 iterations, where models
+        # 8 and 9 stop on the cap on the trend set and the others converge; at
+        # 9 evaluations; and on TestRefine's ramp, where every search fails.
+        data, _ = {"trend": trend, "noisy3": noisy3}[name]
+        opts = {
+            "max_iterations": rc.OptimizerOptions(max_iterations=12),
+            "max_function_evaluations": rc.OptimizerOptions(max_function_evaluations=9),
+        }.get(stop)
+        if stop == "line_search_failure":
+            alpha = rc.linear_initialize(data, 0).intrinsics.alpha
+            monkeypatch.setattr(calib_mod, "_residuals", ramp_residuals(4.0, alpha))
+        report = rc.compare_models(data, range(10), opts)
+        statuses = set()
+        for row in report.rows:
+            fit = rc.calibrate(data, row.model_id, opts)
+            statuses.add(fit.status)
+            assert row_bytes(row) == row_bytes(calib_mod._fit_row(fit, row.rank)), row.model_id
+        if stop == "line_search_failure":
+            assert statuses == {stop}
+        elif stop == "max_function_evaluations":
+            assert stop in statuses
+        elif name == "trend" and stop == "max_iterations":
+            assert {r.model_id for r in report.rows if not r.converged} == {8, 9}
 
     def test_empty_model_list(self, noisy3):
         data, _ = noisy3
