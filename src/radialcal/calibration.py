@@ -14,7 +14,9 @@ distortion model from that identical starting point (coefficients at zero),
 ranking models by final J. The fits run in lock step: each round makes one
 forward pass and one Jacobian over a leading model axis for every fit still
 running, while each fit keeps its own damping, acceptance test and stop
-rule, so every fit takes the bits it takes alone. refine is a batch of one.
+rule, so every fit takes the bits it takes alone. A fit's parameters have
+one layout, the batch row (_row) that every model shares, and a batch has
+one freeze setting for all its fits. refine is a batch of one.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ class OptimizerOptions:
     evaluations: the start, each Jacobian and each trial step count one each.
     A field that is nan or not a real number (numbers.Real), an infinite
     tolerance, which would stop a fit at once as converged, and a count that
-    is not an integer (operator.index) raise ValueError naming the field. The
-    CLI reads its optimizer defaults from here.
+    is not an integer (operator.index) raise ValueError naming the field.
+    The tolerances are stored as floats and the counts as ints. The CLI
+    reads its optimizer defaults from here.
     """
 
     step_tolerance: float = 1e-5
@@ -152,8 +155,10 @@ class OptimizerOptions:
             value = _real(name, getattr(self, name))
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
-            if name.endswith("tolerance") and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+            if name.endswith("tolerance"):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
+                object.__setattr__(self, name, value)
         for name in ("max_iterations", "max_function_evaluations"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
 
@@ -409,50 +414,38 @@ def estimate_extrinsics(A: IntrinsicParams, H: Homography) -> Extrinsics:
 
 
 # ---------------------------------------------------------------------------
-# Parameter packing and the projection kernel.
-#
-# theta = [alpha, gamma, u0, beta, v0,
-#          k_1 .. k_arity,
-#          w_1 (3), t_1 (3), ..., w_N (3), t_N (3)]
+# The batch row and the projection kernel.
 # ---------------------------------------------------------------------------
 
 
-def _pack(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
-    parts = [*A.as_tuple(), *model.coefficients]
+def _row(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
+    """The batch row of (A, model, extrinsics), the one layout of a fit's
+    parameters: [alpha, gamma, u0, beta, v0, n1, n2, n4, d1, d2, w_1, t_1,
+    ..., w_N, t_N], the intrinsics in as_tuple's order, the five slots of
+    distortion._slots with 0 in an absent one, then view v's axis-angle
+    rotation w_v and translation t_v from entry 10 + 6v. Every model shares
+    it, so the rows of several fits stack along a model axis."""
+    parts = [*A.as_tuple(), *(0.0 if k is None else k for k in model._slots)]
     for e in extrinsics:
         parts += e.rotation.tolist() + e.translation.tolist()
     return np.array(parts)
 
 
 def _row_index(model_id: int, n_views: int) -> np.ndarray:
-    """Where each entry of a packed theta sits in a batch row.
-
-    A batch row is the layout every model shares: [alpha, gamma, u0, beta,
-    v0, n1, n2, n4, d1, d2, w_1, t_1, ..., w_N, t_N], the five slots of
-    distortion._slots with 0 in an absent one.
-    """
+    """Where a fit's entries sit in its batch row, in its Jacobian's column
+    order: the intrinsics, the coefficients' slots and the poses."""
     return np.concatenate(
         [np.arange(5), np.add(5, _TERMS[model_id]), np.arange(10, 10 + 6 * n_views)]
     )
 
 
-def _row(A: IntrinsicParams, model: DistortionModel, extrinsics) -> np.ndarray:
-    """The batch row of (A, model, extrinsics)."""
-    row = np.zeros(10 + 6 * len(extrinsics))
-    row[_row_index(model.model_id, len(extrinsics))] = _pack(A, model, extrinsics)
-    return row
-
-
-def _unpack(theta: np.ndarray, model_id: int, n_views: int):
-    """The inverse of _pack: (intrinsics, model, extrinsics) of a packed theta.
-
-    The pose vectors are copies, so no result aliases theta.
-    """
-    base = 5 + coefficient_arity(model_id)
-    poses = theta[base:].reshape(n_views, 6)
+def _unpack(row: np.ndarray, model_id: int):
+    """The inverse of _row: (intrinsics, model, extrinsics) of a batch row,
+    with pose vectors that are copies, so no result aliases the row."""
+    poses = row[10:].reshape(-1, 6)
     return (
-        IntrinsicParams.from_tuple(theta[:5]),
-        DistortionModel(model_id=model_id, coefficients=tuple(theta[5:base])),
+        IntrinsicParams.from_tuple(row[:5]),
+        DistortionModel(model_id=model_id, coefficients=tuple(row[np.add(5, _TERMS[model_id])])),
         tuple(Extrinsics(rotation=p[:3].copy(), translation=p[3:].copy()) for p in poses),
     )
 
@@ -480,7 +473,7 @@ def _frame(models, rows: np.ndarray, target):
     P^c (M V, 3, P), then x, y, r, f (M V, P) and the pixels (M V, P, 2).
 
     models holds the fits' model ids and rows their (M, 10 + 6V) batch rows
-    (see _row_index); fit i's views are rows i V to (i + 1) V - 1 of each
+    (see _row); fit i's views are rows i V to (i + 1) V - 1 of each
     part, so a batch of one gives its (V, ...) arrays. P^c = R P + t,
     column j of R times coordinate j (a planar target skips the third),
     (x, y) = (X, Y) / Z, r = hypot(x, y), f(r) from the row's slots and the
@@ -542,7 +535,7 @@ def _check(model_id: int, frame) -> None:
 def _residuals(params: np.ndarray, pixels, observations) -> np.ndarray:
     """The residual kernel: predicted minus observed pixels, shape (V, P, 2).
 
-    params is one packed or batch row, pixels its _frame's pixels and
+    params is one batch row (see _row), pixels its _frame's pixels and
     observations the (V, P, 2) stack of pixel observations. A point whose
     pixel is nan has nan residuals, and so has every point when the focal
     scale alpha or beta is <= 0.
@@ -632,19 +625,19 @@ _DAMPING_LIMIT = 1e16
 _EPS = float(np.finfo(float).eps)
 
 
-def _jacobian(rows: np.ndarray, frame, slots, first: int = 0) -> np.ndarray:
+def _jacobian(rows: np.ndarray, frame, slots, free: int) -> np.ndarray:
     """Analytic Jacobian of M fits' residuals, per fit and view.
 
-    rows are the fits' batch rows (see _row_index), frame the first five
-    parts of their _frame, slots the ascending slots whose coefficient
-    columns are taken and first 0 to take the five intrinsics' columns
-    before them, or 5 to leave them out. Returns J of shape (M V, w + 6, 2,
-    P), w = 5 - first + len(slots), fit i's views in rows i V to (i + 1) V
-    - 1 as in _frame: J[k, j, c] is the derivative of view row k's pixel
-    coordinate c (u, then v) along global j < w (the intrinsics, then the
-    slots' coefficients), then along that view's pose coordinate j - w
-    (rotation, then translation), which no other view depends on. A fit
-    takes its own columns (_columns).
+    rows are the fits' batch rows (see _row), frame the first five parts of
+    their _frame, slots the ascending slots whose coefficient columns are
+    taken and free the batch's freeze setting: 0 to take the five
+    intrinsics' columns before them, or 5 to leave them out. Returns J of
+    shape (M V, w + 6, 2, P), w = 5 - free + len(slots), fit i's views in
+    rows i V to (i + 1) V - 1 as in _frame: J[k, j, c] is the derivative of
+    view row k's pixel coordinate c (u, then v) along global j < w (the
+    intrinsics, then the slots' coefficients), then along that view's pose
+    coordinate j - w (rotation, then translation), which no other view
+    depends on. A fit takes its own columns (_columns).
 
     With f = N / D (0 in an absent slot, as distortion._rational holds it),
     (x_d, y_d) = f (x, y) and (u, v) = (alpha x_d + gamma y_d + u0, beta y_d
@@ -661,7 +654,7 @@ def _jacobian(rows: np.ndarray, frame, slots, first: int = 0) -> np.ndarray:
       R <- exp([delta]x) R as refine takes it, so dP^c/d(delta_j) at delta
       = 0 is e_j x R P.
 
-    At an accepted theta every depth is at least DEPTH_EPS and every |D| at
+    At an accepted row every depth is at least DEPTH_EPS and every |D| at
     least DENOM_EPS, so r and every entry are finite, and an absent slot's
     0 term changes no bit. Every step is elementwise, so a fit's columns
     hold the bits of its M = 1 call.
@@ -681,9 +674,9 @@ def _jacobian(rows: np.ndarray, frame, slots, first: int = 0) -> np.ndarray:
     # (M V, P), so that no product broadcasts along a trailing axis of 2;
     # every entry is written in place, the intrinsics' zero halves too.
     n_rows, n_points = x.shape
-    m = 5 - first + len(slots)
+    m = 5 - free + len(slots)
     J = np.empty((n_rows, m + 6, 2, n_points))
-    if first == 0:
+    if free == 0:
         J[:, :3, 1] = 0.0
         J[:, 3:5, 0] = 0.0
         np.multiply(x, f, out=J[:, 0, 0])
@@ -694,11 +687,11 @@ def _jacobian(rows: np.ndarray, frame, slots, first: int = 0) -> np.ndarray:
     # (alpha x + gamma y, beta y), the pixel offset from (u0, v0) per unit f,
     # times df/dk: r^p / D along a term of N, -f r^p / D along a term of D.
     # The ray goes to the first coefficient row, which is scaled last.
-    ray = J[:, 5 - first]
+    ray = J[:, 5 - free]
     np.add(alpha * x, gamma * y, out=ray[:, 0])
     np.multiply(beta, y, out=ray[:, 1])
     powers = (r, r2, r2 * r2 if _N4 in slots else None, r, r2)
-    for i, slot in reversed(list(enumerate(slots, start=5 - first))):
+    for i, slot in reversed(list(enumerate(slots, start=5 - free))):
         d = powers[slot] / D if slot < _D1 else -f * powers[slot] / D
         np.multiply(ray, d[:, None], out=J[:, i])
 
@@ -727,12 +720,12 @@ def _jacobian(rows: np.ndarray, frame, slots, first: int = 0) -> np.ndarray:
     return J
 
 
-def _columns(model_id: int, free: int, slots, first: int = 0) -> list[int]:
-    """A fit's columns of a _jacobian taken over slots from first, in theta's
-    order: its intrinsics from entry free on, its coefficients and its pose."""
-    m = 5 - first + len(slots)
-    coefficients = [5 - first + slots.index(s) for s in _TERMS[model_id]]
-    return [*range(free - first, 5 - first), *coefficients, *range(m, m + 6)]
+def _columns(model_id: int, slots, free: int) -> list[int]:
+    """A fit's columns of a _jacobian taken over slots with free, in
+    _row_index's order: the intrinsics it steps, its coefficients and its pose."""
+    m = 5 - free + len(slots)
+    coefficients = [5 - free + slots.index(s) for s in _TERMS[model_id]]
+    return [*range(5 - free), *coefficients, *range(m, m + 6)]
 
 
 def _normal_equations(J: np.ndarray, r: np.ndarray):
@@ -767,20 +760,20 @@ def _fit(
 ):
     """refine's Levenberg-Marquardt loop for one fit, as a generator.
 
-    theta is the fit's batch row (see _row_index); a step moves its packed
-    entries from the free-th on. The fit yields each evaluation it needs and
-    receives its result: a row for the forward pass there (its _frame
-    pixels), or None for its Jacobian columns (see _columns) at the row last
-    evaluated for it. Its normal equations, solve, damping, acceptance test,
-    stop rules and evaluation count are its own; it returns its
-    CalibrationResult. _lock_step drives the fits.
+    theta is the fit's batch row (see _row). A step moves the row positions
+    _row_index gives from its free-th on, free 0 or 5 (the intrinsics
+    frozen). The fit yields each evaluation it needs and receives its
+    result: a row for the forward pass there (its _frame pixels), or None
+    for its Jacobian columns (see _columns) at the row last evaluated for
+    it. Its normal equations, solve, damping, acceptance test, stop rules
+    and evaluation count are its own; it returns its CalibrationResult.
+    _lock_step drives the fits.
     """
     opts = opts or OptimizerOptions()
     model_id = initial.model.model_id
     n_views = data.n_views
     observations = np.stack(data.observations)
-    index = _row_index(model_id, n_views)
-    stepped = index[free:]
+    stepped = _row_index(model_id, n_views)[free:]
 
     theta = _row(initial.intrinsics, initial.model, initial.extrinsics)
     r = _residuals(theta, (yield theta), observations)
@@ -856,7 +849,7 @@ def _fit(
             status = "objective_tolerance"
             break
 
-    A, model, extrinsics = _unpack(theta[index], model_id, n_views)
+    A, model, extrinsics = _unpack(theta, model_id)
     return CalibrationResult(
         intrinsics=A,
         extrinsics=extrinsics,
@@ -870,9 +863,11 @@ def _fit(
     )
 
 
-def _lock_step(data: CalibrationDataset, opts: OptimizerOptions | None, starts) -> list:
-    """Refine every (initial, free) pair of starts on data as one _fit each,
-    the fits in lock step.
+def _lock_step(
+    data: CalibrationDataset, opts: OptimizerOptions | None, initials, free: int = 0
+) -> list:
+    """Refine every start of initials on data as one _fit each, the fits in
+    lock step and all with the one freeze setting free (see _fit).
 
     A fit asks for a Jacobian after its start and after each accepted
     trial, then for a trial's forward pass, so each round serves in that
@@ -881,16 +876,16 @@ def _lock_step(data: CalibrationDataset, opts: OptimizerOptions | None, starts) 
     _frame call, under np.errstate ignoring overflow and invalid values as a
     trial's evaluation needs, for every fit's row, whose pixels each fit
     also takes under it. Both run over a leading model axis, and every fit
-    receives its own slice at once: its columns of the Jacobian in theta's
-    order, or its pixels. Every step is elementwise or per fit, so a fit
-    takes the bits it takes alone.
+    receives its own slice at once: its columns of the Jacobian in
+    _row_index's order, or its pixels. Every step is elementwise or per
+    fit, so a fit takes the bits it takes alone.
 
     A fit leaves the batch when it returns or raises a RadialCalError; the
-    result or the error comes back in starts' order. Any other error
+    result or the error comes back in initials' order. Any other error
     propagates.
     """
-    fits = [_fit(initial, data, opts, free) for initial, free in starts]
-    models = [initial.model.model_id for initial, _ in starts]
+    fits = [_fit(initial, data, opts, free) for initial in initials]
+    models = [initial.model.model_id for initial in initials]
     target = _target(data.world_points)
     V = data.n_views
     outcomes = [None] * len(fits)
@@ -918,14 +913,12 @@ def _lock_step(data: CalibrationDataset, opts: OptimizerOptions | None, starts) 
                 views = (V * at[:, None] + np.arange(V)).ravel()
                 rows, frame = rows[at], [a[views] for a in frame[:5]]
             slots = sorted({s for i in jacobian for s in _TERMS[models[i]]})
-            first = min(starts[i][1] for i in jacobian)  # 0 while a fit steps its intrinsics
-            J = _jacobian(rows, frame[:5], slots, first)
+            J = _jacobian(rows, frame[:5], slots, free)
             for j, i in enumerate(jacobian):
-                free = starts[i][1]
-                if free == first and len(_TERMS[models[i]]) == len(slots):
+                if len(_TERMS[models[i]]) == len(slots):
                     columns = slice(None)  # all of them, without a copy
                 else:
-                    columns = _columns(models[i], free, slots, first)
+                    columns = _columns(models[i], slots, free)
                 send(i, J[j * V : (j + 1) * V, columns])
             # No view of J outlives the round, so the next round's J can reuse
             # its memory.
@@ -947,12 +940,13 @@ def refine(
 ) -> CalibrationResult:
     """Jointly minimize the objective by Levenberg-Marquardt.
 
-    The packed row theta holds the 5 intrinsics, the model's coefficients
-    and all 6N pose entries; freeze_intrinsics pins the first five, so every
-    step starts at entry 5 of the row. The residual r(theta), predicted
-    minus observed pixels of shape (V, P, 2), comes from _residuals, and J =
-    ||r||^2 from _objective, so compute_objective of the result recomputes
-    its objective bit for bit.
+    The batch row theta (see _row) holds the 5 intrinsics, the model's
+    coefficients in their slots and all 6N pose entries; a step moves the
+    intrinsics, the coefficients and the poses, or, with freeze_intrinsics,
+    the last two only. The residual r(theta), predicted minus observed
+    pixels of shape (V, P, 2), comes from _residuals, and J = ||r||^2 from
+    _objective, so compute_objective of the result recomputes its objective
+    bit for bit.
 
     Each iteration takes the analytic Jacobian (see _jacobian) from the
     camera frame its point's residuals were computed from, forms J^T J and
@@ -986,7 +980,7 @@ def refine(
     """
     if len(initial.extrinsics) != data.n_views:
         raise ValueError("initial extrinsics count does not match the dataset")
-    (outcome,) = _lock_step(data, opts, [(initial, 5 if freeze_intrinsics else 0)])
+    (outcome,) = _lock_step(data, opts, [initial], 5 if freeze_intrinsics else 0)
     if isinstance(outcome, RadialCalError):
         raise outcome
     return outcome
@@ -1094,7 +1088,7 @@ def compare_models(
         replace(base, model=DistortionModel(mid, (0.0,) * coefficient_arity(mid)))
         for mid in model_ids
     ]
-    outcomes = _lock_step(data, opts, [(start, 0) for start in starts])
+    outcomes = _lock_step(data, opts, starts)
     results = {
         s.model.model_id: replace(s, converged=False, status="failed")
         if isinstance(out, RadialCalError) else out

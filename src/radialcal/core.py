@@ -35,7 +35,8 @@ class IntrinsicParams:
 
     alpha, beta are the focal scales along u and v in pixels, gamma is the
     skew coefficient, (u0, v0) the principal point. Each is a finite real
-    number (numbers.Real, else ValueError naming it), and alpha, beta > 0.
+    number (numbers.Real, else ValueError naming it), stored as a float, and
+    alpha, beta > 0.
     """
 
     alpha: float
@@ -45,11 +46,14 @@ class IntrinsicParams:
     v0: float
 
     def __post_init__(self):
-        values = map(_real, ("alpha", "gamma", "u0", "beta", "v0"), self.as_tuple())
+        names = ("alpha", "gamma", "u0", "beta", "v0")
+        values = tuple(map(_real, names, self.as_tuple()))
         if not all(map(math.isfinite, values)):
             raise ValueError(
-                f"intrinsics must be finite, got (alpha, gamma, u0, beta, v0) = {self.as_tuple()}"
+                f"intrinsics must be finite, got (alpha, gamma, u0, beta, v0) = {values}"
             )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(
                 f"focal scales must be positive, got alpha={self.alpha}, beta={self.beta}"
@@ -83,9 +87,8 @@ class IntrinsicParams:
 
     @classmethod
     def from_tuple(cls, values) -> IntrinsicParams:
-        """The inverse of as_tuple: five real numbers in that order, as floats;
-        ValueError names the first that is not one, as the constructor does."""
-        alpha, gamma, u0, beta, v0 = map(_real, ("alpha", "gamma", "u0", "beta", "v0"), values)
+        """The inverse of as_tuple: five real numbers in that order."""
+        alpha, gamma, u0, beta, v0 = values
         return cls(alpha=alpha, gamma=gamma, u0=u0, beta=beta, v0=v0)
 
 

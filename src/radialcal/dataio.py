@@ -175,8 +175,9 @@ class SynthSpec:
     """Everything that determines a synthetic dataset, including the seed.
 
     seed is a non-negative integer (operator.index), as numpy's generators
-    take it, sigma a finite real number >= 0 and model_points None or a finite
-    (n, 2) array; any other value raises ValueError naming the field.
+    take it, sigma a finite real number >= 0 (stored as a float) and
+    model_points None or a finite (n, 2) array; any other value raises
+    ValueError naming the field.
     """
 
     intrinsics: IntrinsicParams
@@ -190,7 +191,8 @@ class SynthSpec:
         object.__setattr__(self, "extrinsics", tuple(self.extrinsics))
         if not self.extrinsics:
             raise ValueError("need at least one view")
-        if not 0 <= _real("sigma", self.sigma) < math.inf:
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma))
+        if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and >= 0")
         object.__setattr__(self, "seed", _count("seed", self.seed))
         if self.seed < 0:

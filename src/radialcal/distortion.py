@@ -178,12 +178,13 @@ def eval_profile(model: DistortionModel, r):
     """Evaluate the radial scale factor f(r).
 
     r may be a nonnegative scalar or an ndarray of radii; the return type
-    matches. Raises SingularProfile if any rational denominator falls below
-    DENOM_EPS in magnitude, or if f is nan for another reason (a nan radius,
-    overflow).
+    matches. A scalar that is not a real number (numbers.Real) raises
+    ValueError. Raises SingularProfile if any rational denominator falls
+    below DENOM_EPS in magnitude, or if f is nan for another reason (a nan
+    radius, overflow).
     """
     if not isinstance(r, np.ndarray):
-        r = float(r)
+        r = _real("r", r)
     return _checked(model.model_id, r, _profile(model._slots, r))
 
 

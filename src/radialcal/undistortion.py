@@ -56,6 +56,7 @@ from .core import (
     _as_points,
     _denormalize_pair,
     _normalize_pair,
+    _real,
     denormalize,
     normalize,
 )
@@ -171,11 +172,22 @@ def invertible_radius(model: DistortionModel) -> tuple[float, float]:
 
 @dataclass(frozen=True, slots=True)
 class CubicProblem:
-    """The cubic y = x + p x^2 + q x^3 in its inversion normal form."""
+    """The cubic y = x + p x^2 + q x^3 in its inversion normal form.
+
+    y, p and q are finite real numbers (numbers.Real), stored as floats;
+    any other value raises ValueError naming the field.
+    """
 
     y: float
     p: float
     q: float
+
+    def __post_init__(self):
+        for name in ("y", "p", "q"):
+            value = _real(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def solve_cubic_closed(prob: CubicProblem) -> tuple[complex, complex, complex]:

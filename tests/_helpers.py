@@ -136,75 +136,65 @@ def random_intrinsics(rng) -> rc.IntrinsicParams:
     )
 
 
-def batch_row(model_id, params):
-    """One packed row (see calibration._pack) as its batch row (calibration._row_index)."""
-    n_views = (len(params) - 5 - rc.coefficient_arity(model_id)) // 6
-    row = np.zeros(10 + 6 * n_views)
-    row[calibration._row_index(model_id, n_views)] = params
-    return row
+def forward_pass(model_id, row, pts3):
+    """calibration._frame of one batch row over (P, 3) points, as a batch of one."""
+    return calibration._frame((model_id,), row[None], calibration._target(pts3))
 
 
-def forward_pass(model_id, params, pts3):
-    """calibration._frame of one packed row over (P, 3) points, as a batch of one."""
-    row = batch_row(model_id, params)[None]
-    return calibration._frame((model_id,), row, calibration._target(pts3))
+def residuals(model_id, row, pts3, observations):
+    """calibration._residuals of one batch row over (P, 3) points, from its pixels."""
+    return calibration._residuals(row, forward_pass(model_id, row, pts3)[5], observations)
 
 
-def residuals(model_id, params, pts3, observations):
-    """calibration._residuals of one packed row over (P, 3) points, from its pixels."""
-    return calibration._residuals(params, forward_pass(model_id, params, pts3)[5], observations)
-
-
-def jacobian(model_id, params, pts3, m):
-    """calibration._jacobian of one packed row over (P, 3) points, from the row's
+def jacobian(model_id, row, pts3, m):
+    """calibration._jacobian of one batch row over (P, 3) points, from the row's
     frame: the (V, m + 6, 2, P) columns of its last m globals and its poses."""
-    row = batch_row(model_id, params)[None]
     slots = list(calibration._TERMS[model_id])
     free = 5 + len(slots) - m
-    return calibration._jacobian(row, forward_pass(model_id, params, pts3)[:5], slots, free)
+    return calibration._jacobian(row[None], forward_pass(model_id, row, pts3)[:5], slots, free)
 
 
-def difference_jacobian(model_id, params, pts3, m, central=False):
+def difference_jacobian(model_id, row, pts3, m, central=False):
     """Reference Jacobian of calibration._residuals by finite differences.
 
-    params is one packed row (see calibration._pack) whose last m + 6V
-    entries are free, as in calibration._jacobian. Returns one column per
-    free entry, shape (m + 6V, V, P, 2); each is a full recompute of
-    _residuals on a single row, forward or central. A step h along a
-    view's rotation entry j is the local step refine takes, R(w) <- R(h e_j)
-    R(w), formed here through the rotation matrices with
-    rotation_to_matrix and rotation_from_matrix; every other entry steps by
-    adding h.
+    row is one batch row (see calibration._row) whose last m globals and
+    every pose entry are free, as in calibration._jacobian; their row
+    positions come from calibration._row_index. Returns one column per free
+    entry, shape (m + 6V, V, P, 2); each is a full recompute of _residuals
+    on a single row, forward or central. A step h along a view's rotation
+    entry j is the local step refine takes, R(w) <- R(h e_j) R(w), formed
+    here through the rotation matrices with rotation_to_matrix and
+    rotation_from_matrix; every other entry steps by adding h.
 
     Column i's step moves the pixels by about eps^(1/2) (forward) or
     eps^(1/3) (central) of the largest pixel coordinate, which balances
     rounding against truncation whatever the parameter's units; a pilot
-    forward difference with the step sqrt(eps) max(1, |theta_i|) sizes it.
+    forward difference with the step sqrt(eps) max(1, |row_i|) sizes it.
     """
-    n_views = (len(params) - 5 - rc.coefficient_arity(model_id)) // 6
-    first_pose = len(params) - 6 * n_views
+    n_views = (len(row) - 10) // 6
+    index = calibration._row_index(model_id, n_views)
     zero = np.zeros((n_views, len(pts3), 2))  # residuals are then the pixels
 
     def rotation_entry(i):  # (start of the view's rotation, j), or None
-        offset = i - first_pose
+        offset = i - 10
         return (i - offset % 6, offset % 6) if offset >= 0 and offset % 6 < 3 else None
 
     def pixels(i, h):
-        row = params.copy()
+        trial = row.copy()
         if (entry := rotation_entry(i)) is None:
-            row[i] += h
+            trial[i] += h
         else:
-            w = row[entry[0] : entry[0] + 3]
+            w = trial[entry[0] : entry[0] + 3]
             step = np.zeros(3)
             step[entry[1]] = h
             w[:] = rc.rotation_from_matrix(rc.rotation_to_matrix(step) @ rc.rotation_to_matrix(w))
-        return residuals(model_id, row, pts3, zero)
+        return residuals(model_id, trial, pts3, zero)
 
     base = pixels(0, 0.0)
 
     def column(i, h, central):
         if rotation_entry(i) is None:
-            h = (params[i] + h) - params[i]
+            h = (row[i] + h) - row[i]
         if central:
             return (pixels(i, h) - pixels(i, -h)) / (2.0 * h)
         return (pixels(i, h) - base) / h
@@ -212,8 +202,8 @@ def difference_jacobian(model_id, params, pts3, m, central=False):
     eps = np.finfo(float).eps
     size = np.abs(base).max() * eps ** (1.0 / 3.0 if central else 0.5)
     columns = []
-    for i in range(len(params) - m - 6 * n_views, len(params)):
-        pilot = column(i, math.sqrt(eps) * max(1.0, abs(params[i])), False)
+    for i in index[len(index) - m - 6 * n_views :]:
+        pilot = column(i, math.sqrt(eps) * max(1.0, abs(row[i])), False)
         slope = np.abs(pilot).max()
         columns.append(column(i, size / slope, central) if slope > 0.0 else pilot)
     return np.array(columns)
@@ -230,10 +220,10 @@ def jacobian_columns(J):
     return np.concatenate([columns[:m], poses.reshape(6 * n_views, n_views, n_points, 2)])
 
 
-def assert_jacobian_close(model_id, params, pts3, m, central=False, bound=1e-6):
-    """calibration._jacobian at params, within bound of each reference column's largest."""
-    got = jacobian_columns(jacobian(model_id, params, pts3, m))
-    want = difference_jacobian(model_id, params, pts3, m, central)
+def assert_jacobian_close(model_id, row, pts3, m, central=False, bound=1e-6):
+    """calibration._jacobian at a batch row, within bound of each reference column's largest."""
+    got = jacobian_columns(jacobian(model_id, row, pts3, m))
+    want = difference_jacobian(model_id, row, pts3, m, central)
     assert np.isfinite(got).all()
     flat = lambda a: a.reshape(len(a), -1)
     err = np.abs(flat(got) - flat(want)).max(axis=1)

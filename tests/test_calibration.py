@@ -709,10 +709,10 @@ class TestRefine:
         assert res.converged
         # That stop is the failed trial's, not the zero-gradient test's: the
         # gradient 2 J^T r stays far above that test's floor of 1e-9 J.
-        theta = calib_mod._pack(res.intrinsics, res.model, res.extrinsics)
+        row = calib_mod._row(res.intrinsics, res.model, res.extrinsics)
         pts3 = data.world_points
-        r = residuals(3, theta, pts3, np.stack(data.observations))
-        _, b = calib_mod._normal_equations(jacobian(3, theta, pts3, 7), r)
+        r = residuals(3, row, pts3, np.stack(data.observations))
+        _, b = calib_mod._normal_equations(jacobian(3, row, pts3, 7), r)
         assert 2.0 * np.abs(b).max() >= 100.0 * 1e-9 * max(1.0, res.objective)
         assert res.objective_trace[-1] == res.objective
         assert res.objective <= rc.calibrate(data, 3).objective
@@ -735,8 +735,8 @@ class TestRefine:
         res = rc.calibrate(data, 3, self.TIGHT)
         assert res.status == "stationary" and res.converged
         obs = np.stack(data.observations)
-        theta = calib_mod._pack(res.intrinsics, res.model, res.extrinsics)
-        r = residuals(3, theta, data.world_points, obs)
+        row = calib_mod._row(res.intrinsics, res.model, res.extrinsics)
+        r = residuals(3, row, data.world_points, obs)
         floor = np.finfo(float).eps * (res.objective + 2.0 * np.abs(r * obs).sum())
         again = rc.refine(res, data, self.TIGHT)
         assert 0.0 <= res.objective - again.objective < floor
@@ -771,15 +771,16 @@ class TestRefine:
         data, _ = trend
         start = rc.linear_initialize(data, 4)
         start = replace(start, model=rc.DistortionModel(model_id=4, coefficients=(2.5,)))
-        theta = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
-        kernel = lambda row: residuals(4, row, data.world_points, np.stack(data.observations))
-        r0 = kernel(theta)
+        row = calib_mod._row(start.intrinsics, start.model, start.extrinsics)
+        kernel = lambda trial: residuals(4, trial, data.world_points, np.stack(data.observations))
+        r0 = kernel(row)
         J0 = calib_mod._objective(r0)
-        N, b = calib_mod._normal_equations(jacobian(4, theta, data.world_points, 6), r0)
-        undamped = theta + np.linalg.solve(N, -b)
+        N, b = calib_mod._normal_equations(jacobian(4, row, data.world_points, 6), r0)
+        undamped = row.copy()
+        undamped[calib_mod._row_index(4, data.n_views)] += np.linalg.solve(N, -b)
         with np.errstate(over="ignore", invalid="ignore"):
             J_undamped = calib_mod._objective(kernel(undamped))
-        assert undamped[5] < 0.0 and not math.isfinite(J_undamped)
+        assert undamped[8] < 0.0 and not math.isfinite(J_undamped)  # k, in slot d1
 
         res = rc.refine(start, data)
         trace = np.array(res.objective_trace)
@@ -878,17 +879,29 @@ class TestRefine:
         assert again == res.objective
 
 
-def test_unpack_inverts_pack(noisy3):
+def test_batch_row_layout(noisy3):
+    # For every model: the intrinsics, the five slots with 0 in an absent
+    # one and view v's pose at 10 + 6v; _unpack reads the row back as floats
+    # and pose copies, and _row of what it reads has the row's bytes.
     _, spec = noisy3
     for mid in range(10):
         k = tuple(0.1 * (i + 1) for i in range(rc.coefficient_arity(mid)))
         model = rc.DistortionModel(mid, k)
-        theta = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
-        A, got, extrinsics = calib_mod._unpack(theta, mid, len(spec.extrinsics))
+        row = calib_mod._row(spec.intrinsics, model, spec.extrinsics)
+        assert row.shape == (10 + 6 * len(spec.extrinsics),)
+        assert tuple(row[:5]) == spec.intrinsics.as_tuple()
+        slots = [0.0] * 5
+        for slot, c in zip(calib_mod._TERMS[mid], k, strict=True):
+            slots[slot] = c
+        assert list(row[5:10]) == slots, mid
+        for v, e in enumerate(spec.extrinsics):
+            assert np.array_equal(row[10 + 6 * v : 13 + 6 * v], e.rotation)
+            assert np.array_equal(row[13 + 6 * v : 16 + 6 * v], e.translation)
+        A, got, extrinsics = calib_mod._unpack(row, mid)
         assert A == spec.intrinsics and got == model
         assert all(type(v) is float for v in A.as_tuple() + got.coefficients)
-        assert np.array_equal(calib_mod._pack(A, got, extrinsics), theta)
-        theta[:] = 0.0  # the poses are copies, not views of theta
+        assert calib_mod._row(A, got, extrinsics).tobytes() == row.tobytes()
+        row[:] = 0.0  # the poses are copies, not views of the row
         for e, want in zip(extrinsics, spec.extrinsics, strict=True):
             assert np.array_equal(e.rotation, want.rotation)
             assert np.array_equal(e.translation, want.translation)
@@ -926,7 +939,7 @@ class TestJacobian:
         later = rc.refine(start, data, rc.OptimizerOptions(max_iterations=3))
         assert later.iterations == 3 and any(later.model.coefficients)
         for fit in (start, later):
-            params = calib_mod._pack(fit.intrinsics, fit.model, fit.extrinsics)
+            params = calib_mod._row(fit.intrinsics, fit.model, fit.extrinsics)
             for pts3 in (data.world_points, lifted):
                 for frozen in (False, True):
                     assert_jacobian_close(model_id, params, pts3, self.free(model_id, frozen))
@@ -938,7 +951,7 @@ class TestJacobian:
         # with the intrinsics free and frozen (m = arity).
         data, base, _ = jacobian_points[name]
         model = rc.DistortionModel(9, (0.1, -0.05, 0.08))
-        params = calib_mod._pack(base.intrinsics, model, base.extrinsics)
+        params = calib_mod._row(base.intrinsics, model, base.extrinsics)
         m = self.free(9, frozen)
         J = jacobian(9, params, data.world_points, m)
         r = residuals(9, params, data.world_points, np.stack(data.observations))
@@ -957,11 +970,11 @@ class TestJacobian:
         # column too.
         data, spec = trend
         model = rc.DistortionModel(9, (0.1, -0.05, 0.08))
-        params = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        params = calib_mod._row(spec.intrinsics, model, spec.extrinsics)
         half_turn = np.array([0.1, -0.1, 1.0])
         half_turn *= math.pi / np.linalg.norm(half_turn)
         for v, w in enumerate([np.zeros(3), np.array([4e-9, -3e-9, 2e-9]), half_turn]):
-            params[8 + 6 * v : 8 + 6 * v + 3] = w
+            params[10 + 6 * v : 10 + 6 * v + 3] = w
         for pts3 in (data.world_points, data.world_points + [0.0, 0.0, 0.3]):
             assert_jacobian_close(9, params, pts3, 8)
 
@@ -975,7 +988,7 @@ class TestJacobian:
         axis = rc.Extrinsics(rotation=np.zeros(3), translation=(0.0, 0.0, 5.0))
         tilted = rc.Extrinsics(rotation=(0.1, -0.2, 0.05), translation=(0.2, 0.1, 6.0))
         k = (0.2, -0.1, 0.05)[: rc.coefficient_arity(model_id)]
-        params = calib_mod._pack(A, rc.DistortionModel(model_id, k), (axis, tilted))
+        params = calib_mod._row(A, rc.DistortionModel(model_id, k), (axis, tilted))
         m = self.free(model_id, False)
         assert_jacobian_close(model_id, params, pts3, m)
         J = jacobian(model_id, params, pts3, m)
@@ -989,12 +1002,12 @@ class TestJacobian:
         # column here), so the reference is the central difference.
         data, _ = trend
         start = rc.linear_initialize(data, 4)
-        params = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        params = calib_mod._row(start.intrinsics, start.model, start.extrinsics)
         r_max = forward_pass(4, params, data.world_points)[3].max()
-        params[5] = -(1.0 - 0.01) / r_max
+        params[8] = -(1.0 - 0.01) / r_max  # k, in slot d1
         assert_jacobian_close(4, params, data.world_points, 6, central=True)
         # Closer in, down to just above DENOM_EPS, every entry stays finite.
-        params[5] = -(1.0 - 1e-11) / r_max
+        params[8] = -(1.0 - 1e-11) / r_max
         assert np.isfinite(jacobian(4, params, data.world_points, 6)).all()
 
     def test_random_models_and_poses(self):
@@ -1025,7 +1038,7 @@ class TestJacobian:
             # Away from a pole, where central differences stay accurate.
             _, den = distortion_mod._rational(distortion_mod._slots(model_id, model.coefficients))
             hypothesis.assume((np.abs(np.polynomial.polynomial.polyval(r, den)) > 0.1).all())
-            params = calib_mod._pack(camera_830(), model, (ext,))
+            params = calib_mod._row(camera_830(), model, (ext,))
             m = self.free(model_id, frozen)
             assert_jacobian_close(model_id, params, pts3, m, central=True)
 
@@ -1066,21 +1079,21 @@ class TestModelAxis:
 
     @pytest.mark.parametrize("free", [0, 5], ids=["free", "frozen"])
     def test_jacobian_columns_match_single_calls(self, batch, free):
-        # The stacked Jacobian over all five slots and the intrinsics against
-        # each fit's own: with the intrinsics too, and, for a frozen fit,
-        # without them as a batch of frozen fits takes it.
+        # The stacked Jacobian over all five slots against each fit's own,
+        # with the intrinsics' columns and, as a batch of frozen fits takes
+        # it, without them.
         data, rows = batch
         models = list(range(10))
         target = calib_mod._target(data.world_points)
         slots = list(range(5))
-        stacked = calib_mod._jacobian(rows, calib_mod._frame(models, rows, target)[:5], slots)
+        stacked = calib_mod._jacobian(rows, calib_mod._frame(models, rows, target)[:5], slots, free)
         for m in models:
             own = list(calib_mod._TERMS[m])
             frame = calib_mod._frame((m,), rows[m : m + 1], target)[:5]
             alone = calib_mod._jacobian(rows[m : m + 1], frame, own, free)
-            got = stacked[:, calib_mod._columns(m, free, slots)]
+            got = stacked[:, calib_mod._columns(m, slots, free)]
             assert np.isfinite(got).all()
-            assert calib_mod._columns(m, free, own, free) == list(range(alone.shape[1]))
+            assert calib_mod._columns(m, own, free) == list(range(alone.shape[1]))
             self.assert_fit_slice([got], [alone], m)
 
     def test_overflowing_radius_takes_each_fits_own_slots(self, batch):
@@ -1111,14 +1124,14 @@ class TestObjectiveKernel:
         data, spec = trend
         pts3 = data.world_points
         model = rc.DistortionModel(model_id=4, coefficients=(0.05,))
-        valid = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        valid = calib_mod._row(spec.intrinsics, model, spec.extrinsics)
         behind = valid.copy()
-        behind[6 + 5 :: 6] = -5.0  # every view's translation z
+        behind[10 + 5 :: 6] = -5.0  # every view's translation z
         # Model 4 is 1 / (1 + k r): k = -1/r at view 0's first point makes
         # the denominator vanish there.
         pc = rc.world_to_camera(spec.extrinsics[0], pts3[0])
         singular = valid.copy()
-        singular[5] = -1.0 / math.hypot(pc[0] / pc[2], pc[1] / pc[2])
+        singular[8] = -1.0 / math.hypot(pc[0] / pc[2], pc[1] / pc[2])  # k, in slot d1
 
         assert math.isfinite(calib_mod._objective(self.residuals(4, valid, data)))
         for bad in (behind, singular):
@@ -1130,14 +1143,14 @@ class TestObjectiveKernel:
         data, spec = trend
         pts3 = data.world_points
         model = rc.DistortionModel(model_id=5, coefficients=(0.2,))
-        valid = calib_mod._pack(spec.intrinsics, model, spec.extrinsics)
+        valid = calib_mod._row(spec.intrinsics, model, spec.extrinsics)
         # Shift view 2 back along its optical axis until exactly its nearest
         # point lies behind the camera.
         depth = rc.world_to_camera(spec.extrinsics[2], pts3)[:, 2]
         j = int(np.argmin(depth))
         nearest, second = np.sort(depth)[:2]
         behind = valid.copy()
-        behind[6 + 6 * 2 + 5] -= 0.5 * (nearest + second)  # view 2's translation z
+        behind[10 + 6 * 2 + 5] -= 0.5 * (nearest + second)  # view 2's translation z
 
         r_valid = self.residuals(5, valid, data)
         r = self.residuals(5, behind, data)
@@ -1157,7 +1170,7 @@ class TestObjectiveKernel:
 
     def test_nonpositive_focal_row_reads_inf(self, trend):
         data, spec = trend
-        valid = calib_mod._pack(spec.intrinsics, spec.model, spec.extrinsics)
+        valid = calib_mod._row(spec.intrinsics, spec.model, spec.extrinsics)
         assert math.isfinite(calib_mod._objective(self.residuals(0, valid, data)))
         for i, value in [(0, -1.0), (3, 0.0)]:  # alpha, beta
             flat = valid.copy()
@@ -1175,12 +1188,15 @@ class TestLeastSquaresOracle:
         model_id = start.model.model_id
         obs = np.stack(data.observations)
 
-        def kernel(theta):
-            return residuals(model_id, theta, data.world_points, obs).ravel()
+        row = calib_mod._row(start.intrinsics, start.model, start.extrinsics)
+        index = calib_mod._row_index(model_id, data.n_views)  # no absent slot is fitted
 
-        theta0 = calib_mod._pack(start.intrinsics, start.model, start.extrinsics)
+        def kernel(theta):
+            row[index] = theta
+            return residuals(model_id, row, data.world_points, obs).ravel()
+
         sol = optimize.least_squares(
-            kernel, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+            kernel, row[index], method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
         )
         return float(sol.fun @ sol.fun)
 

@@ -42,6 +42,17 @@ class TestIntrinsicParams:
                 with pytest.raises(ValueError, match="must be finite"):
                     rc.IntrinsicParams(**{**good, field: bad})
 
+    @pytest.mark.parametrize("value", [800, True, np.float64(800.0), 2**70])
+    def test_fields_are_stored_as_floats(self, value):
+        # An int, a bool or an np.float64 is kept as its float, so A is a
+        # float64 matrix: 2**70 kept as an int would make an object array
+        # that np.linalg.inv rejects.
+        A = rc.IntrinsicParams(alpha=value, gamma=0, u0=value, beta=value, v0=np.int64(240))
+        assert all(type(v) is float for v in A.as_tuple())
+        assert A.as_tuple() == (float(value), 0.0, float(value), float(value), 240.0)
+        assert A.matrix.dtype == np.float64
+        assert np.isfinite(np.linalg.inv(A.matrix)).all()
+
     def test_matrix_layout(self):
         A = rc.IntrinsicParams(alpha=2.0, gamma=5.0, u0=10.0, beta=3.0, v0=20.0)
         M = A.matrix
@@ -101,6 +112,11 @@ REAL_FIELDS = {
         for name in _INTRINSICS
     },
     "coefficients": lambda v: rc.DistortionModel(model_id=3, coefficients=(0.1, v)),
+    "r": lambda v: rc.eval_profile(rc.DistortionModel(model_id=3, coefficients=(0.1, 0.2)), v),
+    **{
+        name: lambda v, name=name: rc.CubicProblem(**{**dict(y=0.5, p=0.1, q=0.2), name: v})
+        for name in ("y", "p", "q")
+    },
 }
 
 
@@ -109,6 +125,14 @@ REAL_FIELDS = {
 def test_scalar_settings_are_real_numbers(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
         REAL_FIELDS[name](bad)
+
+
+def test_settings_are_stored_as_floats():
+    # The optimizer's tolerances and the synthetic noise level, given as ints.
+    opts = rc.OptimizerOptions(step_tolerance=1, objective_tolerance=np.int64(2))
+    sigma = rc.truth_record(rc.SynthSpec(**_SYNTH, sigma=0))["sigma"]
+    for value, want in ((opts.step_tolerance, 1.0), (opts.objective_tolerance, 2.0), (sigma, 0.0)):
+        assert type(value) is float and value == want
 
 
 class TestRotation:

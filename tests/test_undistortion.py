@@ -117,6 +117,17 @@ class TestClosedCubic:
         with pytest.raises(rc.DegenerateLeadingCoefficient):
             rc.solve_cubic_closed(rc.CubicProblem(y=0.002, p=1e103, q=1e103))
 
+    def test_non_finite_field_rejected(self):
+        # A nan y once solved to three nan "roots"; an int past the float
+        # range reads as inf. Finite fields are stored as floats.
+        good = dict(y=1.0, p=0.5, q=1.0)
+        for name in good:
+            for bad in (math.nan, math.inf, -math.inf, 10**400):
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                    rc.CubicProblem(**{**good, name: bad})
+        cubic = rc.CubicProblem(y=1, p=True, q=np.float64(1.0))
+        assert [type(v) for v in (cubic.y, cubic.p, cubic.q)] == [float] * 3
+
     def test_triple_root(self):
         # x + p x^2 + q x^3 - y is (x - x0)^3 / (3 x0^2). At this x0 the
         # bracket rounds to exactly zero: the three roots are -p/(3q).
