@@ -16,14 +16,16 @@ forward pass and one Jacobian over a leading model axis for every fit still
 running, while each fit keeps its own damping, acceptance test and stop
 rule, so every fit takes the bits it takes alone. A fit's parameters have
 one layout, the batch row (_row) that every model shares, and a batch has
-one freeze setting for all its fits. refine is a batch of one.
+one freeze setting for all its fits. A fit starts from its row and ends in
+its CalibrationResult; an error in any fit propagates. refine is a batch of
+one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -753,29 +755,27 @@ def _normal_equations(J: np.ndarray, r: np.ndarray):
 
 
 def _fit(
-    initial: CalibrationResult,
-    data: CalibrationDataset,
-    opts: OptimizerOptions | None = None,
-    free: int = 0,
+    model_id: int,
+    theta: np.ndarray,
+    observations: np.ndarray,
+    opts: OptimizerOptions,
+    free: int,
 ):
     """refine's Levenberg-Marquardt loop for one fit, as a generator.
 
-    theta is the fit's batch row (see _row). A step moves the row positions
-    _row_index gives from its free-th on, free 0 or 5 (the intrinsics
-    frozen). The fit yields each evaluation it needs and receives its
-    result: a row for the forward pass there (its _frame pixels), or None
-    for its Jacobian columns (see _columns) at the row last evaluated for
-    it. Its normal equations, solve, damping, acceptance test, stop rules
-    and evaluation count are its own; it returns its CalibrationResult.
-    _lock_step drives the fits.
+    theta is the fit's start, its batch row (see _row), which the fit never
+    writes to, and observations the batch's (V, P, 2) stack of pixel
+    observations. A step moves the row positions _row_index gives from its
+    free-th on, free 0 or 5 (the intrinsics frozen). The fit yields each
+    evaluation it needs and receives its result: a row for the forward pass
+    there (its _frame pixels), or None for its Jacobian columns (see
+    _columns) at the row last evaluated for it. Its normal equations, solve,
+    damping, acceptance test, stop rules and evaluation count are its own;
+    it returns its CalibrationResult. _lock_step drives the fits.
     """
-    opts = opts or OptimizerOptions()
-    model_id = initial.model.model_id
-    n_views = data.n_views
-    observations = np.stack(data.observations)
+    n_views = len(observations)
     stepped = _row_index(model_id, n_views)[free:]
 
-    theta = _row(initial.intrinsics, initial.model, initial.extrinsics)
     r = _residuals(theta, (yield theta), observations)
     J = _objective(r)
     evals = 1
@@ -864,10 +864,11 @@ def _fit(
 
 
 def _lock_step(
-    data: CalibrationDataset, opts: OptimizerOptions | None, initials, free: int = 0
-) -> list:
-    """Refine every start of initials on data as one _fit each, the fits in
-    lock step and all with the one freeze setting free (see _fit).
+    data: CalibrationDataset, opts: OptimizerOptions | None, starts, free: int = 0
+) -> list[CalibrationResult]:
+    """Refine every start of starts, (model_id, batch row) pairs (see _row),
+    on data as one _fit each, the fits in lock step and all with the one
+    freeze setting free (see _fit).
 
     A fit asks for a Jacobian after its start and after each accepted
     trial, then for a trial's forward pass, so each round serves in that
@@ -880,25 +881,23 @@ def _lock_step(
     _row_index's order, or its pixels. Every step is elementwise or per
     fit, so a fit takes the bits it takes alone.
 
-    A fit leaves the batch when it returns or raises a RadialCalError; the
-    result or the error comes back in initials' order. Any other error
-    propagates.
+    A fit leaves the batch when it returns; the results come back in
+    starts' order. An error in any fit propagates.
     """
-    fits = [_fit(initial, data, opts, free) for initial in initials]
-    models = [initial.model.model_id for initial in initials]
+    opts = opts or OptimizerOptions()
+    observations = np.stack(data.observations)
+    models = [model_id for model_id, _ in starts]
+    fits = [_fit(model_id, row, observations, opts, free) for model_id, row in starts]
     target = _target(data.world_points)
     V = data.n_views
-    outcomes = [None] * len(fits)
+    results = [None] * len(fits)
     requests = {}  # each live fit's next request: a row, or None for its Jacobian
 
     def send(i, reply):
         try:
             requests[i] = fits[i].send(reply)
         except StopIteration as stop:
-            outcomes[i] = stop.value
-            del requests[i]
-        except RadialCalError as error:
-            outcomes[i] = error
+            results[i] = stop.value
             del requests[i]
 
     for i in range(len(fits)):
@@ -929,7 +928,7 @@ def _lock_step(
                 frame = _frame([models[i] for i in evaluated], rows, target)
                 for j, i in enumerate(evaluated):
                     send(i, frame[5][j * V : (j + 1) * V])
-    return outcomes
+    return results
 
 
 def refine(
@@ -975,15 +974,15 @@ def refine(
     decreasing by construction.
 
     The loop is one fit of the lock-step batch (_fit, _lock_step) that
-    compare_models runs over several models; refine runs a batch of one,
-    and a fit keeps its own damping and stop rule in either.
+    compare_models runs over several models; refine runs a batch of one
+    from initial's batch row, and a fit keeps its own damping and stop rule
+    in either.
     """
     if len(initial.extrinsics) != data.n_views:
         raise ValueError("initial extrinsics count does not match the dataset")
-    (outcome,) = _lock_step(data, opts, [initial], 5 if freeze_intrinsics else 0)
-    if isinstance(outcome, RadialCalError):
-        raise outcome
-    return outcome
+    row = _row(initial.intrinsics, initial.model, initial.extrinsics)
+    free = 5 if freeze_intrinsics else 0
+    return _lock_step(data, opts, [(initial.model.model_id, row)], free)[0]
 
 
 def _start(
@@ -1069,11 +1068,10 @@ def compare_models(
     The linear stage and its objective J0 run once; each model is refined
     from the identical intrinsics/extrinsics with its coefficients at zero,
     where every profile is exactly 1, so J0 is every row's initial objective.
-    The models are refined in lock step as one batch (_lock_step): each fit
-    keeps its own damping and stop rule and leaves the batch when it stops,
-    so a row holds the bits of calibrate on that model. A model whose
-    refinement raises a RadialCalError is recorded with converged=False
-    instead of aborting the report, and the other fits run on. An empty
+    The models are refined in lock step as one batch (_lock_step) from the
+    start's one batch row: each fit keeps its own damping and stop rule and
+    leaves the batch when it stops, so a row holds the bits of calibrate on
+    that model. An error in any fit propagates, as from calibrate. An empty
     model_ids raises ValueError, and an id that is not an integer in 0..9
     UnknownModel, as in calibrate.
     """
@@ -1084,16 +1082,9 @@ def compare_models(
     if not model_ids:
         raise ValueError("compare_models needs at least one model id")
     base = linear_initialize(data, model_ids[0])
-    starts = [
-        replace(base, model=DistortionModel(mid, (0.0,) * coefficient_arity(mid)))
-        for mid in model_ids
-    ]
-    outcomes = _lock_step(data, opts, starts)
-    results = {
-        s.model.model_id: replace(s, converged=False, status="failed")
-        if isinstance(out, RadialCalError) else out
-        for s, out in zip(starts, outcomes)
-    }
+    # With k = 0 every slot holds 0.0, so this row is every model's start.
+    row = _row(base.intrinsics, base.model, base.extrinsics)
+    results = dict(zip(model_ids, _lock_step(data, opts, [(m, row) for m in model_ids])))
     order = sorted(model_ids, key=lambda m: (results[m].objective, m))
     ranks = {mid: rank for rank, mid in enumerate(order)}
     rows = tuple(_fit_row(results[mid], ranks[mid]) for mid in model_ids)

@@ -143,6 +143,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     opts = _opts(args)
     report = compare_models(load_dataset(args.data), args.models, opts)
     sys.stdout.write(render_report(report))
+    for row in report.rows:  # in model-id order
+        if not row.converged:
+            print(f"warning: model {row.model_id} did not converge", file=sys.stderr)
     return 0
 
 

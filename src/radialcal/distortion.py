@@ -177,14 +177,24 @@ def _checked(model_id: int, r, f):
 def eval_profile(model: DistortionModel, r):
     """Evaluate the radial scale factor f(r).
 
-    r may be a nonnegative scalar or an ndarray of radii; the return type
-    matches. A scalar that is not a real number (numbers.Real) raises
-    ValueError. Raises SingularProfile if any rational denominator falls
-    below DENOM_EPS in magnitude, or if f is nan for another reason (a nan
-    radius, overflow).
+    r may be a nonnegative scalar or an ndarray of radii, which is taken as
+    float (an int array's r * r would wrap around); the return type matches.
+    A scalar that is not a real number (numbers.Real) or an array of another
+    dtype than bool, int or float raises ValueError, as does a negative
+    radius, naming the first one. Raises SingularProfile if any rational
+    denominator falls below DENOM_EPS in magnitude, or if f is nan for
+    another reason (a nan radius, overflow).
     """
-    if not isinstance(r, np.ndarray):
+    if isinstance(r, np.ndarray):
+        if r.dtype.kind not in "biuf":
+            raise ValueError(f"r must be an array of real numbers, got dtype {r.dtype}")
+        r = r.astype(float, copy=False)
+        negative = r[r < 0.0]
+    else:
         r = _real("r", r)
+        negative = [r] if r < 0.0 else []
+    if len(negative):
+        raise ValueError(f"r must be nonnegative, got {float(negative[0])!r}")
     return _checked(model.model_id, r, _profile(model._slots, r))
 
 

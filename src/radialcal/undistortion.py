@@ -245,10 +245,20 @@ def solve_poly_real(coeffs) -> list[float]:
     """Real roots of a polynomial of degree <= 3, ascending coefficients.
 
     Leading coefficients below COEFF_EPS collapse the degree. Each root gets
-    one Newton polish step. Raises ZeroPolynomial if every coefficient is
-    below 1e-15 in magnitude.
+    one Newton polish step. A coefficient that is not a finite real number
+    (numbers.Real) raises ValueError naming coeffs. Raises ZeroPolynomial if
+    every coefficient is below 1e-15 in magnitude.
     """
-    c = [float(v) for v in coeffs]
+    c = [_real("coeffs", v) for v in coeffs]
+    for v in c:
+        if not math.isfinite(v):
+            raise ValueError(f"coeffs must be finite, got {v!r}")
+    return _real_roots(c)
+
+
+def _real_roots(coeffs) -> list[float]:
+    """solve_poly_real's roots for finite float coefficients."""
+    c = list(coeffs)
     if all(abs(v) < 1e-15 for v in c):
         raise ZeroPolynomial("all coefficients are numerically zero")
     while len(c) > 1 and abs(c[-1]) < COEFF_EPS:
@@ -321,7 +331,7 @@ def _branch_coefficients(plan: tuple, x_d, s, t, sg) -> tuple:
 
 def _closed_form_ray(model: DistortionModel, x_d: np.ndarray, c: np.ndarray) -> np.ndarray:
     """_pair's closed form on every ray y = c x: the principal preimage x, or
-    nan where _pair bisects or hands the row to solve_poly_real.
+    nan where _pair bisects or hands the row to _real_roots.
 
     Every row's branch polynomial is solved with _pair's formulas for the
     model's degree, and a mask keeps the rows that _pair would solve so:
@@ -479,7 +489,7 @@ def _pair(model: DistortionModel, xd: float, yd: float, closed: bool) -> tuple[f
                 z3 = _radicals(-b[0] / b[1], b[2] / b[1], b[3] / b[1])
                 roots = [z.real for z in z3 if abs(z.imag) <= IMAG_EPS * max(1.0, abs(z.real))]
             else:
-                roots = solve_poly_real(b)
+                roots = _real_roots(b)
         except (OverflowError, ZeroPolynomial):
             # Radicals past the float range, or a polynomial with every
             # coefficient below 1e-15, give no candidate: bisect.

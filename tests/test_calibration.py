@@ -1266,19 +1266,20 @@ class TestCompareModels:
         for rank, row in enumerate(want):
             assert row.rank == rank
 
-    @staticmethod
-    def fail_model_5(monkeypatch, jacobians):
-        """Make model 5's fit raise SingularProfile once it has asked for
-        `jacobians` Jacobians (0: before its first request is served); other
-        fits run as they are. The fits are the generators _lock_step drives."""
+    def test_failure_after_first_step_propagates(self, noisy3, monkeypatch):
+        # Model 5's fit raises once its first step is accepted, that is at its
+        # second Jacobian request: compare_models raises that error, as
+        # calibrate would, and reports no row. The fits are the generators
+        # _lock_step drives.
+        data, _ = noisy3
         real = calib_mod._fit
 
-        def flaky(initial, data_, opts=None, free=0):
-            fit = real(initial, data_, opts, free)
-            request, asked = next(fit), 0
+        def flaky(model_id, theta, observations, opts, free):
+            fit = real(model_id, theta, observations, opts, free)
+            request, jacobians = next(fit), 0
             while True:
-                asked += request is None
-                if initial.model.model_id == 5 and asked >= jacobians:
+                jacobians += request is None
+                if model_id == 5 and jacobians >= 2:
                     raise rc.SingularProfile("synthetic failure")
                 try:
                     request = fit.send((yield request))
@@ -1286,33 +1287,9 @@ class TestCompareModels:
                     return stop.value
 
         monkeypatch.setattr(calib_mod, "_fit", flaky)
-
-    def test_failed_model_recorded(self, noisy3, monkeypatch):
-        data, _ = noisy3
-        self.fail_model_5(monkeypatch, 0)
         opts = rc.OptimizerOptions(max_iterations=20, max_function_evaluations=4000)
-        report = rc.compare_models(data, [3, 5, 7], opts)
-        rows = {r.model_id: r for r in report.rows}
-        assert not rows[5].converged
-        assert rows[5].objective == rows[5].initial_objective
-        assert rows[5].rank == 2
-        assert rows[3].objective < rows[5].objective
-        assert rows[7].objective < rows[5].objective
-
-    def test_failure_after_first_step_is_isolated(self, noisy3, monkeypatch):
-        # Model 5 fails once its first step is accepted, while the batch runs
-        # on: the other rows are their solo fits, bit for bit.
-        data, _ = noisy3
-        opts = rc.OptimizerOptions(max_iterations=20, max_function_evaluations=4000)
-        solo = {m: rc.calibrate(data, m, opts) for m in (3, 7)}
-        self.fail_model_5(monkeypatch, 2)
-        report = rc.compare_models(data, [3, 5, 7], opts)
-        rows = {r.model_id: r for r in report.rows}
-        assert not rows[5].converged and rows[5].rank == 2
-        assert rows[5].objective == rows[5].initial_objective
-        for m, fit in solo.items():
-            assert fit.iterations > 1
-            assert row_bytes(rows[m]) == row_bytes(calib_mod._fit_row(fit, rows[m].rank))
+        with pytest.raises(rc.SingularProfile, match="^synthetic failure$"):
+            rc.compare_models(data, [3, 5, 7], opts)
 
     @pytest.mark.parametrize("stop", ["default", "max_iterations", "max_function_evaluations",
                                       "line_search_failure"])

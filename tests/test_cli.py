@@ -212,6 +212,16 @@ class TestCalibrate:
         assert res.returncode == 0
         assert [row[0] for row in parse_table(res.stdout)] == ["9"]
         assert res.stderr == "warning: did not converge (max_iterations)\n"
+        # compare warns once per unconverged row, in model-id order, after
+        # its report; the report and the exit code are unchanged.
+        res = run_cli("compare", "--data", str(m9_dir), "--models", "8,9", "--max-iter", "1")
+        assert res.returncode == 0
+        assert [row[0] for row in parse_table(res.stdout)] == ["8", "9"]
+        assert res.stderr == (
+            "warning: model 8 did not converge\nwarning: model 9 did not converge\n"
+        )
+        res = run_cli("compare", "--data", str(m9_dir), "--models", "8,9")
+        assert res.returncode == 0 and res.stderr == ""
 
     def test_compare_ranks(self, synth_dir):
         res = run_cli("compare", "--data", str(synth_dir), "--models", "1,2")

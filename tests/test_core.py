@@ -117,6 +117,7 @@ REAL_FIELDS = {
         name: lambda v, name=name: rc.CubicProblem(**{**dict(y=0.5, p=0.1, q=0.2), name: v})
         for name in ("y", "p", "q")
     },
+    "coeffs": lambda v: rc.solve_poly_real([v, 1.0]),
 }
 
 

@@ -218,6 +218,40 @@ class TestProfile:
         with pytest.raises(rc.SingularProfile):
             rc.eval_profile(m, rr)
 
+    def test_int_array_is_taken_as_float(self):
+        # An int array's r * r would wrap around at 2**40 and give f = 1.
+        m = rc.DistortionModel(model_id=0, coefficients=(0.1, 0.01))
+        got = rc.eval_profile(m, np.array([2**40]))
+        assert got.tobytes() == np.array([rc.eval_profile(m, float(2**40))]).tobytes()
+        # Strings and complex radii are no real numbers, in an array as alone.
+        for bad in (np.array(["0.5"]), np.array([0.5 + 0j])):
+            with pytest.raises(ValueError, match="^r must be an array of real numbers, got "):
+                rc.eval_profile(m, bad)
+
+    @pytest.mark.parametrize("r, first", [
+        (-1.0, "-1.0"),
+        (np.array([0.5, -1.0, -2.0]), "-1.0"),
+        (np.array(-3.0), "-3.0"),
+    ])
+    def test_negative_radius_raises(self, r, first):
+        m = rc.DistortionModel(model_id=1, coefficients=(0.1,))
+        with pytest.raises(ValueError, match=f"^r must be nonnegative, got {first}$"):
+            rc.eval_profile(m, r)
+
+    def test_negative_radius_is_not_a_singularity(self):
+        # Model 4 with k = 0.5 has 1 + k r = 0 at r = -2, no radius of a point.
+        m = rc.DistortionModel(model_id=4, coefficients=(0.5,))
+        with pytest.raises(ValueError, match="^r must be nonnegative, got -2.0$"):
+            rc.eval_profile(m, -2.0)
+
+    def test_negative_zero_and_nan_radii(self):
+        m = rc.DistortionModel(model_id=1, coefficients=(0.1,))
+        assert rc.eval_profile(m, -0.0) == 1.0
+        assert rc.eval_profile(m, np.array([-0.0, 1.0])).tolist() == [1.0, 1.1]
+        for r in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(rc.SingularProfile, match="r=nan"):
+                rc.eval_profile(m, r)
+
 
 class TestDistort:
     def test_zero_coefficients_are_identity(self):

@@ -172,6 +172,14 @@ class TestPolyReal:
         assert rc.solve_poly_real([2.0, 1e-13]) == []
         assert rc.solve_poly_real([2.0]) == []
 
+    def test_non_finite_coefficient_rejected(self):
+        # A nan or infinite coefficient once came back as a nan "root"; an int
+        # past the float range reads as inf.
+        for bad in (math.nan, math.inf, -math.inf, 10**400):
+            for coeffs in ([bad, 1.0], [1.0, 2.0, bad]):
+                with pytest.raises(ValueError, match="^coeffs must be finite, got "):
+                    rc.solve_poly_real(coeffs)
+
     def test_residual_after_polish(self):
         rng = np.random.default_rng(103)
         for _ in range(300):
