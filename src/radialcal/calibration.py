@@ -45,6 +45,8 @@ from .core import (
 )
 from .distortion import (
     _D1,
+    _D2,
+    _N2,
     _N4,
     _TERMS,
     DistortionModel,
@@ -196,15 +198,21 @@ class ModelFitRow:
 
 @dataclass(frozen=True, slots=True)
 class ModelFitReport:
-    """Comparison rows in model-id order; ranks follow ascending objective."""
+    """Comparison rows in model-id order; ranks follow ascending objective.
+
+    A row's id that is not a model raises UnknownModel, and ids that do not
+    strictly increase, a repeated one among them, raise ValueError.
+    """
 
     rows: tuple[ModelFitRow, ...]
 
     def __post_init__(self):
         rows = tuple(self.rows)
         ids = [r.model_id for r in rows]
-        if ids != sorted(ids):
-            raise ValueError("report rows must be sorted by model_id")
+        for m in ids:
+            coefficient_arity(m)  # UnknownModel unless m is a model id
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"report rows must have strictly increasing model ids, got {ids}")
         if sorted(r.rank for r in rows) != list(range(len(rows))):
             raise ValueError("ranks must be a permutation of 0..n-1")
         object.__setattr__(self, "rows", rows)
@@ -217,9 +225,15 @@ def _lift(pts: np.ndarray) -> np.ndarray:
 
 def apply_homography(H: Homography, points: Mat) -> Mat:
     """Map (n, 2) points through H and dehomogenize; ValueError unless points
-    is an (n, 2) array of finite points."""
+    is an (n, 2) array of finite points, or naming the first point whose
+    image is not finite (one H maps to infinity)."""
     ph = _lift(_finite_points("points", points)) @ H.matrix.T
-    return ph[:, :2] / ph[:, 2:3]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        image = ph[:, :2] / ph[:, 2:3]
+    bad = ~np.isfinite(image).all(axis=1)
+    if bad.any():
+        raise ValueError(f"point {int(bad.argmax())} has no finite image under the homography")
+    return image
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -518,11 +532,6 @@ def _frame(models, rows: np.ndarray, target):
     return Pc, x, y, r, f, pixels
 
 
-def _frame_of(A: IntrinsicParams, model: DistortionModel, extrinsics, pts3: Mat):
-    """The _frame of one fit over (P, 3) world points, a batch of one."""
-    return _frame((model.model_id,), _row(A, model, extrinsics)[None], _target(pts3))
-
-
 def _check(model_id: int, frame) -> None:
     """NonPositiveDepth for a frame's first point below DEPTH_EPS, else
     SingularProfile for its first nan f; points are taken in view order."""
@@ -575,7 +584,7 @@ def project_distorted(
     if pts3.ndim != 2 or pts3.shape[1] != 3:
         raise ValueError(f"world_points must be an (n, 3) array, got shape {pts3.shape}")
     _no_nan(pts3)
-    frame = _frame_of(A, model, (ext,), pts3)
+    frame = _frame((model.model_id,), _row(A, model, (ext,))[None], _target(pts3))
     _check(model.model_id, frame)
     return frame[5][0]
 
@@ -586,7 +595,7 @@ def _views(A: IntrinsicParams, extrinsics, model: DistortionModel, pts3: Mat) ->
     The first view i with a point without a pixel raises as project_distorted
     does, prefixed "view i, ".
     """
-    frame = _frame_of(A, model, extrinsics, pts3)
+    frame = _frame((model.model_id,), _row(A, model, extrinsics)[None], _target(pts3))
     bad = np.isnan(frame[4]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -657,19 +666,27 @@ def _jacobian(rows: np.ndarray, frame, slots, free: int) -> np.ndarray:
       = 0 is e_j x R P.
 
     At an accepted row every depth is at least DEPTH_EPS and every |D| at
-    least DENOM_EPS, so r and every entry are finite, and an absent slot's
-    0 term changes no bit. Every step is elementwise, so a fit's columns
-    hold the bits of its M = 1 call.
+    least DENOM_EPS, so r and every entry are finite. D, N' and D' take a
+    term only for a slot in slots, and r^2 is formed only for one that uses
+    it, as _profile takes f: a batch of one reads no absent slot's 0 row
+    entry, which at a far point would read 0 inf = nan. Every step is
+    elementwise, so a fit's columns hold the bits of its M = 1 call.
     """
     pose = rows[:, 10:].reshape(-1, 6)
     alpha, gamma, u0, beta, v0, n1, n2, n4, d1, d2 = _per_fit(rows, len(pose) // len(rows))
     Pc, x, y, r, f = frame
 
-    # D and the slopes N' and D' in r.
-    r2 = r * r
-    D = 1.0 + d1 * r + d2 * r2
-    dN = n1 + 2.0 * n2 * r + 4.0 * n4 * (r2 * r)
-    dD = d1 + 2.0 * d2 * r
+    # D and the slopes N' and D' in r, each summed in slot order over the
+    # slots taken: a term k r^p of N adds k p r^(p - 1) to N', and one of D
+    # adds k r^p to D and k p r^(p - 1) to D'. p is 1, 2 or 4, so k (p
+    # r^(p - 1)) has the bits of (p k) r^(p - 1).
+    r2 = r * r if {_N2, _N4, _D2}.intersection(slots) else None
+    powers = (r, r2, r2 * r2 if _N4 in slots else None, r, r2)
+    slopes = (1.0, 2.0 * r, 4.0 * (r2 * r) if _N4 in slots else None, 1.0, 2.0 * r)
+    k = (n1, n2, n4, d1, d2)
+    D = sum((k[s] * powers[s] for s in slots if s >= _D1), 1.0)
+    dN = sum((k[s] * slopes[s] for s in slots if s < _D1), 0.0)
+    dD = sum((k[s] * slopes[s] for s in slots if s >= _D1), 0.0)
     df = (dN - f * dD) / D
 
     # Column i's u and v derivatives go to J[:, i, 0] and J[:, i, 1], each
@@ -692,7 +709,6 @@ def _jacobian(rows: np.ndarray, frame, slots, free: int) -> np.ndarray:
     ray = J[:, 5 - free]
     np.add(alpha * x, gamma * y, out=ray[:, 0])
     np.multiply(beta, y, out=ray[:, 1])
-    powers = (r, r2, r2 * r2 if _N4 in slots else None, r, r2)
     for i, slot in reversed(list(enumerate(slots, start=5 - free))):
         d = powers[slot] / D if slot < _D1 else -f * powers[slot] / D
         np.multiply(ray, d[:, None], out=J[:, i])
@@ -782,8 +798,6 @@ def _fit(
     if not math.isfinite(J):
         raise ValueError("initial parameters do not give a finite objective")
     trace = [J]
-    # theta's rotations as floats, the ones each trial composes its turns with
-    rotations = theta[10:].reshape(n_views, 6)[:, :3].tolist()
     status = "max_iterations"
     lam, nu = _DAMPING_START, 2.0
     flat_streak = 0
@@ -799,6 +813,9 @@ def _fit(
         # J's rounding floor: a residual p - m carries the rounding of the pixel
         # p, about eps |m|, which moves J by 2 eps |r| |m|. No smaller fall counts.
         floor = _EPS * (J + 2.0 * float(np.abs(r * observations).sum()))
+        # theta's rotations as floats, the ones each trial composes its turns
+        # with: the row stores exactly the floats _compose_rotation returned.
+        rotations = theta[10:].reshape(n_views, 6)[:, :3].tolist()
         scale = np.diag(N).copy()
         scale[scale <= 0.0] = 1.0
         first_predicted = math.inf  # the first finite decrease a trial predicts
@@ -807,8 +824,7 @@ def _fit(
             trial = theta.copy()
             trial[stepped] += step
             turns = step[-6 * n_views :].reshape(n_views, 6)[:, :3].tolist()
-            turned = list(map(_compose_rotation, turns, rotations))
-            trial[10:].reshape(n_views, 6)[:, :3] = turned
+            trial[10:].reshape(n_views, 6)[:, :3] = list(map(_compose_rotation, turns, rotations))
             # A far trial may overflow; J then reads inf or nan and is rejected.
             # _lock_step runs the trial and sends its pixels under np.errstate
             # ignoring overflow and invalid values, so this warns nothing.
@@ -837,7 +853,6 @@ def _fit(
         rel_dJ = (J - point[-1]) / max(1.0, point[-1])
         rho = min(1.0, (J - point[-1]) / predicted) if predicted > 0.0 else 1.0
         theta, r, J = point
-        rotations = turned  # the floats the accepted trial stored
         lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         nu = 2.0
         trace.append(J)
@@ -891,7 +906,9 @@ def _lock_step(
     target = _target(data.world_points)
     V = data.n_views
     results = [None] * len(fits)
-    requests = {}  # each live fit's next request: a row, or None for its Jacobian
+    # Each live fit's next request: a row, or None for its Jacobian. A fit
+    # yields its start row first.
+    requests = {i: next(fit) for i, fit in enumerate(fits)}
 
     def send(i, reply):
         try:
@@ -900,9 +917,6 @@ def _lock_step(
             results[i] = stop.value
             del requests[i]
 
-    for i in range(len(fits)):
-        requests[i] = None
-        send(i, None)
     evaluated = rows = frame = None  # the fits, rows and _frame of the last forward pass
     while requests:
         jacobian = [i for i, request in requests.items() if request is None]

@@ -129,10 +129,13 @@ def _profile(slots: tuple, r):
     and reads nan; no exception is raised here, so a caller can evaluate a
     batch past one bad radius. The public functions raise through _checked.
     A model without D terms never divides, so model 0's float evaluation
-    (the inner loop of numeric inversion) stays plain arithmetic.
+    (the inner loop of numeric inversion) stays plain arithmetic. r^2 is
+    formed only for a slot that uses it, so models 1 and 4 never overflow
+    there.
     """
     n1, n2, n4, d1, d2 = slots
-    r2 = r * r
+    if n2 is not None or n4 is not None or d2 is not None:
+        r2 = r * r
     num = 1.0
     if n1 is not None:
         num = num + n1 * r
@@ -163,15 +166,18 @@ def _rational(slots: tuple) -> tuple[list[float], list[float]]:
 
 
 def _checked(model_id: int, r, f):
-    """f unchanged, or SingularProfile at the first radius where f is nan."""
+    """f unchanged, or SingularProfile at the first radius where f is nan:
+    its denominator vanished there, or, for a model without one (0 to 3),
+    its profile is undefined there."""
     if isinstance(f, np.ndarray):
         bad = np.isnan(f)
-        if bad.any():
-            where = float(np.broadcast_to(r, f.shape)[bad][0])
-            raise SingularProfile(f"model {model_id} denominator vanished at r={where!r}")
-    elif f != f:
-        raise SingularProfile(f"model {model_id} denominator vanished at r={float(r)!r}")
-    return f
+        if not bad.any():
+            return f
+        r = np.broadcast_to(r, f.shape)[bad][0]
+    elif f == f:
+        return f
+    what = "denominator vanished" if max(_TERMS[model_id]) >= _D1 else "profile is undefined"
+    raise SingularProfile(f"model {model_id} {what} at r={float(r)!r}")
 
 
 def eval_profile(model: DistortionModel, r):

@@ -22,7 +22,10 @@ class UnsupportedModel(RadialCalError):
 
 
 class SingularProfile(RadialCalError):
-    """A rational profile denominator vanished at the requested radius."""
+    """A profile is undefined at the requested radius. A rational model
+    (4..9) reports that its denominator vanished there, and a polynomial one
+    (0..3), whose f is nan only for a nan radius or an overflow, that its
+    profile is undefined there."""
 
 
 class NonPositiveDepth(RadialCalError):

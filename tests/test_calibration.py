@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,12 @@ class TestHomographyType:
     def test_apply_checks_points(self, points, message):
         with pytest.raises(ValueError, match=f"^points must be {message}$"):
             rc.apply_homography(rc.Homography(matrix=np.eye(3)), points)
+
+    def test_apply_names_a_point_without_finite_image(self):
+        # H maps (x, y) to (x, y) / (x + 1), so (-1, 0) goes to infinity.
+        H = rc.Homography(matrix=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="^point 1 has no finite image under the homography$"):
+            rc.apply_homography(H, np.array([[0.0, 0.0], [-1.0, 0.0]]))
 
 
 class TestEstimateHomography:
@@ -827,6 +834,26 @@ class TestRefine:
         for e in res.extrinsics:
             assert np.isfinite(e.rotation).all() and np.linalg.norm(e.rotation) <= math.pi
 
+    def test_far_point_takes_an_accepted_step(self):
+        # Model 4, f = 1 / (1 + k r), uses no r^2. Its far point sits at r =
+        # 1e156, whose square overflows, yet projects to the finite pixel
+        # (1920, 240); no kernel may read the batch row's 0 in an absent slot
+        # there as 0 r^2 = nan, which stopped the fit at its start.
+        A = rc.IntrinsicParams(alpha=800.0, gamma=0.0, u0=320.0, beta=800.0, v0=240.0)
+        model = rc.DistortionModel(4, (0.5,))
+        ext = rc.Extrinsics(rotation=np.zeros(3), translation=np.array([0.0, 0.0, 1e-10]))
+        target = np.array([[1e146, 0.0], [0.1, 0.1]])
+        world = np.column_stack([target, np.zeros(2)])
+        observations = rc.project_distorted(A, ext, model, world) + 0.5
+        data = rc.CalibrationDataset(target, (observations,))
+        start = rc.CalibrationResult(A, (ext,), model, 1.0, 0, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rc.refine(start, data, freeze_intrinsics=True)
+        assert res.objective_trace[0] == 1.0
+        assert res.iterations >= 1 and res.objective < 1.0
+        assert res.status == "step_tolerance"
+
     def test_recovers_ground_truth(self, exact3):
         data, spec = exact3
         res = rc.calibrate(data, 3)
@@ -1453,3 +1480,7 @@ class TestTypes:
             rc.ModelFitReport(rows=(row(3, 0), row(1, 1)))
         with pytest.raises(ValueError):
             rc.ModelFitReport(rows=(row(1, 0), row(2, 0)))
+        with pytest.raises(ValueError, match="strictly increasing model ids, got \\[3, 3\\]"):
+            rc.ModelFitReport(rows=(row(3, 0), row(3, 1)))
+        with pytest.raises(rc.UnknownModel):
+            rc.ModelFitReport(rows=(row(3, 0), row(99, 1)))

@@ -483,6 +483,14 @@ class TestRoundtripCheck:
         ]
         assert len(data_lines) == 9
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflow_names_no_denominator(self):
+        # Model 0's r^4 overflows far out; it has no denominator to vanish.
+        res = run_cli("roundtrip-check", "--models", "0", "--radius", "1e300")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: model 0 profile is undefined at r=")
+
     @pytest.mark.parametrize(
         "option, value",
         [("--samples", "0"), ("--samples", "-1"), ("--radius", "0"), ("--radius", "-0.5"),

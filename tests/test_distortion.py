@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,29 @@ class TestDistort:
             rc.distort_normalized(m, np.array([0.5, 0.0]))
         with pytest.raises(rc.SingularProfile, match=msg):
             rc.distort_normalized(m, np.array([[0.1, 0.2], [0.5, 0.0], [0.3, 0.0]]))
+
+    @pytest.mark.parametrize("mid", [0, 1, 2, 3])
+    def test_polynomial_profile_names_no_denominator(self, mid):
+        # Models 0-3 have no denominator: a nan f means the profile is undefined.
+        model = rc.DistortionModel(mid, (0.1,) * ARITY[mid])
+        msg = f"^model {mid} profile is undefined at r=nan$"
+        with pytest.raises(rc.SingularProfile, match=msg):
+            rc.eval_profile(model, math.nan)
+        with pytest.raises(rc.SingularProfile, match=msg):
+            rc.eval_profile(model, np.array([0.5, math.nan]))
+
+    def test_no_square_without_an_r2_slot(self):
+        # Models 1 and 4 use no r^2, so a radius whose square overflows takes
+        # the float call's bits in an array too, and warns nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mid in (1, 4):
+                model = rc.DistortionModel(mid, (0.5,))
+                for r in (1e155, 1e200):
+                    got = rc.eval_profile(model, np.array([r]))
+                    assert got.tobytes() == np.array([rc.eval_profile(model, r)]).tobytes()
+            model = rc.DistortionModel(4, (0.5,))
+            assert rc.distort_normalized(model, np.array([[1e200, 0.0]])).tolist() == [[2.0, 0.0]]
 
     def test_model1_hand_value(self):
         m = rc.DistortionModel(model_id=1, coefficients=(-0.0984,))
